@@ -29,7 +29,7 @@ from .core import (
     generated_subalgebra,
     is_subdirect_embedding,
 )
-from .terms import Identity, parse_identity
+from .terms import Identity, parse_identity, split_top_level
 
 
 class CatalogError(KeyError):
@@ -63,11 +63,6 @@ class CatalogEntry:
 
 # ---------------------------------------------------------------------------
 # raw tables
-
-# height-1 addition on {1, 2, 3, 4}: x + x = x, everything else joins to 1
-def _flat_add(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(i if i == j else 0 for j in range(n)) for i in range(n))
-
 
 # multiplication tables, row-major, entries are the display labels 1..4
 _ORDER4_MUL = {
@@ -133,7 +128,6 @@ _ORDER4_MUL = {
     58: "2222222222222222",
 }
 
-_ORDER2_ADD = ((0, 1), (1, 1))
 _ORDER2_MUL = {
     "L2": ((0, 0), (1, 1)),
     "R2": ((0, 1), (0, 1)),
@@ -143,7 +137,6 @@ _ORDER2_MUL = {
     "T2": ((1, 1), (1, 1)),
 }
 
-_S7_ADD = ((0, 2, 2), (2, 1, 2), (2, 2, 2))
 _S7_MUL = ((0, 1, 2), (1, 2, 2), (2, 2, 2))
 
 _FINITELY_BASED_ORDER4 = {
@@ -302,8 +295,9 @@ def expand_basis(name: str) -> tuple[Identity, ...]:
 def _order4(k: int) -> FiniteAiSemiring:
     digits = _ORDER4_MUL[k]
     mul = tuple(tuple(int(digits[4 * a + b]) - 1 for b in range(4)) for a in range(4))
+    # height-1 addition on {1, 2, 3, 4}: x + x = x, everything else joins to 1
     return FiniteAiSemiring.from_tables(
-        _flat_add(4), mul, elements=("1", "2", "3", "4"), name=f"S_(4,{k})"
+        construct.flat_addition(4, 0), mul, elements=("1", "2", "3", "4"), name=f"S_(4,{k})"
     )
 
 
@@ -374,10 +368,10 @@ def _catalog() -> dict[str, CatalogEntry]:
     semirings: dict[str, FiniteAiSemiring] = {}
     for label, mul in _ORDER2_MUL.items():
         semirings[label] = FiniteAiSemiring.from_tables(
-            _ORDER2_ADD, mul, elements=("0", "1"), name=label
+            construct.flat_addition(2, 1), mul, elements=("0", "1"), name=label
         )
     semirings["S7"] = FiniteAiSemiring.from_tables(
-        _S7_ADD, _S7_MUL, elements=("1", "a", "inf"), name="S7"
+        construct.flat_addition(3, 2), _S7_MUL, elements=("1", "a", "inf"), name="S7"
     )
     for k in range(1, 59):
         semirings[f"S_(4,{k})"] = _order4(k)
@@ -492,34 +486,76 @@ def classify(S: FiniteAiSemiring) -> Optional[str]:
 # constructor references and claim checking
 
 
+def _words(builder):
+    return lambda text: builder(*[w.strip() for w in text.split(",") if w.strip()])
+
+
+def _flat_cyclic(text: str) -> FiniteAiSemiring:
+    spec = text.strip().lower()
+    if not spec.startswith("z") or not spec[1:].isdigit():
+        raise ValueError(f"@flatext takes zN for a cyclic group, got {spec!r}")
+    return construct.flat_from_semigroup(construct.cyclic_group_with_zero(int(spec[1:])))
+
+
+# @head -> (builder, arity): arity 0 hands the builder the argument text,
+# arity k >= 1 hands it k resolved semiring references
+CONSTRUCTORS = {
+    "sc": (_words(construct.sc), 0),
+    "s": (_words(construct.s), 0),
+    "mc": (_words(construct.mc), 0),
+    "m": (_words(construct.m), 0),
+    "flatext": (_flat_cyclic, 0),
+    "dual": (dual, 1),
+    "ne": (construct.null_extension, 1),
+    "ie": (construct.idempotent_extension, 1),
+    "prod": (direct_product, 2),
+}
+
+
+def _constructor(head: str):
+    try:
+        return CONSTRUCTORS[head.strip().lower()]
+    except KeyError:
+        raise ValueError(f"unknown constructor reference @{head}") from None
+
+
+def _reference_end(text: str, start: int) -> int:
+    """Index of the comma ending the shortest complete reference at text[start:]
+    (or len(text)); a name or text argument ends at a comma outside parentheses."""
+    ref = text[start:].lstrip()
+    start = len(text) - len(ref)
+    if ref.startswith("@"):
+        head = ref[1:].partition(":")[0]
+        arity = _constructor(head)[1]
+        start += len(head) + 1  # the colon
+        for _ in range(arity):
+            start = _reference_end(text, start + 1)
+        if arity:
+            return start
+    return start + len(split_top_level(text[start:], ",")[0])
+
+
 def resolve(ref: str) -> FiniteAiSemiring:
     """Resolve a catalog name or an @constructor reference to a semiring.
 
     Supported forms: @sc:WORDS, @s:WORDS, @mc:WORDS, @m:WORDS (comma-separated
     generator words), @dual:REF, @prod:REF,REF, @ne:REF, @ie:REF, @flatext:zN.
+    References nest; the left operand of @prod is its shortest comma-separated
+    prefix that is a complete reference, and the rest is the right operand.
     """
+    ref = ref.strip()
     if not ref.startswith("@"):
         return get(ref).semiring
     head, _, arg = ref[1:].partition(":")
-    head = head.lower()
-    if head in ("sc", "s", "mc", "m"):
-        builder = {"sc": construct.sc, "s": construct.s, "mc": construct.mc, "m": construct.m}[head]
-        return builder(*[w.strip() for w in arg.split(",") if w.strip()])
-    if head == "dual":
-        return dual(resolve(arg))
-    if head == "prod":
-        left, _, right = arg.partition(",")
-        return direct_product(resolve(left.strip()), resolve(right.strip()))
-    if head == "ne":
-        return construct.null_extension(resolve(arg))
-    if head == "ie":
-        return construct.idempotent_extension(resolve(arg))
-    if head == "flatext":
-        arg = arg.strip().lower()
-        if not arg.startswith("z") or not arg[1:].isdigit():
-            raise ValueError(f"@flatext takes zN for a cyclic group, got {arg!r}")
-        return construct.flat_from_semigroup(construct.cyclic_group_with_zero(int(arg[1:])))
-    raise ValueError(f"unknown constructor reference {ref!r}")
+    builder, arity = _constructor(head)
+    if arity == 0:
+        return builder(arg)
+    if arity == 1:
+        return builder(resolve(arg))
+    cut = _reference_end(arg, 0)
+    if cut >= len(arg):
+        raise ValueError(f"@{head} takes two references REF,REF, got {ref!r}")
+    return builder(resolve(arg[:cut]), resolve(arg[cut + 1 :]))
 
 
 @dataclass(frozen=True)
@@ -535,14 +571,13 @@ class ClaimResult:
 
 def verify_claim(entry: CatalogEntry, claim: Claim) -> ClaimResult:
     S = entry.semiring
-    if claim.kind == "isomorphic-to":
-        found = find_isomorphism(S, resolve(claim.args[0]))
-        return ClaimResult(entry.name, claim, found is not None, found)
-    if claim.kind == "subdirect-in":
-        found = is_subdirect_embedding(S, resolve(claim.args[0]), resolve(claim.args[1]))
-        return ClaimResult(entry.name, claim, found is not None, found)
-    if claim.kind == "contains-copy-of":
-        found = find_embedding(resolve(claim.args[0]), S)
+    searches = {
+        "isomorphic-to": lambda T: find_isomorphism(S, T),
+        "subdirect-in": lambda A, B: is_subdirect_embedding(S, A, B),
+        "contains-copy-of": lambda T: find_embedding(T, S),
+    }
+    if claim.kind in searches:
+        found = searches[claim.kind](*map(resolve, claim.args))
         return ClaimResult(entry.name, claim, found is not None, found)
     if claim.kind == "abelian-group-minus-top":
         ok = construct.is_abelian_group_with_zero(construct.semigroup_reduct(S))

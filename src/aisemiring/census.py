@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import FiniteAiSemiring, Table, additive_height, canonical_form, validate
+from .core import FiniteAiSemiring, Table, additive_height, canonical_form, least_relabeling, validate
 
 SEMILATTICE_MAX_ORDER = 6
 
@@ -38,15 +38,8 @@ class CensusResult:
 def _canonical_add(add: Table) -> Table:
     """Relabel so the addition table alone is lexicographically least."""
     n = len(add)
-    best = None
-    for perm in itertools.permutations(range(n)):
-        inv = [0] * n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        key = tuple(perm[add[inv[a]][inv[b]]] for a in range(n) for b in range(n))
-        if best is None or key < best:
-            best = key
-    return tuple(tuple(best[a * n + b] for b in range(n)) for a in range(n))
+    key = least_relabeling((add,), itertools.permutations(range(n)))
+    return tuple(tuple(key[a * n : (a + 1) * n]) for a in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -218,21 +211,13 @@ def _addition_automorphisms(add: Table) -> list[tuple[int, ...]]:
 
 
 def _census_for_addition(add: Table) -> list[tuple[bytes, Table, Table]]:
-    """Deduplicated (key, add, mul) triples for one canonical addition table."""
-    n = len(add)
+    """Deduplicated (key, add, mul) triples for one canonical addition table;
+    Aut(+) fixes ``add``, so only the multiplication is relabeled."""
     auts = _addition_automorphisms(add)
     add_part = bytes(v for row in add for v in row)
     seen: dict[bytes, Table] = {}
     for mul in _multiplications(add):
-        best = None
-        for perm in auts:
-            inv = [0] * n
-            for i, p in enumerate(perm):
-                inv[p] = i
-            key = bytes(perm[mul[inv[a]][inv[b]]] for a in range(n) for b in range(n))
-            if best is None or key < best:
-                best = key
-        seen.setdefault(add_part + best, mul)
+        seen.setdefault(add_part + least_relabeling((mul,), auts), mul)
     return [(key, add, mul) for key, mul in sorted(seen.items())]
 
 
@@ -241,7 +226,10 @@ def default_workers() -> int:
     processor count."""
     env = os.environ.get("AISEMIRING_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"AISEMIRING_WORKERS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -275,13 +263,6 @@ def enumerate_ai_semirings(n: int, workers: int = 1) -> CensusResult:
         height1=height1,
         elapsed=time.monotonic() - start,
     )
-
-
-def classify(S: FiniteAiSemiring):
-    """Name of the unique catalog entry isomorphic to S, or None."""
-    from . import catalog
-
-    return catalog.classify(S)
 
 
 def write_census(result: CensusResult, out_dir: str) -> str:

@@ -17,18 +17,15 @@ from . import catalog, construct, criteria, derivation
 from .census import default_workers, enumerate_ai_semirings, write_census
 from .core import (
     FiniteAiSemiring,
-    InvalidSemiringError,
-    MalformedTableError,
+    Morphism,
     canonical_form,
-    direct_product,
-    dual,
     find_embedding,
     find_isomorphism,
     is_subdirect_embedding,
     validate,
 )
 from .evaluate import BudgetExceededError, check_basis, counterexample
-from .terms import SimpleIdentity, TermSyntaxError, parse_identity, parse_term
+from .terms import SimpleIdentity, parse_identity, parse_term, split_top_level
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -59,8 +56,6 @@ def resolve_ref(ref: str) -> FiniteAiSemiring:
         if os.path.exists(ref):
             return _load_semiring_file(ref)
         raise CliError(f"unknown semiring reference {ref!r}")
-    except (ValueError, construct.NotFlatError) as exc:
-        raise CliError(str(exc))
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -114,7 +109,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    result = enumerate_ai_semirings(args.order, workers=args.workers)
+    workers = default_workers() if args.workers is None else args.workers
+    result = enumerate_ai_semirings(args.order, workers=workers)
     chosen = result.height1 if args.height1 else result.semirings
     count = len(chosen)
     payload = {
@@ -129,10 +125,7 @@ def _cmd_enumerate(args) -> int:
     if args.out:
         index = write_census(result, args.out)
         payload["index"] = index
-    if args.json:
-        print(json.dumps(payload, indent=1))
-    else:
-        print(count)
+    _emit(args, payload, str(count))
     return EXIT_OK
 
 
@@ -164,102 +157,68 @@ def _cmd_check(args) -> int:
     return EXIT_OK if report.all_hold else EXIT_FALSE
 
 
-def _cmd_iso(args) -> int:
-    A, B = resolve_ref(args.first), resolve_ref(args.second)
-    found = find_isomorphism(A, B)
-    payload = {"found": found is not None, "morphism": None if found is None else found.to_dict()}
-    _emit(args, payload, "isomorphic" if found else "not isomorphic")
+def _report_morphism(args, found: Optional[Morphism], yes: str, no: str) -> int:
+    morphism = None if found is None else found.to_dict()
+    _emit(args, {"found": found is not None, "morphism": morphism}, yes if found else no)
     if not args.json and found:
-        print(json.dumps(found.to_dict()["map"], indent=1))
+        print(json.dumps(morphism["map"], indent=1))
     return EXIT_OK if found else EXIT_FALSE
+
+
+def _cmd_iso(args) -> int:
+    found = find_isomorphism(resolve_ref(args.first), resolve_ref(args.second))
+    return _report_morphism(args, found, "isomorphic", "not isomorphic")
 
 
 def _cmd_embed(args) -> int:
-    A, B = resolve_ref(args.first), resolve_ref(args.second)
-    found = find_embedding(A, B)
-    payload = {"found": found is not None, "morphism": None if found is None else found.to_dict()}
-    _emit(args, payload, "embeds" if found else "no embedding")
-    if not args.json and found:
-        print(json.dumps(found.to_dict()["map"], indent=1))
-    return EXIT_OK if found else EXIT_FALSE
+    found = find_embedding(resolve_ref(args.first), resolve_ref(args.second))
+    return _report_morphism(args, found, "embeds", "no embedding")
 
 
 def _cmd_subdirect(args) -> int:
     S = resolve_ref(args.semiring)
-    A, B = resolve_ref(args.first), resolve_ref(args.second)
-    found = is_subdirect_embedding(S, A, B)
-    payload = {"found": found is not None, "morphism": None if found is None else found.to_dict()}
-    _emit(args, payload, "subdirect embedding found" if found else "no subdirect embedding")
-    if not args.json and found:
-        print(json.dumps(found.to_dict()["map"], indent=1))
-    return EXIT_OK if found else EXIT_FALSE
+    found = is_subdirect_embedding(S, resolve_ref(args.first), resolve_ref(args.second))
+    return _report_morphism(args, found, "subdirect embedding found", "no subdirect embedding")
+
+
+# construct KIND -> @head of the same constructor in a semiring reference
+_CONSTRUCT_HEADS = {"flat-ext": "flatext", "product": "prod"}
 
 
 def _cmd_construct(args) -> int:
     kind = args.kind
-    if kind in ("sc", "s", "mc", "m"):
-        if not args.words:
-            raise CliError(f"construct {kind} needs --words")
-        builder = {"sc": construct.sc, "s": construct.s, "mc": construct.mc, "m": construct.m}[kind]
-        S = builder(*[w.strip() for w in args.words.split(",") if w.strip()])
-    elif kind == "flat-ext":
-        if args.group:
-            S = catalog.resolve(f"@flatext:{args.group}")
-        elif args.table:
-            with open(args.table, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            try:
-                G = construct.FiniteSemigroup(
-                    elements=tuple(data["elements"]),
-                    mul=tuple(map(tuple, data["mul"])),
-                    zero=data.get("zero"),
-                    identity=data.get("identity"),
-                )
-            except (KeyError, TypeError):
-                raise CliError(f"{args.table}: expected a semigroup table with elements and mul")
-            S = construct.flat_from_semigroup(G)
-        else:
-            raise CliError("construct flat-ext needs --group zN or --table FILE")
-    elif kind in ("ne", "ie", "dual"):
-        if not args.refs:
-            raise CliError(f"construct {kind} needs a semiring reference")
-        base = resolve_ref(args.refs[0])
+    builder, arity = catalog.CONSTRUCTORS[_CONSTRUCT_HEADS.get(kind, kind)]
+    text = args.group if kind == "flat-ext" else args.words
+    if arity:
+        if len(args.refs) != arity:
+            raise CliError(f"construct {kind} needs {arity} semiring reference(s)")
+        S = builder(*map(resolve_ref, args.refs))
+    elif text:
+        S = builder(text)
+    elif kind == "flat-ext" and args.table:
+        with open(args.table, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
         try:
-            S = {"ne": construct.null_extension, "ie": construct.idempotent_extension, "dual": dual}[
-                kind
-            ](base)
-        except construct.NotFlatError as exc:
-            raise CliError(str(exc))
-    elif kind == "product":
-        if len(args.refs) != 2:
-            raise CliError("construct product needs two semiring references")
-        S = direct_product(resolve_ref(args.refs[0]), resolve_ref(args.refs[1]))
+            G = construct.FiniteSemigroup(
+                elements=tuple(data["elements"]),
+                mul=tuple(map(tuple, data["mul"])),
+                zero=data.get("zero"),
+                identity=data.get("identity"),
+            )
+        except (KeyError, TypeError):
+            raise CliError(f"{args.table}: expected a semigroup table with elements and mul")
+        S = construct.flat_from_semigroup(G)
     else:
-        raise CliError(f"unknown construction {kind!r}")
+        need = "--group zN or --table FILE" if kind == "flat-ext" else "--words"
+        raise CliError(f"construct {kind} needs {need}")
 
     payload = S.to_dict()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1)
             fh.write("\n")
-        _emit(args, payload, f"wrote {args.out}")
-    else:
-        print(json.dumps(payload, indent=1) if args.json else _table_text(S))
+    _emit(args, payload, f"wrote {args.out}" if args.out else _table_text(S))
     return EXIT_OK
-
-
-def _split_top_level_sum(text: str) -> list[str]:
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "+" and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
-    return parts
 
 
 def _parse_simple_identity(text: str) -> SimpleIdentity:
@@ -267,7 +226,7 @@ def _parse_simple_identity(text: str) -> SimpleIdentity:
     identity = parse_identity(text)
     sep = "≈" if "≈" in text else "="
     rhs_text = text.split(sep, 1)[1]
-    chunks = _split_top_level_sum(rhs_text)
+    chunks = split_top_level(rhs_text, "+")
     q_term = parse_term(chunks[-1])
     if len(q_term.words) != 1:
         raise CliError("the final summand of the right side must be a single word")
@@ -282,10 +241,7 @@ def _cmd_criteria(args) -> int:
     name = args.lemma.upper()
     if name not in criteria.CRITERIA:
         raise CliError(f"--lemma must be one of {', '.join(sorted(criteria.CRITERIA))}")
-    try:
-        si = _parse_simple_identity(args.identity)
-    except TermSyntaxError as exc:
-        raise CliError(str(exc))
+    si = _parse_simple_identity(args.identity)
     verdict = criteria.check(name, si)
     payload = {"lemma": name, "identity": str(si), "holds": verdict.holds, "rule": verdict.rule}
     text = f"{name}: {'holds' if verdict.holds else 'fails'} ({verdict.rule})"
@@ -335,14 +291,15 @@ def _cmd_catalog(args) -> int:
             }
             for e in rows
         ]
-        if args.json:
-            print(json.dumps(payload, indent=1))
-        else:
-            for item in payload:
-                basis = " basis" if item["has_basis"] else ""
-                print(f"{item['name']:10} order {item['order']}  {item['status']}{basis}")
+        lines = [
+            f"{e['name']:10} order {e['order']}  {e['status']}{' basis' if e['has_basis'] else ''}"
+            for e in payload
+        ]
+        _emit(args, payload, "\n".join(lines))
         return EXIT_OK
     if args.action == "show":
+        if not args.name:
+            raise CliError("catalog show needs an entry name")
         entry = catalog.get(args.name)
         payload = {
             "name": entry.name,
@@ -376,6 +333,8 @@ def _cmd_cert(args) -> int:
         _emit(args, {"bundled": list(names)}, "\n".join(names))
         return EXIT_OK
     if args.action == "verify":
+        if not args.path:
+            raise CliError("cert verify needs a certificate file or bundled name")
         try:
             if os.path.exists(args.path):
                 cert = derivation.load_certificate(args.path)
@@ -383,12 +342,7 @@ def _cmd_cert(args) -> int:
                 cert = derivation.load_bundled_certificate(args.path)
         except FileNotFoundError:
             raise CliError(f"no certificate file or bundled name {args.path!r}")
-        except derivation.MalformedCertificateError as exc:
-            raise CliError(str(exc))
-        try:
-            verdict = derivation.verify_certificate(cert)
-        except derivation.MalformedCertificateError as exc:
-            raise CliError(str(exc))
+        verdict = derivation.verify_certificate(cert)
         payload = {"endpoints": str(cert.endpoints), **verdict.to_dict()}
         text = "certificate valid" if verdict.valid else (
             f"certificate invalid at step {verdict.failed_step}: {verdict.reason}"
@@ -492,21 +446,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "enumerate" and args.workers is None:
-        args.workers = default_workers()
     try:
         return args.fn(args)
-    except (
-        CliError,
-        catalog.CatalogError,
-        MalformedTableError,
-        TermSyntaxError,
-        derivation.MalformedCertificateError,
-        InvalidSemiringError,
-        BudgetExceededError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (CliError, catalog.CatalogError, BudgetExceededError, ValueError, OSError) as exc:
+        # MalformedTableError, InvalidSemiringError, TermSyntaxError and
+        # MalformedCertificateError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

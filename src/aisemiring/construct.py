@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .core import FiniteAiSemiring, Morphism, find_embedding, natural_order
+from .core import FiniteAiSemiring, Morphism, Table, find_embedding, natural_order
 from .terms import Word
 
 
@@ -53,20 +53,6 @@ class FiniteSemigroup:
         return len(self.elements)
 
 
-def is_zero_cancellative(G: FiniteSemigroup) -> bool:
-    """ab = ac != 0 forces b = c, on both sides."""
-    if G.zero is None:
-        raise ValueError("semigroup has no designated zero")
-    z = G.zero
-    rng = range(G.order)
-    for a, b, c in itertools.product(rng, repeat=3):
-        if b != c and G.mul[a][b] == G.mul[a][c] != z:
-            return False
-        if b != c and G.mul[b][a] == G.mul[c][a] != z:
-            return False
-    return True
-
-
 def _violating_triple(G: FiniteSemigroup) -> Optional[tuple[tuple[int, int, int], str]]:
     z = G.zero
     rng = range(G.order)
@@ -78,6 +64,18 @@ def _violating_triple(G: FiniteSemigroup) -> Optional[tuple[tuple[int, int, int]
     return None
 
 
+def is_zero_cancellative(G: FiniteSemigroup) -> bool:
+    """ab = ac != 0 forces b = c, on both sides."""
+    if G.zero is None:
+        raise ValueError("semigroup has no designated zero")
+    return _violating_triple(G) is None
+
+
+def flat_addition(n: int, top: int) -> Table:
+    """The height-1 semilattice on n elements: a + a = a, a + b = top otherwise."""
+    return tuple(tuple(a if a == b else top for b in range(n)) for a in range(n))
+
+
 def flat_from_semigroup(G: FiniteSemigroup) -> FiniteAiSemiring:
     """Make the 0-cancellative semigroup flat: a + a = a, a + b = 0 otherwise."""
     if G.zero is None:
@@ -85,10 +83,7 @@ def flat_from_semigroup(G: FiniteSemigroup) -> FiniteAiSemiring:
     bad = _violating_triple(G)
     if bad is not None:
         raise NotZeroCancellativeError(*bad)
-    n = G.order
-    z = G.zero
-    add = tuple(tuple(a if a == b else z for b in range(n)) for a in range(n))
-    return FiniteAiSemiring.from_tables(add, G.mul, elements=G.elements, name="")
+    return FiniteAiSemiring.from_tables(flat_addition(G.order, G.zero), G.mul, elements=G.elements, name="")
 
 
 def cyclic_group_with_zero(k: int) -> FiniteSemigroup:
@@ -187,7 +182,7 @@ def word_semiring(spec: WordSemiringSpec) -> FiniteAiSemiring:
     mul = [[0] * n for _ in range(n)]
     for a, b in itertools.product(carrier, repeat=2):
         mul[index[a]][index[b]] = times(a, b)
-    add = tuple(tuple(a if a == b else 0 for b in range(n)) for a in range(n))
+    add = flat_addition(n, 0)
     elements = ("0",) + tuple("1" if not t else "".join(t) for t in carrier)
     name = f"{spec.flavour}({','.join(str(w) for w in spec.words)})"
     return FiniteAiSemiring.from_tables(add, mul, elements=elements, name=name)
@@ -249,12 +244,11 @@ def _extend_flat(S: FiniteAiSemiring, new_name: str, idempotent: bool) -> Finite
     n = S.order
     t = natural_order(S).top
     b = n  # index of the adjoined element
-    add = [list(row) + [t] for row in S.add] + [[t] * n + [b]]
     mul = [list(row) + [t] for row in S.mul] + [[t] * n + [b if idempotent else t]]
     elements = S.elements + (_fresh_name(S.elements, new_name),)
     suffix = "ie" if idempotent else "ne"
     name = f"{S.name}_{suffix}" if S.name else ""
-    return FiniteAiSemiring.from_tables(add, mul, elements=elements, name=name)
+    return FiniteAiSemiring.from_tables(flat_addition(n + 1, t), mul, elements=elements, name=name)
 
 
 def null_extension(S: FiniteAiSemiring) -> FiniteAiSemiring:

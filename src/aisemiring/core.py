@@ -35,19 +35,22 @@ class ValidationReport:
     violations: tuple[tuple[str, tuple[int, ...]], ...]
 
 
-def _as_table(rows: Sequence[Sequence[int]], n: int, what: str) -> Table:
-    if len(rows) != n:
-        raise MalformedTableError(f"{what} table must have {n} rows, got {len(rows)}")
-    out = []
-    for i, row in enumerate(rows):
-        row = tuple(row)
+def _as_table(rows: Sequence[Sequence[int]], what: str, n: Optional[int] = None) -> Table:
+    """The rows as a tuple table; ``n`` defaults to the number of rows."""
+    try:
+        table = tuple(map(tuple, rows))
+    except TypeError:
+        raise MalformedTableError(f"{what} table must be a list of rows") from None
+    n = len(table) if n is None else n
+    if len(table) != n:
+        raise MalformedTableError(f"{what} table must have {n} rows, got {len(table)}")
+    for i, row in enumerate(table):
         if len(row) != n:
             raise MalformedTableError(f"{what} row {i} must have {n} entries, got {len(row)}")
         for v in row:
-            if not isinstance(v, int) or not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:  # bool is an int subclass; refuse it
                 raise MalformedTableError(f"{what}[{i}] entry {v!r} out of range 0..{n - 1}")
-        out.append(row)
-    return tuple(out)
+    return table
 
 
 def validate(add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]]) -> ValidationReport:
@@ -56,11 +59,11 @@ def validate(add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]]) -> Vali
     Malformed input (shape or range) raises ``MalformedTableError`` instead of
     being reported as a law violation.
     """
+    add = _as_table(add, "add")
     n = len(add)
     if n == 0:
         raise MalformedTableError("empty table")
-    add = _as_table(add, n, "add")
-    mul = _as_table(mul, n, "mul")
+    mul = _as_table(mul, "mul", n)
 
     violations = []
     rng = range(n)
@@ -124,21 +127,20 @@ class FiniteAiSemiring:
         name: str = "",
         check: bool = True,
     ) -> "FiniteAiSemiring":
-        n = len(add)
         if check:
             report = validate(add, mul)
             if not report.valid:
                 raise InvalidSemiringError(report)
-        else:
-            add = _as_table(add, n, "add")
-            mul = _as_table(mul, n, "mul")
+        add = _as_table(add, "add")
+        mul = _as_table(mul, "mul", len(add))
+        n = len(add)
         if elements is None:
             elements = tuple(str(i + 1) for i in range(n))
         else:
             elements = tuple(elements)
             if len(elements) != n or len(set(elements)) != n:
                 raise MalformedTableError("element names must be distinct, one per row")
-        return cls(name=name, elements=elements, add=tuple(map(tuple, add)), mul=tuple(map(tuple, mul)))
+        return cls(name=name, elements=elements, add=add, mul=mul)
 
     def renamed(self, name: str) -> "FiniteAiSemiring":
         return replace(self, name=name)
@@ -298,6 +300,22 @@ def generated_subalgebra(S: FiniteAiSemiring, seed: Iterable[int]) -> tuple[Fini
 _MAX_CANONICAL_ORDER = 8
 
 
+def least_relabeling(tables: Sequence[Table], perms: Iterable[Sequence[int]]) -> bytes:
+    """Least key over the relabelings ``perms`` (perm renames i to perm[i]) of
+    tables on one carrier; a key is the relabeled tables written row by row."""
+    n = len(tables[0])
+    rng = range(n)
+    best = None
+    for perm in perms:
+        inv = [0] * n
+        for i, p in enumerate(perm):
+            inv[p] = i
+        key = bytes(perm[t[inv[a]][inv[b]]] for t in tables for a in rng for b in rng)
+        if best is None or key < best:
+            best = key
+    return best
+
+
 def canonical_form(S: FiniteAiSemiring) -> bytes:
     """Lexicographic minimum over all carrier permutations of add then mul.
 
@@ -307,31 +325,12 @@ def canonical_form(S: FiniteAiSemiring) -> bytes:
     n = S.order
     if n > _MAX_CANONICAL_ORDER:
         raise ValueError(f"canonical_form supports order <= {_MAX_CANONICAL_ORDER}")
-    add, mul = S.add, S.mul
-    best = None
-    for perm in itertools.permutations(range(n)):
-        inv = [0] * n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        key = bytes(
-            perm[t[inv[a]][inv[b]]] for t in (add, mul) for a in range(n) for b in range(n)
-        )
-        if best is None or key < best:
-            best = key
-    return best
+    return least_relabeling((S.add, S.mul), itertools.permutations(range(n)))
 
 
-def canonical_key_hex(S: FiniteAiSemiring) -> str:
-    return canonical_form(S).hex()
-
-
-def _search_hom(
-    S: FiniteAiSemiring,
-    T: FiniteAiSemiring,
-    injective: bool,
-    accept=None,
-) -> Optional[tuple[int, ...]]:
-    """First homomorphism S -> T in lexicographic image order, or None.
+def _search_hom(S: FiniteAiSemiring, T: FiniteAiSemiring, accept=None) -> Optional[Morphism]:
+    """First injective homomorphism S -> T in lexicographic image order whose
+    mapping passes ``accept``, or None.
 
     Backtracking assigns images in source-index order; partial images are
     pruned as soon as an operation constraint is decided.
@@ -357,7 +356,7 @@ def _search_hom(
                 return result
             return None
         for t in range(m):
-            if injective and used[t]:
+            if used[t]:
                 continue
             img[i] = t
             used[t] = True
@@ -369,27 +368,18 @@ def _search_hom(
             used[t] = False
         return None
 
-    return extend(0)
+    found = extend(0)
+    return None if found is None else Morphism(source=S, target=T, mapping=found)
 
 
 def find_isomorphism(S: FiniteAiSemiring, T: FiniteAiSemiring) -> Optional[Morphism]:
     """A bijective homomorphism if one exists; first in lexicographic order."""
-    if S.order != T.order:
-        return None
-    found = _search_hom(S, T, injective=True)
-    if found is None:
-        return None
-    return Morphism(source=S, target=T, mapping=found)
+    return _search_hom(S, T) if S.order == T.order else None
 
 
 def find_embedding(S: FiniteAiSemiring, T: FiniteAiSemiring) -> Optional[Morphism]:
     """An injective homomorphism S -> T if one exists; deterministic."""
-    if S.order > T.order:
-        return None
-    found = _search_hom(S, T, injective=True)
-    if found is None:
-        return None
-    return Morphism(source=S, target=T, mapping=found)
+    return _search_hom(S, T) if S.order <= T.order else None
 
 
 def is_subdirect_embedding(
@@ -404,7 +394,4 @@ def is_subdirect_embedding(
     def surjective(mapping: tuple[int, ...]) -> bool:
         return len({p // m for p in mapping}) == A.order and len({p % m for p in mapping}) == B.order
 
-    found = _search_hom(S, P, injective=True, accept=surjective)
-    if found is None:
-        return None
-    return Morphism(source=S, target=P, mapping=found)
+    return _search_hom(S, P, accept=surjective)

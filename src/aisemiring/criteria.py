@@ -138,28 +138,27 @@ def holds_s2(si: SimpleIdentity) -> CriterionVerdict:
     return CriterionVerdict(False, "extra-too-long")
 
 
-def property_t(u: Term) -> bool:
-    """Tail letters occur at most once per summand, and only as tails."""
-    tails = [w.tail for w in u.words]
-    for t, w in itertools.product(tails, u.words):
-        k = w.count(t)
+def _end_pattern(u: Term, end: int) -> bool:
+    """Letters at one end of the summands (-1 the tail, 0 the head) occur at
+    most once per summand, and only at that end."""
+    ends = {w.letters[end] for w in u.words}
+    for e, w in itertools.product(ends, u.words):
+        k = w.count(e)
         if k > 1:
             return False
-        if k == 1 and w.tail != t:
+        if k == 1 and w.letters[end] != e:
             return False
     return True
+
+
+def property_t(u: Term) -> bool:
+    """Tail letters occur at most once per summand, and only as tails."""
+    return _end_pattern(u, -1)
 
 
 def property_h(u: Term) -> bool:
-    """Head-side mirror of property_t."""
-    heads = [w.head for w in u.words]
-    for h, w in itertools.product(heads, u.words):
-        k = w.count(h)
-        if k > 1:
-            return False
-        if k == 1 and w.head != h:
-            return False
-    return True
+    """Head letters occur at most once per summand, and only as heads."""
+    return _end_pattern(u, 0)
 
 
 def delta(v: Term) -> DeltaFamily:
@@ -180,7 +179,7 @@ def delta(v: Term) -> DeltaFamily:
     return DeltaFamily(frozenset(found))
 
 
-def _holds_pattern(si: SimpleIdentity, pattern: Callable[[Term], bool], kind: str) -> CriterionVerdict:
+def _holds_pattern(si: SimpleIdentity, end: int, kind: str) -> CriterionVerdict:
     if si.is_trivial:
         return CriterionVerdict(True, "trivial")
     u, q = si.base, si.extra
@@ -188,8 +187,8 @@ def _holds_pattern(si: SimpleIdentity, pattern: Callable[[Term], bool], kind: st
         return CriterionVerdict(False, "fresh-letter")
     if all(len(w) == 1 for w in u.words):
         return CriterionVerdict(False, "no-long-summand")
-    if pattern(u):
-        if pattern(Term(u.words + (q,))):
+    if _end_pattern(u, end):
+        if _end_pattern(Term(u.words + (q,)), end):
             return CriterionVerdict(True, f"{kind}-pattern-preserved")
         return CriterionVerdict(False, f"{kind}-pattern-broken")
     return CriterionVerdict(True, f"{kind}-pattern-absent")
@@ -197,12 +196,12 @@ def _holds_pattern(si: SimpleIdentity, pattern: Callable[[Term], bool], kind: st
 
 def holds_s4(si: SimpleIdentity) -> CriterionVerdict:
     """Decide a nontrivial u ≈ u + q in S4; trivial inputs hold outright."""
-    return _holds_pattern(si, property_t, "tail")
+    return _holds_pattern(si, -1, "tail")
 
 
 def holds_s6(si: SimpleIdentity) -> CriterionVerdict:
     """Head-side mirror of holds_s4, deciding satisfaction in S6."""
-    return _holds_pattern(si, property_h, "head")
+    return _holds_pattern(si, 0, "head")
 
 
 def holds_s10(si: SimpleIdentity) -> CriterionVerdict:

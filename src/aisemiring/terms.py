@@ -259,6 +259,12 @@ def normalize_identity(identity: Identity) -> tuple[SimpleIdentity, ...]:
 # ---------------------------------------------------------------------------
 # parsing
 
+# Bounds on what one parse may build, so that hostile text fails fast with a
+# TermSyntaxError instead of exhausting the stack or memory.
+MAX_TERM_DEPTH = 100  # nested parentheses
+MAX_TERM_WORDS = 4096  # summands of any (sub)term before deduplication
+MAX_WORD_LENGTH = 1024  # letters in one word
+
 _TOKEN = re.compile(r"(?P<var>[A-Za-z][0-9]*)|(?P<num>[0-9]+)|(?P<op>[+*^()=])|(?P<approx>≈)")
 
 
@@ -283,6 +289,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -294,21 +301,29 @@ class _Parser:
 
     def term(self) -> Term:
         out = self.product()
+        words = list(out.words)
         while True:
-            kind, value, _ = self.peek()
+            kind, value, pos = self.peek()
             if kind == "op" and value == "+":
                 self.take()
-                out = out + self.product()
+                words.extend(self.product().words)
+                _check_size(len(words), 0, pos)
             else:
-                return out
+                return out if len(words) == len(out.words) else Term(tuple(words))
 
     def product(self) -> Term:
         out = None
         while True:
             kind, value, pos = self.peek()
             if kind == "var" or (kind == "op" and value == "("):
-                factor = self.factor()
-                out = factor if out is None else out * factor
+                factor, factor_length = self.factor()
+                if out is None:
+                    out, length = factor, factor_length
+                else:
+                    length += factor_length
+                    if length > MAX_WORD_LENGTH or len(factor.words) > 1:  # else out's count holds
+                        _check_size(len(out.words) * len(factor.words), length, pos)
+                    out = out * factor
             elif kind == "op" and value == "*":
                 if out is None:
                     raise TermSyntaxError("'*' needs a left factor", pos)
@@ -318,12 +333,18 @@ class _Parser:
                     raise TermSyntaxError("expected a variable or '('", pos)
                 return out
 
-    def factor(self) -> Term:
+    def factor(self) -> tuple[Term, int]:
+        """The next factor and the length of its longest word."""
         kind, value, pos = self.take()
         if kind == "var":
-            base = Term((Word((value,)),))
+            base, length = Term((Word((value,)),)), 1
         elif kind == "op" and value == "(":
+            self.depth += 1
+            if self.depth > MAX_TERM_DEPTH:
+                raise TermSyntaxError(f"parentheses nest deeper than {MAX_TERM_DEPTH}", pos)
             base = self.term()
+            length = max(len(w.letters) for w in base.words)
+            self.depth -= 1
             kind, value, pos = self.take()
             if not (kind == "op" and value == ")"):
                 raise TermSyntaxError("expected ')'", pos)
@@ -336,12 +357,37 @@ class _Parser:
                 kind, value, pos = self.take()
                 if kind != "num":
                     raise TermSyntaxError("expected digits after '^'", pos)
+                if len(value) > len(str(MAX_WORD_LENGTH)) or int(value) > MAX_WORD_LENGTH:
+                    raise TermSyntaxError(f"exponent above {MAX_WORD_LENGTH}", pos)
                 k = int(value)
                 if k < 1:
                     raise TermSyntaxError("exponent would make an empty word", pos)
-                base = base ** k
+                _check_size(len(base.words) ** k, length * k, pos)
+                base, length = base ** k, length * k
             else:
-                return base
+                return base, length
+
+
+def _check_size(words: int, length: int, pos: int) -> None:
+    if words > MAX_TERM_WORDS:
+        raise TermSyntaxError(f"term has more than {MAX_TERM_WORDS} summands", pos)
+    if length > MAX_WORD_LENGTH:
+        raise TermSyntaxError(f"word longer than {MAX_WORD_LENGTH} letters", pos)
+
+
+def split_top_level(text: str, sep: str) -> list[str]:
+    """Split ``text`` at each ``sep`` outside parentheses."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == sep and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
 
 
 def parse_term(text: str) -> Term:

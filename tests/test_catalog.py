@@ -7,6 +7,7 @@ from aisemiring.catalog import BASIS_NAMES, CatalogError, expand_basis
 from aisemiring.core import (
     additive_height,
     canonical_form,
+    direct_product,
     find_isomorphism,
     natural_order,
     validate,
@@ -115,6 +116,21 @@ def test_resolve_constructors():
         catalog.resolve("@flatext:q8")
     with pytest.raises(CatalogError):
         catalog.resolve("missing-name")
+
+
+def test_resolve_nested_references():
+    left = catalog.resolve("@prod:@prod:T2,T2,T2")
+    right = catalog.resolve("@prod:T2,@prod:T2,T2")
+    assert left.order == right.order == 8
+    assert find_isomorphism(left, right) is not None
+    assert catalog.resolve("@prod:S_(4,1), @dual:L2").order == 8
+    assert catalog.resolve("@prod:@sc:ab,@sc:a,b") == direct_product(
+        catalog.resolve("@sc:ab"), catalog.resolve("@sc:a,b")
+    )
+    with pytest.raises(ValueError):
+        catalog.resolve("@prod:T2")
+    with pytest.raises(ValueError):
+        catalog.resolve("@nope:T2")
 
 
 def test_isomorphism_search_agrees_with_canonical_form_on_all_pairs(cat):

@@ -187,3 +187,33 @@ def test_budget_overrun_is_usage_error(capsys):
     big = "x1x2x3x4x5x6x7x8x9x10x11x12 = x12x11x10x9x8x7x6x5x4x3x2x1"
     code, _, err = run(capsys, ["check", "--semiring", "S_(4,1)", "--identity", big])
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["catalog", "show"], {}),
+        (["cert", "verify"], {}),
+        (["validate", "--table", "{add_five}"], {}),
+        (["validate", "--table", "{bool_entries}"], {}),
+        (["validate", "{bool_entries}"], {}),
+        (["enumerate", "--order", "2"], {"AISEMIRING_WORKERS": "abc"}),
+        (["iso", "@prod:T2", "L2"], {}),
+        (["construct", "ne"], {}),
+        (["check", "--semiring", "T2", "--identity", "(" * 2000 + "x" + ")" * 2000 + " = x"], {}),
+        (["check", "--semiring", "T2", "--identity", "(x + y)^18 = x"], {}),
+    ],
+)
+def test_bad_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, env):
+    files = {
+        "add_five": {"add": 5, "mul": [[0]]},
+        "bool_entries": {"elements": ["0", "1"], "add": [[0, 1], [1, 1]], "mul": [[0, 0], [True, 1]]},
+    }
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    argv = [arg.format(**{name: str(tmp_path / f"{name}.json") for name in files}) for arg in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+

@@ -32,6 +32,30 @@ def test_validate_height1_tables():
     assert validate(FLAT4_ADD, s4k(4).mul).valid
 
 
+def test_bool_entries_are_malformed():
+    with pytest.raises(MalformedTableError):
+        validate([[False, True], [True, True]], [[0, 0], [0, 0]])
+    with pytest.raises(MalformedTableError):
+        FiniteAiSemiring.from_tables([[0, 1], [1, 1]], [[0, 0], [0, True]], check=False)
+    with pytest.raises(MalformedTableError):
+        validate(5, [[0]])
+
+
+def test_public_names_snapshot():
+    import aisemiring
+
+    assert sorted(aisemiring.__all__) == sorted(
+        "CensusResult FiniteAiSemiring Identity InvalidSemiringError MalformedTableError Morphism "
+        "NaturalOrder SimpleIdentity Term TermSyntaxError ValidationReport Word BasisReport "
+        "BudgetExceededError additive_height canonical_form check_basis counterexample "
+        "direct_product dual enumerate_ai_semirings enumerate_semilattices eval_term "
+        "find_embedding find_isomorphism generated_subalgebra is_subdirect_embedding "
+        "natural_order normalize_identity parse_identity parse_term satisfies substitute "
+        "term_measures term_product term_sum validate word word_measures".split()
+    )
+    assert all(hasattr(aisemiring, name) for name in aisemiring.__all__)
+
+
 def test_validate_reports_first_witness_per_law():
     # 2-element join addition with a non-associative multiplication
     add = ((0, 1), (1, 1))

@@ -81,7 +81,11 @@ def test_s6_is_the_reverse_of_s4():
         )
         q = Word(tuple(rng.choice(pool) for _ in range(rng.randint(1, 3))))
         s = SimpleIdentity(u, q)
-        assert criteria.holds_s6(s).holds == criteria.holds_s4(s.reverse()).holds
+        s4 = criteria.holds_s4(s.reverse())
+        assert criteria.holds_s6(s) == criteria.CriterionVerdict(s4.holds, s4.rule.replace("tail-", "head-"))
+    assert criteria.holds_s6(si("xy", "x")).rule == "head-pattern-preserved"
+    assert criteria.holds_s6(si("xy", "yx")).rule == "head-pattern-broken"
+    assert criteria.holds_s6(si("xyx", "y")).rule == "head-pattern-absent"
 
 
 def test_s10_examples():

@@ -49,6 +49,25 @@ def test_parse_errors_carry_positions():
     assert exc.value.position == 2
 
 
+def test_parse_bounds():
+    from aisemiring.terms import MAX_TERM_DEPTH, MAX_TERM_WORDS, MAX_WORD_LENGTH
+
+    assert parse_term("(" * MAX_TERM_DEPTH + "x" + ")" * MAX_TERM_DEPTH) == parse_term("x")
+    with pytest.raises(TermSyntaxError):
+        parse_term("(" * (MAX_TERM_DEPTH + 1) + "x" + ")" * (MAX_TERM_DEPTH + 1))
+    with pytest.raises(TermSyntaxError):
+        parse_term("(" * 2000 + "x" + ")" * 2000)
+    assert len(parse_term("(x + y)^12")) == 4096 <= MAX_TERM_WORDS
+    with pytest.raises(TermSyntaxError):
+        parse_term("(x + y)^18")
+    with pytest.raises(TermSyntaxError):
+        parse_term(" + ".join(f"x{i}" for i in range(MAX_TERM_WORDS + 1)))
+    assert len(parse_term(f"x^{MAX_WORD_LENGTH}").words[0]) == MAX_WORD_LENGTH
+    for text in (f"x^{MAX_WORD_LENGTH + 1}", "x^" + "9" * 5000, f"(xy)^{MAX_WORD_LENGTH // 2 + 1}"):
+        with pytest.raises(TermSyntaxError):
+            parse_term(text)
+
+
 def test_identity_separators():
     assert parse_identity("x = y") == parse_identity("x ≈ y")
 
