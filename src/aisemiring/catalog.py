@@ -497,6 +497,19 @@ def _flat_cyclic(text: str) -> FiniteAiSemiring:
     return construct.flat_from_semigroup(construct.cyclic_group_with_zero(int(spec[1:])))
 
 
+# Bounds on what one reference may build, so that hostile text fails fast with
+# a ValueError instead of exhausting the stack or memory.
+MAX_REFERENCE_DEPTH = 16  # constructors nested in one reference
+MAX_PRODUCT_ORDER = 64  # elements of a semiring built by @prod
+
+
+def _product(A: FiniteAiSemiring, B: FiniteAiSemiring) -> FiniteAiSemiring:
+    order = A.order * B.order
+    if order > MAX_PRODUCT_ORDER:
+        raise ValueError(f"@prod would have {order} elements, more than {MAX_PRODUCT_ORDER}")
+    return direct_product(A, B)
+
+
 # @head -> (builder, arity): arity 0 hands the builder the argument text,
 # arity k >= 1 hands it k resolved semiring references
 CONSTRUCTORS = {
@@ -508,7 +521,7 @@ CONSTRUCTORS = {
     "dual": (dual, 1),
     "ne": (construct.null_extension, 1),
     "ie": (construct.idempotent_extension, 1),
-    "prod": (direct_product, 2),
+    "prod": (_product, 2),
 }
 
 
@@ -519,17 +532,25 @@ def _constructor(head: str):
         raise ValueError(f"unknown constructor reference @{head}") from None
 
 
-def _reference_end(text: str, start: int) -> int:
+def _head(ref: str, depth: int):
+    """Head, argument text, builder and arity of the @constructor reference
+    ``ref`` nested ``depth`` constructors deep (1 for the outermost)."""
+    if depth > MAX_REFERENCE_DEPTH:
+        raise ValueError(f"reference nests more than {MAX_REFERENCE_DEPTH} constructors")
+    head, _, arg = ref[1:].partition(":")
+    return (head, arg, *_constructor(head))
+
+
+def _reference_end(text: str, start: int, depth: int) -> int:
     """Index of the comma ending the shortest complete reference at text[start:]
     (or len(text)); a name or text argument ends at a comma outside parentheses."""
     ref = text[start:].lstrip()
     start = len(text) - len(ref)
     if ref.startswith("@"):
-        head = ref[1:].partition(":")[0]
-        arity = _constructor(head)[1]
+        head, _, _, arity = _head(ref, depth)
         start += len(head) + 1  # the colon
         for _ in range(arity):
-            start = _reference_end(text, start + 1)
+            start = _reference_end(text, start + 1, depth + 1)
         if arity:
             return start
     return start + len(split_top_level(text[start:], ",")[0])
@@ -542,20 +563,25 @@ def resolve(ref: str) -> FiniteAiSemiring:
     generator words), @dual:REF, @prod:REF,REF, @ne:REF, @ie:REF, @flatext:zN.
     References nest; the left operand of @prod is its shortest comma-separated
     prefix that is a complete reference, and the rest is the right operand.
+    More than MAX_REFERENCE_DEPTH nested constructors, or a product of more
+    than MAX_PRODUCT_ORDER elements, raise ValueError.
     """
+    return _resolve(ref, 1)
+
+
+def _resolve(ref: str, depth: int) -> FiniteAiSemiring:
     ref = ref.strip()
     if not ref.startswith("@"):
         return get(ref).semiring
-    head, _, arg = ref[1:].partition(":")
-    builder, arity = _constructor(head)
+    head, arg, builder, arity = _head(ref, depth)
     if arity == 0:
         return builder(arg)
     if arity == 1:
-        return builder(resolve(arg))
-    cut = _reference_end(arg, 0)
+        return builder(_resolve(arg, depth + 1))
+    cut = _reference_end(arg, 0, depth + 1)
     if cut >= len(arg):
         raise ValueError(f"@{head} takes two references REF,REF, got {ref!r}")
-    return builder(resolve(arg[:cut]), resolve(arg[cut + 1 :]))
+    return builder(_resolve(arg[:cut], depth + 1), _resolve(arg[cut + 1 :], depth + 1))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import shutil
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -267,16 +268,38 @@ def enumerate_ai_semirings(n: int, workers: int = 1) -> CensusResult:
 
 def write_census(result: CensusResult, out_dir: str) -> str:
     """Persist a census as one JSON file per algebra plus an index of
-    canonical keys; returns the index path."""
-    os.makedirs(out_dir, exist_ok=True)
-    lines = []
-    for S in result.semirings:
-        filename = f"{S.name}.json"
-        with open(os.path.join(out_dir, filename), "w", encoding="utf-8") as fh:
-            json.dump(S.to_dict(), fh, indent=1)
-            fh.write("\n")
-        lines.append(f"{canonical_form(S).hex()} {filename}")
-    index_path = os.path.join(out_dir, "index.txt")
-    with open(index_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return index_path
+    canonical keys; returns the index path.
+
+    The files go into a fresh directory beside ``out_dir``, which is then
+    renamed into its place, so ``out_dir`` holds the earlier census or all of
+    this one, and no file of an earlier, larger census survives."""
+    target = os.path.realpath(out_dir)
+    parent, base = os.path.split(target)
+    os.makedirs(parent, exist_ok=True)
+    fresh = os.path.join(parent, f".{base}.{os.urandom(8).hex()}")
+    os.mkdir(fresh)
+    try:
+        lines = []
+        for S in result.semirings:
+            filename = f"{S.name}.json"
+            with open(os.path.join(fresh, filename), "w", encoding="utf-8") as fh:
+                json.dump(S.to_dict(), fh, indent=1)
+                fh.write("\n")
+            lines.append(f"{canonical_form(S).hex()} {filename}")
+        with open(os.path.join(fresh, "index.txt"), "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        if os.path.isdir(target):
+            old = fresh + ".old"
+            os.rename(target, old)
+            try:
+                os.rename(fresh, target)
+            except OSError:
+                os.rename(old, target)
+                raise
+            shutil.rmtree(old)
+        else:
+            os.rename(fresh, target)
+    except BaseException:
+        shutil.rmtree(fresh, ignore_errors=True)
+        raise
+    return os.path.join(out_dir, "index.txt")

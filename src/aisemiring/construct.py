@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .core import FiniteAiSemiring, Morphism, Table, find_embedding, natural_order
+from .core import FiniteAiSemiring, Morphism, Table, _as_table, find_embedding, natural_order
 from .terms import Word
 
 
@@ -35,6 +35,10 @@ class FiniteSemigroup:
 
     def __post_init__(self):
         n = len(self.elements)
+        object.__setattr__(self, "mul", _as_table(self.mul, "mul", n))
+        for what, v in (("zero", self.zero), ("identity", self.identity)):
+            if v is not None and (type(v) is not int or not 0 <= v < n):
+                raise ValueError(f"{what} {v!r} is not an element index 0..{n - 1}")
         rng = range(n)
         for a, b, c in itertools.product(rng, repeat=3):
             if self.mul[self.mul[a][b]][c] != self.mul[a][self.mul[b][c]]:

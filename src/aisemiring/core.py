@@ -174,26 +174,36 @@ class NaturalOrder:
         return tuple(b for b in range(len(self.leq)) if self.leq[b][a])
 
 
+def _order_failure(law: str, witness: tuple[int, ...]) -> InvalidSemiringError:
+    return InvalidSemiringError(ValidationReport(False, ((law, witness),)))
+
+
 def natural_order(S: FiniteAiSemiring) -> NaturalOrder:
-    """Compute the natural order of a valid semiring and verify compatibility."""
+    """Compute the natural order of a valid semiring and verify compatibility.
+
+    A failure raises InvalidSemiringError naming the law of the order that
+    broke: add-idempotence (reflexivity), order-antisymmetry, order-top (no
+    greatest element, or more than one), order-add-compatibility or
+    order-mul-compatibility.
+    """
     n = S.order
     leq = tuple(tuple(S.add[a][b] == b for b in range(n)) for a in range(n))
     for a in range(n):
         if not leq[a][a]:
-            raise InvalidSemiringError(ValidationReport(False, (("add-idempotence", (a,)),)))
+            raise _order_failure("add-idempotence", (a,))
         for b in range(n):
             if a != b and leq[a][b] and leq[b][a]:
-                raise InvalidSemiringError(ValidationReport(False, (("add-commutativity", (a, b)),)))
+                raise _order_failure("order-antisymmetry", (a, b))
     tops = [b for b in range(n) if all(leq[a][b] for a in range(n))]
     if len(tops) != 1:
-        raise InvalidSemiringError(ValidationReport(False, (("add-associativity", ()),)))
+        raise _order_failure("order-top", tuple(tops))
     # compatibility with both operations; a theorem for valid tables, checked anyway
     for a, b, c in itertools.product(range(n), repeat=3):
         if leq[a][b]:
             if not leq[S.add[a][c]][S.add[b][c]]:
-                raise InvalidSemiringError(ValidationReport(False, (("add-associativity", (a, b, c)),)))
+                raise _order_failure("order-add-compatibility", (a, b, c))
             if not (leq[S.mul[a][c]][S.mul[b][c]] and leq[S.mul[c][a]][S.mul[c][b]]):
-                raise InvalidSemiringError(ValidationReport(False, (("left-distributivity", (a, b, c)),)))
+                raise _order_failure("order-mul-compatibility", (a, b, c))
     return NaturalOrder(leq=leq, top=tops[0])
 
 

@@ -1,18 +1,30 @@
 """Semantic identity satisfaction by exhaustive evaluation.
 
-Satisfaction is exact: every assignment of elements to variables is tried,
-up to a hard assignment budget.  Witnesses are always the lexicographically
-first failing assignment (variables sorted by name, element indices ascending),
-so results are deterministic and schedule-independent.
+Satisfaction is exact: every assignment of elements to variables is decided,
+none is sampled, and an identity whose n**k assignments (n elements, k
+variables) exceed the budget is refused before any search.  Witnesses are
+always the lexicographically first failing assignment (variables sorted by
+name, element indices ascending), so results are deterministic and
+schedule-independent.
+
+``counterexample`` searches depth-first over the variables in sorted order,
+trying values in ascending order, so the first failure it meets is the
+lexicographically first one.  Assigning a variable puts its value into every
+word and multiplies out each run of assigned letters; a side is then the set
+of its reduced words, since addition is idempotent.  A subtree whose two sides
+reduce to the same set cannot fail and is skipped.  The last variable is
+decided for all n values at once, as columns of values.  At the internal
+depths (neither the first variable nor the last), a subtree that held is
+remembered by its depth and its two sides, so an identical subtree under
+another prefix is skipped.  The memo lives for one call.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import FiniteAiSemiring
+from .core import FiniteAiSemiring, Table
 from .terms import Identity, Term, Word
 
 DEFAULT_BUDGET = 10_000_000
@@ -43,25 +55,121 @@ def eval_term(S: FiniteAiSemiring, t: Term, assignment: Mapping[str, int]) -> in
     return acc
 
 
-def _assignments(variables: Sequence[str], n: int, budget: int):
-    total = n ** len(variables)
-    if total > budget:
-        raise BudgetExceededError(
-            f"{total} assignments exceed the budget of {budget}; refusing to sample"
-        )
-    for values in itertools.product(range(n), repeat=len(variables)):
-        yield dict(zip(variables, values))
+def _reduce(term: frozenset, var: int, value: int, add: Table, mul: Table, n: int) -> frozenset:
+    """Put ``value`` in for the letter ``var`` in each word of ``term``.
+
+    A word is a tuple whose entries below ``n`` are elements and whose other
+    entries are letters not yet assigned.  Each run of adjacent elements is
+    multiplied out, and the words that became one element are summed into a
+    single word, so partial terms that must agree get equal states.
+    """
+    out = []
+    const = -1
+    for w in term:
+        if var in w:
+            reduced = []
+            acc = -1
+            for x in w:
+                if x == var:
+                    x = value
+                if x < n:
+                    acc = x if acc < 0 else mul[acc][x]
+                else:
+                    if acc >= 0:
+                        reduced.append(acc)
+                        acc = -1
+                    reduced.append(x)
+            if not reduced:
+                const = acc if const < 0 else add[const][acc]
+                continue
+            if acc >= 0:
+                reduced.append(acc)
+            w = tuple(reduced)
+        elif len(w) == 1 and w[0] < n:
+            const = w[0] if const < 0 else add[const][w[0]]
+            continue
+        out.append(w)
+    if const >= 0:
+        out.append((const,))
+    return frozenset(out)
+
+
+def _column(term: frozenset, var: int, add: Table, mul: Table, n: int) -> list[int]:
+    """The values of ``term`` for each element put in for ``var``, its only letter."""
+    elements = range(n)
+    col = None
+    for w in term:
+        first = w[0]
+        values = list(elements) if first == var else [first] * n
+        for x in w[1:]:
+            if x == var:
+                values = [mul[a][b] for a, b in zip(values, elements)]
+            else:
+                values = [mul[a][x] for a in values]
+        col = values if col is None else [add[a][b] for a, b in zip(col, values)]
+    return col
+
+
+def _first_failure(
+    lhs: frozenset, rhs: frozenset, k: int, add: Table, mul: Table, n: int
+) -> Optional[list[int]]:
+    """The values of the lexicographically first assignment to the letters
+    n..n+k-1 where the two sides differ, or None.
+
+    The search keeps its path on an explicit stack, so the number of
+    variables is not limited by the interpreter's recursion limit.
+    """
+    last = k - 1
+    states = [(lhs, rhs)]
+    values = [-1]  # the value tried at each depth of the current path
+    held = set()  # (depth, lhs, rhs) of internal subtrees without a failure
+    while states:
+        d = len(states) - 1
+        left, right = states[-1]
+        var = n + d
+        if d == last:
+            lcol = _column(left, var, add, mul, n)
+            rcol = _column(right, var, add, mul, n)
+            if lcol != rcol:
+                values[-1] = next(v for v in range(n) if lcol[v] != rcol[v])
+                return values
+        else:
+            v = values[-1] + 1
+            if v < n:
+                values[-1] = v
+                nleft = _reduce(left, var, v, add, mul, n)
+                nright = _reduce(right, var, v, add, mul, n)
+                if nleft != nright and (d + 1 == last or (d + 1, nleft, nright) not in held):
+                    states.append((nleft, nright))
+                    values.append(-1)
+                continue
+            if d:
+                held.add((d, left, right))
+        states.pop()
+        values.pop()
+    return None
 
 
 def counterexample(
     S: FiniteAiSemiring, identity: Identity, budget: int = DEFAULT_BUDGET
 ) -> Optional[dict[str, int]]:
     """Lexicographically first failing assignment, or None if the identity holds."""
-    variables = sorted(identity.variables)
-    for assignment in _assignments(variables, S.order, budget):
-        if eval_term(S, identity.lhs, assignment) != eval_term(S, identity.rhs, assignment):
-            return assignment
-    return None
+    lhs_words, rhs_words = identity.lhs.words, identity.rhs.words
+    variables = sorted({x for w in lhs_words + rhs_words for x in w.letters})
+    n, k = S.order, len(variables)
+    if n ** k > budget:
+        raise BudgetExceededError(
+            f"{n}**{k} assignments exceed the budget of {budget}; refusing to sample"
+        )
+    if n == 1:  # one element satisfies every identity, however many variables
+        return None
+    letter = {x: n + i for i, x in enumerate(variables)}
+    lhs = frozenset([tuple([letter[x] for x in w.letters]) for w in lhs_words])
+    rhs = frozenset([tuple([letter[x] for x in w.letters]) for w in rhs_words])
+    if lhs == rhs:
+        return None
+    values = _first_failure(lhs, rhs, k, S.add, S.mul, n)
+    return None if values is None else dict(zip(variables, values))
 
 
 def satisfies(S: FiniteAiSemiring, identity: Identity, budget: int = DEFAULT_BUDGET) -> bool:

@@ -133,6 +133,21 @@ def test_resolve_nested_references():
         catalog.resolve("@nope:T2")
 
 
+def test_resolve_bounds():
+    depth = catalog.MAX_REFERENCE_DEPTH
+    assert catalog.resolve("@dual:" * depth + "T2").order == 2
+    for ref in ("@dual:" * (depth + 1) + "T2", "@dual:" * 1200 + "T2", "@prod:" * 1200 + "T2" + ",T2" * 1200):
+        with pytest.raises(ValueError, match="nests more than"):
+            catalog.resolve(ref)
+    big = "@prod:S_(4,1),@prod:S_(4,1),S_(4,1)"
+    assert catalog.resolve(big).order == catalog.MAX_PRODUCT_ORDER == 64
+    with pytest.raises(ValueError, match="more than 64"):
+        catalog.resolve(f"@prod:T2,{big}")
+    # the README's examples resolve
+    readme = {"@prod:@prod:T2,T2,T2": 8, "@prod:T2,@prod:T2,T2": 8, "@prod:S_(4,1),@dual:L2": 8, "@prod:T2,@sc:a,b": 6}
+    assert {ref: catalog.resolve(ref).order for ref in readme} == readme
+
+
 def test_isomorphism_search_agrees_with_canonical_form_on_all_pairs(cat):
     by_order = {}
     for entry in cat.values():

@@ -104,6 +104,13 @@ def test_write_census(tmp_path):
 
         S = FiniteAiSemiring.from_dict(json.loads(data))
         assert canonical_form(S).hex() == key
+    # a smaller census written over a larger one leaves no stale file behind
+    small = enumerate_ai_semirings(1)
+    index = write_census(small, str(tmp_path))
+    names = sorted(p.name for p in tmp_path.iterdir())
+    assert names == sorted(["index.txt"] + [f"{S.name}.json" for S in small.semirings])
+    assert len(open(index).read().strip().splitlines()) == len(small.semirings) == 1
+    assert [p.name for p in tmp_path.parent.iterdir() if p.name.startswith(f".{tmp_path.name}.")] == []
 
 
 def test_classify_examples():

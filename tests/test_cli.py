@@ -202,12 +202,16 @@ def test_budget_overrun_is_usage_error(capsys):
         (["construct", "ne"], {}),
         (["check", "--semiring", "T2", "--identity", "(" * 2000 + "x" + ")" * 2000 + " = x"], {}),
         (["check", "--semiring", "T2", "--identity", "(x + y)^18 = x"], {}),
+        (["construct", "flat-ext", "--table", "{semigroup_out_of_range}"], {}),
+        (["validate", "@dual:" * 1200 + "T2"], {}),
+        (["construct", "product", "@prod:T2,S_(4,1)", "@prod:S_(4,1),S_(4,1)"], {}),
     ],
 )
 def test_bad_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, env):
     files = {
         "add_five": {"add": 5, "mul": [[0]]},
         "bool_entries": {"elements": ["0", "1"], "add": [[0, 1], [1, 1]], "mul": [[0, 0], [True, 1]]},
+        "semigroup_out_of_range": {"elements": ["0", "1"], "mul": [[0, 0], [0, 5]], "zero": 0},
     }
     for name, data in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))

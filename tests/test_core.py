@@ -88,6 +88,30 @@ def test_natural_order_tops():
     assert L2.elements[natural_order(L2).top] == "1"
 
 
+ZERO2 = ((0, 0), (0, 0))
+
+
+@pytest.mark.parametrize(
+    "add, mul, law, witness",
+    [
+        (((1, 1), (1, 1)), ZERO2, "add-idempotence", (0,)),
+        # 0 + 1 = 1 and 1 + 0 = 0: each is below the other
+        (((0, 1), (0, 1)), ZERO2, "order-antisymmetry", (0, 1)),
+        # a + b = a: no element lies above both
+        (((0, 0), (1, 1)), ZERO2, "order-top", ()),
+        # 1 <= 0 while 1 + 2 = 0 is not below 0 + 2 = 1
+        (((0, 0, 1), (0, 1, 0), (0, 0, 2)), ((0,) * 3,) * 3, "order-add-compatibility", (1, 0, 2)),
+        # the chain 0 < 1 with 0 * 0 = 1 above 1 * 0 = 0
+        (((0, 1), (1, 1)), ((1, 0), (0, 0)), "order-mul-compatibility", (0, 1, 0)),
+    ],
+)
+def test_natural_order_names_the_broken_order_law(add, mul, law, witness):
+    S = FiniteAiSemiring(name="", elements=tuple(map(str, range(len(add)))), add=add, mul=mul)
+    with pytest.raises(InvalidSemiringError) as info:
+        natural_order(S)
+    assert info.value.report.violations == ((law, witness),)
+
+
 def test_additive_height():
     assert additive_height(s4k(7)) == 1
     one = FiniteAiSemiring.from_tables(((0,),), ((0,),))

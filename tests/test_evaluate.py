@@ -145,3 +145,73 @@ def test_bulk_evaluator_matches_satisfies():
                 algebra, parse_identity(f"{u} ≈ {u} + {q}")
             )
             assert bulk.simple_identity_holds(bulk.term_vector(u), q) == expected
+
+
+def _reference_counterexample(S, identity):
+    """Brute force: every assignment in lexicographic order, one dict each."""
+    variables = sorted(identity.variables)
+    for values in itertools.product(range(S.order), repeat=len(variables)):
+        assignment = dict(zip(variables, values))
+        if eval_term(S, identity.lhs, assignment) != eval_term(S, identity.rhs, assignment):
+            return assignment
+    return None
+
+
+def _random_word(rng, letters):
+    return "".join(
+        rng.choice(letters) + (f"^{rng.randint(2, 3)}" if rng.random() < 0.2 else "")
+        for _ in range(rng.randint(1, 4))
+    )
+
+
+def _random_wide_identity(rng, letters):
+    def side():
+        return " + ".join(_random_word(rng, letters) for _ in range(rng.randint(1, 3)))
+
+    return parse_identity(f"{side()} ≈ {side()}")
+
+
+def test_counterexample_matches_brute_force():
+    rng = random.Random(7)
+    small = [catalog.get(name).semiring for name in catalog.names()]
+    small += [dual(A) for A in small[::3]]
+    products = [direct_product(S("T2"), S("S_(4,4)")), direct_product(S("S_(4,47)"), S("L2"))]
+    products += [direct_product(S("S_(4,12)"), S("S_(4,30)")), direct_product(S("S7"), S("S_(4,20)"))]
+    assert sorted({P.order for P in products}) == [8, 12, 16]
+    cases = [(rng.choice(small), "xyzw"[: rng.randint(1, 4)]) for _ in range(600)]
+    cases += [(rng.choice(products), "xyz"[: rng.randint(1, 3)]) for _ in range(60)]
+    held = 0
+    for algebra, letters in cases:
+        identity = _random_wide_identity(rng, letters)
+        expected = _reference_counterexample(algebra, identity)
+        assert counterexample(algebra, identity) == expected, (algebra.name, str(identity))
+        held += expected is None
+    assert 0 < held < len(cases)
+
+
+def test_bundled_bases_match_brute_force_on_the_catalog():
+    algebras = [catalog.get(name).semiring for name in catalog.names()]
+    for name in catalog.BASIS_NAMES:
+        for identity in catalog.expand_basis(name):
+            for algebra in algebras:
+                assert counterexample(algebra, identity) == _reference_counterexample(algebra, identity)
+
+
+def test_budget_is_checked_before_the_search():
+    trivial = parse_identity("x1x2x3x4x5x6x7x8x9x10x11x12 ≈ x1x2x3x4x5x6x7x8x9x10x11x12")
+    with pytest.raises(BudgetExceededError):
+        counterexample(S("S_(4,1)"), trivial)
+
+
+def test_many_variables_do_not_recurse():
+    names = [f"x{i:04d}" for i in range(2000)]
+    # the sides differ, and a one-element semiring satisfies every identity
+    wide = parse_identity(" + ".join(names) + " ≈ " + " + ".join(a + b for a, b in zip(names, names[1:])))
+    one = FiniteAiSemiring.from_tables([[0]], [[0]])
+    assert counterexample(one, wide) is None
+    # in L2 a word takes the value of its first letter; the sides first differ
+    # when only the last variable, the head of the rhs, is 1
+    names = names[:1200]
+    deep = parse_identity("".join(names[:600]) + " ≈ " + "".join([names[-1]] + names[600:-1]))
+    witness = counterexample(S("L2"), deep, budget=2 ** 1200)
+    assert witness == {**dict.fromkeys(names, 0), names[-1]: 1}
