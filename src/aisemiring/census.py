@@ -266,14 +266,43 @@ def enumerate_ai_semirings(n: int, workers: int = 1) -> CensusResult:
     )
 
 
+def _census_names(path: str):
+    """The names in the directory ``path`` if it is empty or holds only a
+    census written by ``write_census`` (index.txt and the files it lists);
+    None if it holds anything else."""
+    names = os.listdir(path)
+    if not names:
+        return names
+    try:
+        with open(os.path.join(path, "index.txt"), encoding="utf-8") as fh:
+            listed = {line.split()[-1] for line in fh if line.strip()}
+    except (OSError, UnicodeDecodeError):
+        return None
+    listed.add("index.txt")
+    for name in names:
+        full = os.path.join(path, name)
+        if name not in listed or os.path.islink(full) or not os.path.isfile(full):
+            return None
+    return names
+
+
 def write_census(result: CensusResult, out_dir: str) -> str:
     """Persist a census as one JSON file per algebra plus an index of
     canonical keys; returns the index path.
 
     The files go into a fresh directory beside ``out_dir``, which is then
     renamed into its place, so ``out_dir`` holds the earlier census or all of
-    this one, and no file of an earlier, larger census survives."""
+    this one, and no file of an earlier, larger census survives.  An existing
+    ``out_dir`` is replaced only if it is empty or holds nothing but an
+    earlier census; otherwise ValueError is raised and nothing is written."""
     target = os.path.realpath(out_dir)
+    old_names = None
+    if os.path.lexists(target):
+        old_names = _census_names(target) if os.path.isdir(target) else None
+        if old_names is None:
+            raise ValueError(
+                f"{out_dir} holds files that are not a census; give a new or empty directory"
+            )
     parent, base = os.path.split(target)
     os.makedirs(parent, exist_ok=True)
     fresh = os.path.join(parent, f".{base}.{os.urandom(8).hex()}")
@@ -288,7 +317,9 @@ def write_census(result: CensusResult, out_dir: str) -> str:
             lines.append(f"{canonical_form(S).hex()} {filename}")
         with open(os.path.join(fresh, "index.txt"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-        if os.path.isdir(target):
+        if old_names is None:
+            os.rename(fresh, target)
+        else:
             old = fresh + ".old"
             os.rename(target, old)
             try:
@@ -296,9 +327,10 @@ def write_census(result: CensusResult, out_dir: str) -> str:
             except OSError:
                 os.rename(old, target)
                 raise
-            shutil.rmtree(old)
-        else:
-            os.rename(fresh, target)
+            # delete only the earlier census; rmdir fails if anything else appeared
+            for name in old_names:
+                os.remove(os.path.join(old, name))
+            os.rmdir(old)
     except BaseException:
         shutil.rmtree(fresh, ignore_errors=True)
         raise

@@ -16,7 +16,12 @@ reduce to the same set cannot fail and is skipped.  The last variable is
 decided for all n values at once, as columns of values.  At the internal
 depths (neither the first variable nor the last), a subtree that held is
 remembered by its depth and its two sides, so an identical subtree under
-another prefix is skipped.  The memo lives for one call.
+another prefix is skipped.  The memo lives for one call and keeps at most
+MEMO_LETTERS letters: a state never has more letters than the identity, so
+the memo stops taking entries after MEMO_LETTERS // (letters of the identity)
+of them.  Without that bound an identity whose assigned letters stay apart,
+such as ``x01 x09 x02 x09 ... x08 x09`` against its reverse, leaves nearly
+every internal node of the search in the memo.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from .core import FiniteAiSemiring, Table
 from .terms import Identity, Term, Word
 
 DEFAULT_BUDGET = 10_000_000
+MEMO_LETTERS = 1 << 16  # letters of word states one call may keep in its memo
 
 
 class BudgetExceededError(RuntimeError):
@@ -120,6 +126,7 @@ def _first_failure(
     variables is not limited by the interpreter's recursion limit.
     """
     last = k - 1
+    room = MEMO_LETTERS // (sum(map(len, lhs)) + sum(map(len, rhs)))  # memo entries allowed
     states = [(lhs, rhs)]
     values = [-1]  # the value tried at each depth of the current path
     held = set()  # (depth, lhs, rhs) of internal subtrees without a failure
@@ -143,7 +150,7 @@ def _first_failure(
                     states.append((nleft, nright))
                     values.append(-1)
                 continue
-            if d:
+            if d and len(held) < room:
                 held.add((d, left, right))
         states.pop()
         values.pop()

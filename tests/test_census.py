@@ -111,6 +111,18 @@ def test_write_census(tmp_path):
     assert names == sorted(["index.txt"] + [f"{S.name}.json" for S in small.semirings])
     assert len(open(index).read().strip().splitlines()) == len(small.semirings) == 1
     assert [p.name for p in tmp_path.parent.iterdir() if p.name.startswith(f".{tmp_path.name}.")] == []
+    # a directory holding anything besides a census is refused and left as it was
+    (tmp_path / "notes.txt").write_text("not a census\n")
+    with pytest.raises(ValueError, match="not a census"):
+        write_census(result, str(tmp_path))
+    assert (tmp_path / "notes.txt").read_text() == "not a census\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["notes.txt"])
+    assert [p.name for p in tmp_path.parent.iterdir() if p.name.startswith(f".{tmp_path.name}.")] == []
+    (tmp_path / "notes.txt").unlink()
+    (tmp_path / "sub").mkdir()
+    with pytest.raises(ValueError, match="not a census"):
+        write_census(result, str(tmp_path))
+    assert (tmp_path / "sub").is_dir()
 
 
 def test_classify_examples():

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -205,6 +206,7 @@ def test_budget_overrun_is_usage_error(capsys):
         (["construct", "flat-ext", "--table", "{semigroup_out_of_range}"], {}),
         (["validate", "@dual:" * 1200 + "T2"], {}),
         (["construct", "product", "@prod:T2,S_(4,1)", "@prod:S_(4,1),S_(4,1)"], {}),
+        (["enumerate", "--order", "1", "--out", "{dir}"], {}),
     ],
 )
 def test_bad_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, env):
@@ -217,7 +219,9 @@ def test_bad_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, env):
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
     for key, value in env.items():
         monkeypatch.setenv(key, value)
-    argv = [arg.format(**{name: str(tmp_path / f"{name}.json") for name in files}) for arg in argv]
+    paths = {name: str(tmp_path / f"{name}.json") for name in files}
+    argv = [arg.format(dir=str(tmp_path), **paths) for arg in argv]
     code, out, err = run(capsys, argv)
     assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    assert all(os.path.isfile(path) for path in paths.values())
 

@@ -1,11 +1,12 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aisemiring import catalog
+from aisemiring import catalog, evaluate
 from aisemiring.core import FiniteAiSemiring, direct_product, dual, find_embedding
 from aisemiring.evaluate import (
     BudgetExceededError,
@@ -215,3 +216,20 @@ def test_many_variables_do_not_recurse():
     deep = parse_identity("".join(names[:600]) + " ≈ " + "".join([names[-1]] + names[600:-1]))
     witness = counterexample(S("L2"), deep, budget=2 ** 1200)
     assert witness == {**dict.fromkeys(names, 0), names[-1]: 1}
+
+
+def test_memo_is_bounded(monkeypatch):
+    # x01..x12 stay apart in both words, so the 2**12 - 2 internal subtrees of
+    # this commutative identity have distinct states, and all of them hold;
+    # a memo keeping them all would take about 4 MB
+    names = [f"x{i:02d}" for i in range(1, 14)]
+    word = [x for a in names[:-1] for x in (a, names[-1])]
+    apart = parse_identity("".join(word) + " ≈ " + "".join(reversed(word)))
+    monkeypatch.setattr(evaluate, "MEMO_LETTERS", 64 * 2 * len(word))  # 64 entries
+    tracemalloc.start()
+    try:
+        assert counterexample(S("M2"), apart) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
