@@ -28,7 +28,9 @@ from .core import (
     find_isomorphism,
     generated_subalgebra,
     is_subdirect_embedding,
+    validate,
 )
+from .evaluate import check_basis
 from .terms import Identity, parse_identity, split_top_level
 
 
@@ -38,9 +40,11 @@ class CatalogError(KeyError):
 
 @dataclass(frozen=True)
 class Claim:
-    """A structural assertion about an entry, checkable by one searcher."""
+    """An assertion about an entry, checkable by one search or one test."""
 
-    kind: str  # isomorphic-to | subdirect-in | contains-copy-of | abelian-group-minus-top
+    # isomorphic-to | subdirect-in | contains-copy-of | abelian-group-minus-top |
+    # basis-holds | nfb-witness
+    kind: str
     args: tuple[str, ...]
     label: str
 
@@ -330,8 +334,11 @@ def _claims_for_order4(k: int) -> tuple[Claim, ...]:
         47: [Claim("subdirect-in", ("S4", "S9"), "subdirect product of S4 and S9")],
         48: [Claim("subdirect-in", ("S4", "S15"), "subdirect product of S4 and S15")],
     }.get(k, [])
+    if f"S_(4,{k})" in _BASES:
+        claims.append(Claim("basis-holds", (), "the bundled basis holds"))
     if k in _NONFINITELY_BASED_ORDER4:
         claims.append(Claim("contains-copy-of", ("S7",), "contains a copy of S7"))
+        claims.append(Claim("nfb-witness", (), "noncyclic elements form an order ideal and S7 embeds"))
     return tuple(claims)
 
 
@@ -345,13 +352,15 @@ _PINNED_ORDER3 = {
 }
 
 
-def _pin_order3(name: str, base: dict[str, FiniteAiSemiring]) -> FiniteAiSemiring:
-    """The unique order-3 census member satisfying the entry's claims."""
+def _pin_order3(
+    name: str, base: dict[str, FiniteAiSemiring], census3: tuple[FiniteAiSemiring, ...]
+) -> FiniteAiSemiring:
+    """The unique member of the order-3 census satisfying the entry's claims."""
     embeds, (big_name, partner_name) = _PINNED_ORDER3[name]
     big = base[big_name]
     partner = base[partner_name]
     candidates = []
-    for M in enumerate_ai_semirings(3).semirings:
+    for M in census3:
         if all(find_embedding(base[e], M) is not None for e in embeds):
             if is_subdirect_embedding(big, partner, M) is not None:
                 candidates.append(M)
@@ -385,15 +394,21 @@ def _catalog() -> dict[str, CatalogEntry]:
     sub, _ = generated_subalgebra(semirings["S_(4,20)"], (3,))
     semirings["S10"] = sub.renamed("S10")
 
+    census3 = enumerate_ai_semirings(3).semirings
     for name in _PINNED_ORDER3:
-        semirings[name] = _pin_order3(name, semirings)
+        semirings[name] = _pin_order3(name, semirings, census3)
 
     entries: dict[str, CatalogEntry] = {}
 
     def put(name, status, basis=None, claims=()):
+        S = semirings[name]
+        report = validate(S.add, S.mul)
+        if not report.valid:
+            laws = ", ".join(law for law, _ in report.violations)
+            raise CatalogError(f"{name}: the stored table violates {laws}")
         entries[name] = CatalogEntry(
             name=name,
-            semiring=semirings[name],
+            semiring=S,
             status=status,
             basis=basis,
             claims=tuple(claims),
@@ -500,7 +515,7 @@ def _flat_cyclic(text: str) -> FiniteAiSemiring:
 # Bounds on what one reference may build, so that hostile text fails fast with
 # a ValueError instead of exhausting the stack or memory.
 MAX_REFERENCE_DEPTH = 16  # constructors nested in one reference
-MAX_PRODUCT_ORDER = 64  # elements of a semiring built by @prod
+MAX_PRODUCT_ORDER = construct.MAX_BUILT_ORDER  # elements of a semiring built by @prod
 
 
 def _product(A: FiniteAiSemiring, B: FiniteAiSemiring) -> FiniteAiSemiring:
@@ -602,12 +617,16 @@ def verify_claim(entry: CatalogEntry, claim: Claim) -> ClaimResult:
         "subdirect-in": lambda A, B: is_subdirect_embedding(S, A, B),
         "contains-copy-of": lambda T: find_embedding(T, S),
     }
+    tests = {
+        "abelian-group-minus-top": lambda: construct.is_abelian_group_with_zero(construct.semigroup_reduct(S)),
+        "basis-holds": lambda: entry.basis is not None and check_basis(S, entry.basis).all_hold,
+        "nfb-witness": lambda: construct.nfb_witness(S).conclusion,
+    }
     if claim.kind in searches:
         found = searches[claim.kind](*map(resolve, claim.args))
         return ClaimResult(entry.name, claim, found is not None, found)
-    if claim.kind == "abelian-group-minus-top":
-        ok = construct.is_abelian_group_with_zero(construct.semigroup_reduct(S))
-        return ClaimResult(entry.name, claim, ok)
+    if claim.kind in tests:
+        return ClaimResult(entry.name, claim, tests[claim.kind]())
     raise ValueError(f"unknown claim kind {claim.kind!r}")
 
 

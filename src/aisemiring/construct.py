@@ -5,12 +5,19 @@ nonfinite-basis witness check."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from .core import FiniteAiSemiring, Morphism, Table, _as_table, find_embedding, natural_order
 from .terms import Word
+
+
+# Bound on the order of a semiring built from a reference (products, word
+# semirings, flat cyclic groups), so that hostile text fails fast instead of
+# exhausting memory.
+MAX_BUILT_ORDER = 64
 
 
 class NotZeroCancellativeError(ValueError):
@@ -91,9 +98,12 @@ def flat_from_semigroup(G: FiniteSemigroup) -> FiniteAiSemiring:
 
 
 def cyclic_group_with_zero(k: int) -> FiniteSemigroup:
-    """The cyclic group of order k with an absorbing zero adjoined at index 0."""
+    """The cyclic group of order k with an absorbing zero adjoined at index 0;
+    k + 1 above MAX_BUILT_ORDER raises ValueError."""
     if k < 1:
         raise ValueError("group order must be positive")
+    if k + 1 > MAX_BUILT_ORDER:
+        raise ValueError(f"Z{k} with a zero would have {k + 1} elements, more than {MAX_BUILT_ORDER}")
     n = k + 1
     mul = [[0] * n for _ in range(n)]
     for a, b in itertools.product(range(1, n), repeat=2):
@@ -167,12 +177,26 @@ def word_semiring(spec: WordSemiringSpec) -> FiniteAiSemiring:
 
     Subword means contiguous factor in the plain flavours and divisor multiset
     in the commutative ones; products fall to 0 as soon as they leave the
-    carrier.
+    carrier.  A carrier of more than MAX_BUILT_ORDER elements raises
+    ValueError before any table is built.
     """
+    name = f"{spec.flavour}({','.join(str(w) for w in spec.words)})"
+    room = MAX_BUILT_ORDER - 1 - spec.monoid  # the zero and the empty word take a place each
+    too_big = ValueError(f"{name} would have more than {MAX_BUILT_ORDER} elements")
     pieces: set[tuple[str, ...]] = set()
     for w in spec.words:
-        letters = w.sorted().letters if spec.commutative else w.letters
-        pieces |= _divisors(letters) if spec.commutative else _factors(letters)
+        if spec.commutative:
+            letters = w.sorted().letters
+            # a multiset with multiplicities c has prod(c + 1) - 1 nonempty divisors
+            if math.prod(c + 1 for c in map(letters.count, set(letters))) - 1 > room:
+                raise too_big
+            pieces |= _divisors(letters)
+        else:
+            if len(w) > room:  # its prefixes alone are too many
+                raise too_big
+            pieces |= _factors(w.letters)
+        if len(pieces) > room:
+            raise too_big
     if spec.monoid:
         pieces.add(())
     carrier = sorted(pieces, key=lambda t: (len(t), t))
@@ -188,7 +212,6 @@ def word_semiring(spec: WordSemiringSpec) -> FiniteAiSemiring:
         mul[index[a]][index[b]] = times(a, b)
     add = flat_addition(n, 0)
     elements = ("0",) + tuple("1" if not t else "".join(t) for t in carrier)
-    name = f"{spec.flavour}({','.join(str(w) for w in spec.words)})"
     return FiniteAiSemiring.from_tables(add, mul, elements=elements, name=name)
 
 

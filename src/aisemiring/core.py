@@ -138,8 +138,8 @@ class FiniteAiSemiring:
             elements = tuple(str(i + 1) for i in range(n))
         else:
             elements = tuple(elements)
-            if len(elements) != n or len(set(elements)) != n:
-                raise MalformedTableError("element names must be distinct, one per row")
+            if len(elements) != n or len(set(elements)) != n or not all(type(e) is str for e in elements):
+                raise MalformedTableError("element names must be distinct strings, one per row")
         return cls(name=name, elements=elements, add=add, mul=mul)
 
     def renamed(self, name: str) -> "FiniteAiSemiring":

@@ -40,22 +40,6 @@ class CriterionVerdict:
         return {"holds": self.holds, "rule": self.rule}
 
 
-@dataclass(frozen=True)
-class DeltaFamily:
-    """All letter sets that pick exactly one single-occurrence letter per summand."""
-
-    sets: frozenset[frozenset[str]]
-
-    def __contains__(self, Z) -> bool:
-        return frozenset(Z) in self.sets
-
-    def __iter__(self):
-        return iter(self.sets)
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-
 def _two_element_L2(si: SimpleIdentity) -> CriterionVerdict:
     if word_measures(si.extra).head in term_measures(si.base).heads:
         return CriterionVerdict(True, "head-match")
@@ -161,8 +145,9 @@ def property_h(u: Term) -> bool:
     return _end_pattern(u, 0)
 
 
-def delta(v: Term) -> DeltaFamily:
-    """Enumerate all Z with Z ∩ c(v_i) = {x} and m(x, v_i) = 1 for every summand."""
+def delta(v: Term) -> frozenset[frozenset[str]]:
+    """All Z with Z ∩ c(v_i) = {x} and m(x, v_i) = 1 for every summand: the
+    letter sets that pick exactly one single-occurrence letter per summand."""
     letters = sorted(v.variables)
     found = []
     for r in range(1, len(letters) + 1):
@@ -176,7 +161,7 @@ def delta(v: Term) -> DeltaFamily:
                     break
             if ok:
                 found.append(Z)
-    return DeltaFamily(frozenset(found))
+    return frozenset(found)
 
 
 def _holds_pattern(si: SimpleIdentity, end: int, kind: str) -> CriterionVerdict:

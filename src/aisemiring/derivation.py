@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional
 
-from .terms import Identity, Term, parse_identity, parse_term, substitute
+from .terms import Identity, Term, bounded_product, parse_identity, parse_term, substitute
 
 
 class MalformedCertificateError(ValueError):
@@ -44,6 +44,9 @@ class DerivationCertificate:
                 f"{len(self.chain)} chain terms need {len(self.chain) - 1} steps, "
                 f"got {len(self.steps)}"
             )
+        for i, step in enumerate(self.steps):
+            if type(step.axiom) is not int:  # JSON true or 0.0 is no index
+                raise MalformedCertificateError(f"step {i}: axiom index {step.axiom!r} is not an integer")
 
     @property
     def endpoints(self) -> Identity:
@@ -63,9 +66,9 @@ class CertificateVerdict:
 def _step_side(step: DerivationStep, body: Term) -> Term:
     out = substitute(body, step.substitution)
     if step.left is not None:
-        out = step.left * out
+        out = bounded_product(step.left, out)
     if step.right is not None:
-        out = out * step.right
+        out = bounded_product(out, step.right)
     if step.remainder is not None:
         out = out + step.remainder
     return out
@@ -123,7 +126,7 @@ def certificate_from_dict(data: dict) -> DerivationCertificate:
             )
             for raw in data["steps"]
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:  # a missing key or a value of the wrong type
         raise MalformedCertificateError(f"bad certificate structure: {exc}") from exc
     return DerivationCertificate(axioms=axioms, chain=chain, steps=steps)
 

@@ -170,8 +170,19 @@ def term_product(a: Term, b: Term) -> Term:
     return a * b
 
 
+def bounded_product(a: Term, b: Term) -> Term:
+    """a * b; ValueError if it would have more than MAX_TERM_WORDS summands or
+    a word longer than MAX_WORD_LENGTH letters."""
+    _check_bounds(len(a.words) * len(b.words), max(map(len, a.words)) + max(map(len, b.words)))
+    return a * b
+
+
 def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
-    """Homomorphic extension of a variable assignment to terms."""
+    """Homomorphic extension of a variable assignment to terms.
+
+    The image is held to the parse bounds: ValueError if it would have more
+    than MAX_TERM_WORDS summands or a word longer than MAX_WORD_LENGTH letters.
+    """
     missing = t.variables - set(mapping)
     if missing:
         raise UnboundVariableError(f"no image for {sorted(missing)}")
@@ -179,7 +190,9 @@ def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
     for w in t.words:
         img: Optional[Term] = None
         for letter in w.letters:
-            img = mapping[letter] if img is None else img * mapping[letter]
+            img = mapping[letter] if img is None else bounded_product(img, mapping[letter])
+        if out is not None:
+            _check_bounds(len(out.words) + len(img.words), 0)
         out = img if out is None else out + img
     return out
 
@@ -269,6 +282,8 @@ _TOKEN = re.compile(r"(?P<var>[A-Za-z][0-9]*)|(?P<num>[0-9]+)|(?P<op>[+*^()=])|(
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    if not isinstance(text, str):
+        raise TypeError(f"terms are written as text, got {text!r}")
     tokens = []
     pos = 0
     while pos < len(text):
@@ -369,10 +384,17 @@ class _Parser:
 
 
 def _check_size(words: int, length: int, pos: int) -> None:
+    try:
+        _check_bounds(words, length)
+    except ValueError as exc:
+        raise TermSyntaxError(str(exc), pos) from None
+
+
+def _check_bounds(words: int, length: int) -> None:
     if words > MAX_TERM_WORDS:
-        raise TermSyntaxError(f"term has more than {MAX_TERM_WORDS} summands", pos)
+        raise ValueError(f"term has more than {MAX_TERM_WORDS} summands")
     if length > MAX_WORD_LENGTH:
-        raise TermSyntaxError(f"word longer than {MAX_WORD_LENGTH} letters", pos)
+        raise ValueError(f"word longer than {MAX_WORD_LENGTH} letters")
 
 
 def split_top_level(text: str, sep: str) -> list[str]:

@@ -3,8 +3,9 @@ import itertools
 import pytest
 
 from aisemiring import catalog
-from aisemiring.catalog import BASIS_NAMES, CatalogError, expand_basis
+from aisemiring.catalog import BASIS_NAMES, CatalogEntry, CatalogError, Claim, expand_basis
 from aisemiring.core import (
+    FiniteAiSemiring,
     additive_height,
     canonical_form,
     direct_product,
@@ -143,6 +144,12 @@ def test_resolve_bounds():
     assert catalog.resolve(big).order == catalog.MAX_PRODUCT_ORDER == 64
     with pytest.raises(ValueError, match="more than 64"):
         catalog.resolve(f"@prod:T2,{big}")
+    # word semirings and flat cyclic groups share the bound: 63 divisors plus
+    # the zero fit, 255 do not
+    assert catalog.resolve("@sc:abcdef").order == 64
+    for ref in ("@sc:abcdefgh", "@mc:abcdef", "@flatext:z64", "@s:" + "abcdefghij" * 4, "@s:abcdefghij,klmnopqrst"):
+        with pytest.raises(ValueError, match="more than 64"):
+            catalog.resolve(ref)
     # the README's examples resolve
     readme = {"@prod:@prod:T2,T2,T2": 8, "@prod:T2,@prod:T2,T2": 8, "@prod:S_(4,1),@dual:L2": 8, "@prod:T2,@sc:a,b": 6}
     assert {ref: catalog.resolve(ref).order for ref in readme} == readme
@@ -168,3 +175,32 @@ def test_verify_all_claims_passes():
     assert failures == []
     # smoke claim present
     assert any(r.entry == "S_(4,14)" and r.claim.kind == "isomorphic-to" for r in results)
+    # every bundled basis and every nonfinite-basis witness is a claim
+    kinds = {kind: {r.entry for r in results if r.claim.kind == kind} for kind in ("basis-holds", "nfb-witness")}
+    assert kinds["basis-holds"] == set(BASIS_NAMES)
+    assert kinds["nfb-witness"] == {e.name for e in catalog.entries(order=4, status="nonfinitely-based")}
+    assert len(results) == 53
+
+
+def test_failing_basis_and_witness_claims_are_reported():
+    commutes = expand_basis("S_(4,14)")[:1]  # xy ≈ yx
+    entry = CatalogEntry(
+        name="S_(4,4)",
+        semiring=catalog.get("S_(4,4)").semiring,
+        status="finitely-based",
+        basis=commutes,
+        claims=(),
+    )
+    result = catalog.verify_claim(entry, Claim("basis-holds", (), "xy ≈ yx holds"))
+    assert str(commutes[0]) == "xy ≈ yx" and not result.ok
+    witness = Claim("nfb-witness", (), "witness")
+    assert not catalog.verify_claim(catalog.get("S_(4,1)"), witness).ok
+    assert catalog.verify_claim(catalog.get("S_(4,49)"), witness).ok
+
+
+def test_building_refuses_an_invalid_table(monkeypatch):
+    left_zero_add = ((0, 0, 0), (1, 1, 1), (2, 2, 2))  # idempotent, not commutative
+    broken = lambda S: FiniteAiSemiring(name="", elements=S.elements, add=left_zero_add, mul=S.mul)  # noqa: E731
+    monkeypatch.setattr(catalog, "dual", broken)
+    with pytest.raises(CatalogError, match="S6"):
+        catalog._catalog.__wrapped__()

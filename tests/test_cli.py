@@ -1,8 +1,15 @@
+import io
 import json
 import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from aisemiring import catalog
 from aisemiring.cli import main
 
 
@@ -149,6 +156,18 @@ def test_catalog_subcommands(capsys):
     code, payload, _ = run_json(capsys, ["catalog", "list", "--height1", "--order", "4"])
     assert len(payload) == 58
 
+    code, payload, _ = run_json(capsys, ["catalog", "verify"])
+    assert code == 0 and payload["all_ok"] and len(payload["results"]) == 53
+
+
+def test_catalog_verify_fails_on_a_failing_basis(capsys, monkeypatch):
+    entry = catalog.get("S_(4,4)")
+    wrong = replace(entry, basis=catalog.expand_basis("S_(4,14)"))  # xy ≈ yx fails in S_(4,4)
+    monkeypatch.setattr(catalog, "_catalog", lambda: {entry.name: wrong})
+    code, payload, _ = run_json(capsys, ["catalog", "verify"])
+    assert code == 1 and not payload["all_ok"]
+    assert [r["kind"] for r in payload["results"] if not r["ok"]] == ["basis-holds"]
+
 
 def test_cert_subcommand(capsys, tmp_path):
     code, payload, _ = run_json(capsys, ["cert", "list"])
@@ -207,6 +226,8 @@ def test_budget_overrun_is_usage_error(capsys):
         (["validate", "@dual:" * 1200 + "T2"], {}),
         (["construct", "product", "@prod:T2,S_(4,1)", "@prod:S_(4,1),S_(4,1)"], {}),
         (["enumerate", "--order", "1", "--out", "{dir}"], {}),
+        (["validate", "@sc:abcdefgh"], {}),
+        (["validate", "@s:" + "abcdefghij" * 4], {}),
     ],
 )
 def test_bad_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, env):
@@ -225,3 +246,138 @@ def test_bad_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, env):
     assert code == 2 and err.startswith("error:") and "Traceback" not in err
     assert all(os.path.isfile(path) for path in paths.values())
 
+
+
+# ---------------------------------------------------------------------------
+# fuzzing main(argv): any input ends in exit 0, 1 or 2 and never a traceback
+
+_NAMES = ["T2", "L2", "S7", "S2", "S13", "S_(4,1)", "S_(4, 49)", "S_(4,59)", "nonsense", "", " ", "(", ",", "@", "@:"]
+_leaf_refs = st.one_of(
+    st.sampled_from(_NAMES),
+    st.builds("@{}:{}".format, st.sampled_from(["sc", "s", "mc", "m", "SC", "nope", ""]), st.text("abxy1,( ", max_size=40)),
+    st.builds("@flatext:{}".format, st.sampled_from(["z2", "z63", "z64", "z100000", "z0", "z-1", "q8", "z", "z" + "9" * 5000])),
+    st.text("@:,()STab1 ", max_size=20),
+)
+_references = st.one_of(
+    st.recursive(
+        _leaf_refs,
+        lambda inner: st.one_of(
+            st.builds("@{}:{}".format, st.sampled_from(["dual", "ne", "ie", "prod", "nope"]), inner),
+            st.builds("@prod:{},{}".format, inner, inner),
+        ),
+        max_leaves=6,
+    ),
+    st.builds(lambda k, head, ref: f"@{head}:" * k + ref, st.integers(0, 1500), st.sampled_from(["dual", "ne", "prod"]), _leaf_refs),
+    st.builds(lambda k, w: "@s:" + ",".join([w] * k), st.integers(1, 300), st.sampled_from(["a", "ab", "x1", "ba"])),
+)
+_identities = st.one_of(
+    st.builds(lambda k: "(" * k + "x" + ")" * k + " = x", st.integers(0, 3000)),
+    st.builds("{}^{} = x".format, st.sampled_from(["x", "(x+y)", "(xy)", "x1", ")"]), st.integers(-5, 10**30)),
+    st.builds(lambda n: "".join(f"x{i}" for i in range(n)) + " = x0", st.integers(1, 300)),
+    st.builds(lambda u, q: f"{u} = {u} + {q}", st.text("xyz^2", min_size=1, max_size=8), st.text("xyz", min_size=1, max_size=4)),
+    st.text("xyz12^()+=≈* ", max_size=40),
+)
+_scalars = st.one_of(st.integers(-2, 5), st.booleans(), st.none(), st.text("01ab", max_size=3), st.floats(-2, 5))
+_texts = st.sampled_from(["x", "xy", "x + y", "(x+y)^12", "x^1024", "xy = yx"])
+_values = st.one_of(
+    _scalars,
+    _texts,
+    _identities,
+    st.lists(_scalars, max_size=3),
+    st.lists(st.lists(_scalars, max_size=3), max_size=3),
+    st.dictionaries(st.sampled_from(["x", "y", "1"]), st.one_of(_scalars, _texts), max_size=2),
+)
+
+
+def _mutants(doc: dict):
+    """``doc`` with one key dropped or replaced by a hostile value."""
+    replaced = st.builds(lambda key, value: {**doc, key: value}, st.sampled_from(sorted(doc)), _values)
+    dropped = st.builds(lambda key: {k: v for k, v in doc.items() if k != key}, st.sampled_from(sorted(doc)))
+    return st.one_of(replaced, dropped)
+
+
+_T2 = {"name": "T2", "elements": ["0", "1"], "add": [[0, 1], [1, 1]], "mul": [[1, 1], [1, 1]]}
+_Z2 = {"elements": ["0", "e", "g"], "mul": [[0, 0, 0], [0, 1, 2], [0, 2, 1]], "zero": 0, "identity": 1}
+_STEP = {"axiom": 0, "dir": "LR", "subst": {"x": "a", "y": "b"}, "left": "c", "right": None, "remainder": "d"}
+_CERT = {"axioms": ["xy = yx"], "chain": ["cab + d", "cba + d"], "steps": [_STEP]}
+_semiring_docs = st.one_of(_values, _mutants(_T2), _mutants(_Z2))
+_cert_docs = st.one_of(_values, _mutants(_CERT), _mutants(_STEP).map(lambda step: {**_CERT, "steps": [step]}))
+
+
+def _files(docs):
+    """File contents: a JSON document, text that is not JSON, or bytes that are not UTF-8."""
+    return st.one_of(docs.map(json.dumps), st.text(max_size=20), st.binary(max_size=8))
+
+
+_small = st.sampled_from(["T2", "L2", "S7", "S_(4,1)", "S_(4,49)", "nonsense"])
+_json = st.sampled_from([[], ["--json"]])
+_commands = st.one_of(
+    st.tuples(st.builds(lambda r, j: ["validate", r] + j, _references, _json), st.none()),
+    st.tuples(st.builds(lambda r, j: ["nfb-check", r] + j, _references, _json), st.none()),
+    st.tuples(st.builds(lambda r, s, j: ["iso", r, s] + j, _references, _small, _json), st.none()),
+    st.tuples(st.builds(lambda r, s: ["embed", s, r], _references, _small), st.none()),
+    st.tuples(st.builds(lambda r, a, b: ["subdirect", r, a, b], _references, _small, _small), st.none()),
+    st.tuples(st.builds(lambda n, j: ["catalog", "show", n] + j, _references, _json), st.none()),
+    st.tuples(st.builds(lambda s, i, j: ["check", "--semiring", s, "--identity", i] + j, _small, _identities, _json), st.none()),
+    st.tuples(
+        st.builds(
+            lambda lemma, i, o: ["criteria", "--lemma", lemma, "--identity", i] + o,
+            st.sampled_from(["L2", "S4", "s10", "T2", "X9"]),
+            _identities,
+            st.sampled_from([[], ["--oracle"]]),
+        ),
+        st.none(),
+    ),
+    st.tuples(
+        st.builds(
+            lambda kind, refs, opts: ["construct", kind, *refs, *opts],
+            st.sampled_from(["sc", "s", "mc", "m", "flat-ext", "ne", "ie", "dual", "product", "bogus"]),
+            st.lists(_references, max_size=3),
+            st.sampled_from([[], ["--words", "ab,b"], ["--words", ",,"], ["--group", "z3"], ["--group", "z99999"], ["--table", "FILE"]]),
+        ),
+        _files(_semiring_docs),
+    ),
+    st.tuples(st.builds(lambda j: ["validate", "--table", "FILE"] + j, _json), _files(_semiring_docs)),
+    st.tuples(st.builds(lambda r: ["validate", r], st.just("FILE")), _files(_semiring_docs)),
+    st.tuples(st.builds(lambda kind: ["construct", kind, "FILE"], st.sampled_from(["ne", "dual"])), _files(_semiring_docs)),
+    st.tuples(st.just(["cert", "verify", "FILE", "--json"]), _files(_cert_docs)),
+    st.tuples(
+        st.builds(
+            lambda n, w, flags: ["enumerate", "--order", n, "--workers", w, *flags],
+            st.sampled_from(["-1", "0", "1", "2", "3", "x"]),
+            st.sampled_from(["1", "0", "-4", "w"]),
+            st.sampled_from([[], ["--json"], ["--height1", "--count-only"], ["--out", "FILE"], ["--out", "DIR"]]),
+        ),
+        st.one_of(st.none(), st.text(max_size=4)),
+    ),
+    st.tuples(
+        st.builds(
+            lambda first, rest: [first, *rest],
+            st.one_of(st.sampled_from(["validate", "check", "iso", "catalog", "cert", "construct", "criteria"]), st.text(max_size=8)),
+            st.lists(st.text(max_size=10).filter(lambda t: "/" not in t and "\\" not in t), max_size=5),
+        ),
+        st.none(),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_commands)
+def test_main_never_raises(tmp_path, monkeypatch, case):
+    argv, content = case
+    work = tempfile.mkdtemp(dir=tmp_path)
+    monkeypatch.chdir(work)  # any relative path an argument names stays under tmp_path
+    path = os.path.join(work, "input.json")
+    if content is not None:
+        with open(path, "wb") as fh:
+            fh.write(content if isinstance(content, bytes) else content.encode("utf-8"))
+    names = {"FILE": path, "DIR": os.path.join(work, "out")}
+    argv = [names.get(arg, arg) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the arguments
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

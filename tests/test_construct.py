@@ -100,6 +100,13 @@ def test_word_semiring_carriers():
     assert set(s("aba").elements) == {"0", "a", "b", "ab", "ba", "aba"}
     multi = word_semiring(WordSemiringSpec((word("ab"), word("c")), commutative=True, monoid=False))
     assert set(multi.elements) == {"0", "a", "b", "c", "ab"}
+    # at most 64 elements, refused before any table is built
+    assert sc("abcdef").order == s("abcdefghij").order + 8 == 64
+    for build, words in ((sc, ("abcdefgh",)), (s, ("a" * 64,)), (m, ("a" * 63,)), (s, ("abcdefghij", "klmnopqrst"))):
+        with pytest.raises(ValueError, match="more than 64"):
+            build(*words)
+    with pytest.raises(ValueError, match="more than 64"):
+        cyclic_group_with_zero(64)
 
 
 def test_word_semirings_are_flat_and_zero_cancellative():

@@ -39,6 +39,8 @@ def test_bool_entries_are_malformed():
         FiniteAiSemiring.from_tables([[0, 1], [1, 1]], [[0, 0], [0, True]], check=False)
     with pytest.raises(MalformedTableError):
         validate(5, [[0]])
+    with pytest.raises(MalformedTableError, match="strings"):
+        FiniteAiSemiring.from_tables([[0, 1], [1, 1]], [[0, 0], [0, 0]], elements=[1, 2])
 
 
 def test_public_names_snapshot():

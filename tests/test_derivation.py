@@ -97,6 +97,26 @@ def test_malformed_substitution_raises():
         verify_certificate(cert)
 
 
+def test_wrongly_typed_fields_are_malformed():
+    good = {"axiom": 0, "dir": "LR", "subst": {"x": "a", "y": "b"}}
+    for bad in ({"axiom": "0"}, {"axiom": 0.0}, {"axiom": True}, {"subst": 0}, {"left": [0]}):
+        data = {"axioms": ["xy = yx"], "chain": ["ab", "ba"], "steps": [{**good, **bad}]}
+        with pytest.raises(MalformedCertificateError):
+            certificate_from_dict(data)
+    with pytest.raises(MalformedCertificateError):
+        certificate_from_dict({"axioms": ["xy = yx"], "chain": ["ab", "ba"], "steps": ["step"]})
+
+
+def test_context_products_are_bounded():
+    # σ(x) = a + b raised to the 1024th power would have 2^1024 summands
+    data = {"axioms": ["x^1024 = x"], "chain": ["a", "a"], "steps": [{"axiom": 0, "subst": {"x": "a + b"}}]}
+    with pytest.raises(ValueError, match="more than 4096 summands"):
+        verify_certificate(certificate_from_dict(data))
+    data = {"axioms": ["x = x"], "chain": ["a", "a"], "steps": [{"axiom": 0, "subst": {"x": "(a+b)^12"}, "left": "c + d"}]}
+    with pytest.raises(ValueError, match="more than 4096 summands"):
+        verify_certificate(certificate_from_dict(data))
+
+
 def test_chain_step_count_mismatch():
     with pytest.raises(MalformedCertificateError):
         certificate_from_dict({"axioms": [], "chain": ["a", "b"], "steps": []})

@@ -66,6 +66,9 @@ def test_parse_bounds():
     for text in (f"x^{MAX_WORD_LENGTH + 1}", "x^" + "9" * 5000, f"(xy)^{MAX_WORD_LENGTH // 2 + 1}"):
         with pytest.raises(TermSyntaxError):
             parse_term(text)
+    for not_text in (5, [0], None):
+        with pytest.raises(TypeError):
+            parse_term(not_text)
 
 
 def test_identity_separators():
@@ -130,6 +133,12 @@ def test_substitute():
     assert substitute(parse_term("x^2"), {"x": parse_term("y + z")}) == parse_term("yy + yz + zy + zz")
     with pytest.raises(KeyError):
         substitute(t, {"x": parse_term("a")})
+    # images are held to the parse bounds
+    with pytest.raises(ValueError, match="more than 4096 summands"):
+        substitute(parse_term("x^13"), {"x": parse_term("a + b")})
+    with pytest.raises(ValueError, match="longer than 1024"):
+        substitute(parse_term("x^2"), {"x": parse_term("a^600")})
+    assert len(substitute(parse_term("x^12"), {"x": parse_term("a + b")})) == 4096
 
 
 def test_empty_rejections():
