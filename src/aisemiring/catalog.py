@@ -518,10 +518,15 @@ MAX_REFERENCE_DEPTH = 16  # constructors nested in one reference
 MAX_PRODUCT_ORDER = construct.MAX_BUILT_ORDER  # elements of a semiring built by @prod
 
 
-def _product(A: FiniteAiSemiring, B: FiniteAiSemiring) -> FiniteAiSemiring:
+def check_product_order(A: FiniteAiSemiring, B: FiniteAiSemiring) -> None:
+    """Raise ValueError if A x B would have more than MAX_PRODUCT_ORDER elements."""
     order = A.order * B.order
     if order > MAX_PRODUCT_ORDER:
         raise ValueError(f"@prod would have {order} elements, more than {MAX_PRODUCT_ORDER}")
+
+
+def _product(A: FiniteAiSemiring, B: FiniteAiSemiring) -> FiniteAiSemiring:
+    check_product_order(A, B)
     return direct_product(A, B)
 
 

@@ -22,6 +22,12 @@ the memo stops taking entries after MEMO_LETTERS // (letters of the identity)
 of them.  Without that bound an identity whose assigned letters stay apart,
 such as ``x01 x09 x02 x09 ... x08 x09`` against its reverse, leaves nearly
 every internal node of the search in the memo.
+
+``BulkEvaluator`` decides many identities ``u ≈ u + q`` over one variable
+pool.  It holds a word or term as n bitmasks over the assignment space, one
+per element: bit i of the mask for element e is set iff the word takes the
+value e at the i-th assignment in lexicographic order.  Products, sums and
+the absorption test are then a few integer ANDs and ORs per pair of elements.
 """
 
 from __future__ import annotations
@@ -217,12 +223,38 @@ def check_basis(
     return BasisReport(tuple(verdicts))
 
 
+def _pairs_by_value(table: Table, n: int) -> list[list[tuple[int, int]]]:
+    """The pairs (a, b) with table[a][b] == c, listed under c."""
+    by_value = [[] for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            by_value[table[a][b]].append((a, b))
+    return by_value
+
+
+def _combine(pairs: list, A: tuple[int, ...], B: tuple[int, ...]) -> tuple[int, ...]:
+    """The masks of A*B (or A+B) for the pairs of ``_pairs_by_value``."""
+    out = []
+    for ab in pairs:
+        mask = 0
+        for a, b in ab:
+            mask |= A[a] & B[b]
+        out.append(mask)
+    return tuple(out)
+
+
 class BulkEvaluator:
     """Evaluate many words of a fixed variable pool over all assignments at once.
 
-    Each word maps to the tuple of its values across all n**k assignments in
-    lexicographic order; results are memoized per word.  Semantically identical
-    to eval_word under every assignment, just batched.
+    A vector is a tuple of n Python ints, one per element: bit i of the int
+    for element e is set iff the word (or term) takes the value e at the i-th
+    of the n**k assignments in lexicographic order (the first variable varies
+    slowest), so every bit is set in exactly one of the n ints.  A product or
+    a sum of two vectors costs n**2 ANDs and ORs of such ints, and
+    ``absorbs`` at most n**2 ANDs.  Word vectors are memoized per word.
+    Semantically identical to eval_word under every assignment, just batched.
+    A pool whose n**k assignments exceed DEFAULT_BUDGET is refused before any
+    column is built.
     """
 
     def __init__(self, S: FiniteAiSemiring, variables: Sequence[str]):
@@ -230,38 +262,50 @@ class BulkEvaluator:
         self.variables = tuple(variables)
         n = S.order
         k = len(self.variables)
-        self._columns = {}
+        if n ** k > DEFAULT_BUDGET:
+            raise BudgetExceededError(
+                f"{n}**{k} assignments exceed the budget of {DEFAULT_BUDGET}"
+            )
+        self._mul_pairs = _pairs_by_value(S.mul, n)
+        self._add_pairs = _pairs_by_value(S.add, n)
+        # u ≈ u + q fails exactly where u is a and q is b for one of these pairs
+        self._breaking = [(a, b) for a in range(n) for b in range(n) if S.add[a][b] != a]
+        # The mask of variable i at value v: a run of `period` ones at
+        # v * period in each of the n**i blocks of n * period assignments.
+        # `spread` has one bit at the start of each block, so the runs are
+        # (2**period - 1) * spread, shifted by v * period.
+        self._columns: dict[str, tuple[int, ...]] = {}
+        spread = 1
         for i, x in enumerate(self.variables):
             period = n ** (k - i - 1)
-            column = []
-            for v in range(n):
-                column.extend([v] * period)
-            self._columns[x] = tuple(column * (n ** i))
-        self._cache: dict[Word, tuple[int, ...]] = {}
+            if i:
+                spread = sum(spread << (t * n * period) for t in range(n))
+            runs = (spread << period) - spread
+            self._columns[x] = tuple(runs << (v * period) for v in range(n))
+        self._cache: dict[tuple[str, ...], tuple[int, ...]] = {}
 
     def word_vector(self, w: Word) -> tuple[int, ...]:
-        cached = self._cache.get(w)
+        cached = self._cache.get(w.letters)  # a tuple of str hashes faster than a Word
         if cached is not None:
             return cached
-        mul = self.S.mul
         acc = self._columns[w.letters[0]]
         for x in w.letters[1:]:
-            col = self._columns[x]
-            acc = tuple(mul[a][b] for a, b in zip(acc, col))
-        self._cache[w] = acc
+            acc = _combine(self._mul_pairs, acc, self._columns[x])
+        self._cache[w.letters] = acc
         return acc
 
     def term_vector(self, t: Term) -> tuple[int, ...]:
-        add = self.S.add
         acc = self.word_vector(t.words[0])
         for w in t.words[1:]:
-            acc = tuple(add[a][b] for a, b in zip(acc, self.word_vector(w)))
+            acc = _combine(self._add_pairs, acc, self.word_vector(w))
         return acc
 
     def absorbs(self, base: tuple[int, ...], extra: tuple[int, ...]) -> bool:
-        """True iff base + extra == base pointwise, i.e. u ≈ u + q holds."""
-        add = self.S.add
-        return all(add[a][b] == a for a, b in zip(base, extra))
+        """True iff base + extra == base at every assignment, i.e. u ≈ u + q holds."""
+        for a, b in self._breaking:
+            if base[a] & extra[b]:
+                return False
+        return True
 
     def simple_identity_holds(self, base: tuple[int, ...], q: Word) -> bool:
         return self.absorbs(base, self.word_vector(q))

@@ -200,6 +200,10 @@ def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
 # ---------------------------------------------------------------------------
 # word and term measures
 
+# Words and terms whose measures are kept; the least recently used go first,
+# so the terms a long run judges do not stay alive for the life of the process.
+MEASURES_CACHE_SIZE = 4096
+
 
 @dataclass(frozen=True)
 class WordMeasures:
@@ -216,7 +220,7 @@ class WordMeasures:
     odd_letters: frozenset[str]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEASURES_CACHE_SIZE)
 def word_measures(w: Word) -> WordMeasures:
     counts: dict[str, int] = {}
     for x in w.letters:
@@ -244,7 +248,7 @@ class TermMeasures:
         return self.by_length.get(k, ())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEASURES_CACHE_SIZE)
 def term_measures(u: Term) -> TermMeasures:
     by_length: dict[int, list[Word]] = {}
     for w in u.words:

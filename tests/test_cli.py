@@ -228,6 +228,7 @@ def test_budget_overrun_is_usage_error(capsys):
         (["enumerate", "--order", "1", "--out", "{dir}"], {}),
         (["validate", "@sc:abcdefgh"], {}),
         (["validate", "@s:" + "abcdefghij" * 4], {}),
+        (["subdirect", "T2", "@prod:@prod:T2,T2,@prod:T2,T2", "@prod:@prod:T2,T2,@prod:T2,T2"], {}),
     ],
 )
 def test_bad_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, env):

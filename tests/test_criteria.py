@@ -1,5 +1,8 @@
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -121,3 +124,15 @@ def test_random_oracle_agreement():
         assert (
             criteria.check(name, s).holds == satisfies(oracles[name], s.as_identity())
         ), (name, str(s))
+
+
+def test_criteria_sweep_script_agrees():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "criteria_sweep.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "--max-summands", "2", "--max-length", "2"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "0 disagreements" in done.stdout

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aisemiring import catalog, evaluate
+from aisemiring import catalog, criteria, evaluate
 from aisemiring.core import FiniteAiSemiring, direct_product, dual, find_embedding
 from aisemiring.evaluate import (
     BudgetExceededError,
@@ -15,9 +15,10 @@ from aisemiring.evaluate import (
     check_basis,
     counterexample,
     eval_term,
+    eval_word,
     satisfies,
 )
-from aisemiring.terms import normalize_identity, parse_identity, parse_term
+from aisemiring.terms import Term, Word, normalize_identity, parse_identity, parse_term
 
 
 def S(name):
@@ -136,7 +137,7 @@ def test_normalize_identity_preserves_satisfaction():
 
 def test_bulk_evaluator_matches_satisfies():
     rng = random.Random(6)
-    for name in ("S2", "S4", "L2", "T2", "S10"):
+    for name in sorted(criteria.CRITERIA):
         algebra = S(name)
         bulk = BulkEvaluator(algebra, ("x", "y", "z"))
         for _ in range(60):
@@ -146,6 +147,60 @@ def test_bulk_evaluator_matches_satisfies():
                 algebra, parse_identity(f"{u} ≈ {u} + {q}")
             )
             assert bulk.simple_identity_holds(bulk.term_vector(u), q) == expected
+
+
+def _decode(vector, count):
+    """The value at each of the first ``count`` assignments of a bulk vector,
+    or None where not exactly one element's mask has the bit."""
+    assert all(mask >> count == 0 for mask in vector)  # no bit beyond the last assignment
+    values = []
+    for i in range(count):
+        hits = [e for e, mask in enumerate(vector) if mask >> i & 1]
+        values.append(hits[0] if len(hits) == 1 else None)
+    return values
+
+
+def test_bulk_vectors_match_brute_force():
+    rng = random.Random(8)
+    variables = ("x", "y", "z")
+    checked = 0
+    for name in catalog.names():
+        base = S(name)
+        if base.order > 4:
+            continue
+        for algebra in (base, dual(base)):
+            bulk = BulkEvaluator(algebra, variables)
+            assignments = [
+                dict(zip(variables, values))
+                for values in itertools.product(range(algebra.order), repeat=len(variables))
+            ]
+            for _ in range(4):
+                words = [
+                    Word(tuple(rng.choice(variables) for _ in range(rng.randint(1, 4))))
+                    for _ in range(rng.randint(1, 3))
+                ]
+                t = Term(tuple(words))
+                w = words[0]
+                assert _decode(bulk.word_vector(w), len(assignments)) == [
+                    eval_word(algebra, w, a) for a in assignments
+                ]
+                assert _decode(bulk.term_vector(t), len(assignments)) == [
+                    eval_term(algebra, t, a) for a in assignments
+                ]
+                checked += 1
+    assert checked >= 4 * 2 * 58
+
+
+def test_bulk_evaluator_refuses_a_pool_over_the_budget():
+    variables = [f"x{i}" for i in range(12)]  # 4**12 assignments, over DEFAULT_BUDGET
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            BulkEvaluator(S("S_(4,1)"), variables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # refused before any column is built
 
 
 def _reference_counterexample(S, identity):

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aisemiring.terms import (
+    MEASURES_CACHE_SIZE,
     Identity,
     SimpleIdentity,
     Term,
@@ -105,6 +106,15 @@ def test_term_measures():
     assert m.of_length(3) == (word("zzz"),)
     assert m.of_length(4) == ()
     assert term_measures(parse_term("x^2")).of_length(2) == (word("x^2"),)
+
+
+def test_measure_caches_are_bounded():
+    for i in range(MEASURES_CACHE_SIZE + 100):
+        w = Word((f"x{i}",))
+        term_measures(Term((w, Word(("y",)))))
+        word_measures(w)
+    assert term_measures.cache_info().currsize <= MEASURES_CACHE_SIZE
+    assert word_measures.cache_info().currsize <= MEASURES_CACHE_SIZE
 
 
 def test_normalize_identity():
