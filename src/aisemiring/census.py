@@ -4,9 +4,17 @@ Strategy: enumerate semilattices (the additive reducts) up to isomorphism,
 then for each one backtrack over the multiplications.  Distributivity makes a
 multiplication a function of its values on pairs of join-irreducible elements,
 so only those cells are searched; every other product is the forced sum over
-the join-irreducibles below the factors.  Constraints are checked as soon as
-the cells they mention are filled, and finished tables are deduplicated by
-canonical form.
+the join-irreducibles below the factors.
+
+The search is compiled to integer-indexed lists before it starts.  A cell is
+its position in growing-square order and the products form a flat list
+indexed ``e * n + f``; each product is computed once per path, when the last
+cell it reads is filled.  Every constraint is placed in advance at the cell
+where it becomes decidable, except an associativity check whose products
+depend on earlier cell values: it is deferred on the current path to exactly
+the cell that makes it decidable.  Finished tables are validated, then
+deduplicated under the automorphisms of the addition and checked against
+their canonical form.
 """
 
 from __future__ import annotations
@@ -96,19 +104,25 @@ def _join_irreducibles(add: Table) -> list[int]:
 
 def _multiplications(add: Table) -> list[Table]:
     """All multiplication tables making ``add`` an ai-semiring (labeled, not
-    deduplicated).
+    deduplicated), in the lexicographic order of their cell values.
 
-    Backtracks over the join-irreducible cells only; all other products are
-    the forced sums over the join-irreducibles below the factors.  Constraints
-    are first attempted at the last cell of their known needs; a constraint
-    that still touches an unfilled cell is re-watched at that cell, so each
-    check fires at the earliest moment it is decidable on the current path.
+    Backtracks over the join-irreducible cells only, indexed by their
+    position in growing-square order; every product ``e * f`` (index
+    ``e * n + f``) is the sum of the cells below ``(e, f)`` and is computed
+    once, when the last cell it reads is filled.  Monotonicity narrows each
+    cell to the values above the sum of the cells below it.  Each
+    distributivity check is stored at the cell where its products are ready.
+    An associativity check is stored at the later of its two cells; there it
+    fires at once if both products it compares are ready, and otherwise it is
+    deferred to exactly the cell where the later of them becomes ready, and
+    withdrawn on backtrack.
     """
     n = len(add)
     rng = range(n)
-    leq = [[add[a][b] == b for b in rng] for a in rng]
+    plus = [add[a][b] for a in rng for b in rng]
+    above = [tuple(v for v in rng if plus[a * n + v] == v) for a in rng]
     ji = _join_irreducibles(add)
-    jbelow = {x: tuple(p for p in ji if leq[p][x]) for x in rng}
+    jbelow = [[p for p in ji if add[p][x] == x] for x in rng]
 
     # cells in growing-square order over the join-irreducibles
     cells: list[tuple[int, int]] = []
@@ -117,86 +131,96 @@ def _multiplications(add: Table) -> list[Table]:
         cells.extend((ji[k], ji[j]) for j in range(k))
         cells.append((ji[k], ji[k]))
     pos = {cell: t for t, cell in enumerate(cells)}
-
-    values: dict[tuple[int, int], int] = {}
-
-    def ext(e: int, f: int) -> int:
-        acc = -1
-        for p in jbelow[e]:
-            for q in jbelow[f]:
-                v = values[(p, q)]
-                acc = v if acc < 0 else add[acc][v]
-        return acc
-
-    watched: list[list] = [[] for _ in cells]
-
-    for (p, q), (p2, q2) in itertools.combinations(cells, 2):
-        if leq[p][p2] and leq[q][q2]:
-            lo, hi = (p, q), (p2, q2)
-        elif leq[p2][p] and leq[q2][q]:
-            lo, hi = (p2, q2), (p, q)
-        else:
-            continue
-
-        def monotone(lo=lo, hi=hi):
-            return add[values[lo]][values[hi]] == values[hi]
-
-        watched[max(pos[lo], pos[hi])].append(monotone)
-
-    for a, b in itertools.combinations(rng, 2):
-        if leq[a][b] or leq[b][a]:
-            continue
-        j = add[a][b]
-        for c in rng:
-            trigger = max(
-                max((pos[(p, c2)] for p in jbelow[j] for c2 in jbelow[c]), default=0),
-                max((pos[(c2, p)] for p in jbelow[j] for c2 in jbelow[c]), default=0),
-            )
-
-            def distributes(a=a, b=b, c=c, j=j):
-                if ext(j, c) != add[ext(a, c)][ext(b, c)]:
-                    return False
-                return ext(c, j) == add[ext(c, a)][ext(c, b)]
-
-            watched[trigger].append(distributes)
-
-    for p, q, r in itertools.product(ji, repeat=3):
-
-        def assoc(p=p, q=q, r=r):
-            return ext(values[(p, q)], r) == ext(p, values[(q, r)])
-
-        watched[max(pos[(p, q)], pos[(q, r)])].append(assoc)
-
-    results: list[Table] = []
     total = len(cells)
+
+    # the cells each product reads; a cell's own product reads it last, after
+    # the cells below it, whose sum bounds the cell's value from below
+    reads = [sorted(pos[(p, q)] for p in jbelow[e] for q in jbelow[f]) for e in rng for f in rng]
+    ready = [r[-1] for r in reads]
+    below: list[tuple[int, ...]] = [()] * total
+    joined: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in cells]
+    for ef, r in enumerate(reads):
+        if divmod(ef, n) in pos:
+            below[r[-1]] = tuple(r[:-1])
+        else:
+            joined[r[-1]].append((ef, tuple(r[:-1])))
+
+    # distributivity over a + b = j for incomparable a, b, on either side of c
+    dist: list[list[tuple[int, int, int]]] = [[] for _ in cells]
+    for a, b in itertools.combinations(rng, 2):
+        j = add[a][b]
+        if j in (a, b):
+            continue
+        for c in rng:
+            for jc, ac, bc in ((j * n + c, a * n + c, b * n + c), (c * n + j, c * n + a, c * n + b)):
+                dist[ready[jc]].append((jc, ac, bc))
+
+    # (p * q) * r = p * (q * r) over the join-irreducibles
+    assoc: list[list[tuple[int, int, int, int]]] = [[] for _ in cells]
+    for p, q, r in itertools.product(ji, repeat=3):
+        pq, qr = pos[(p, q)], pos[(q, r)]
+        assoc[max(pq, qr)].append((pq, qr, p * n, r))
+
+    val = [0] * total
+    prod = [0] * (n * n)
+    pending: list[list[tuple[int, int]]] = [[] for _ in cells]
+    results: list[Table] = []
 
     def fill(t: int) -> None:
         if t == total:
-            full = tuple(tuple(ext(a, b) for b in rng) for a in rng)
+            full = tuple(tuple(prod[a * n : a * n + n]) for a in rng)
             if not validate(add, full).valid:
                 raise RuntimeError("search produced an invalid table; constraint bug")
             results.append(full)
             return
-        cell = cells[t]
-        queue = watched[t]
-        for v in rng:
-            values[cell] = v
-            deferred = []
+        own = cells[t][0] * n + cells[t][1]
+        lows = below[t]
+        if lows:
+            lb = val[lows[0]]
+            for s in lows[1:]:
+                lb = plus[lb * n + val[s]]
+            domain = above[lb]
+        else:
+            domain = rng
+        bases = []
+        for ef, earlier in joined[t]:
+            acc = val[earlier[0]]
+            for s in earlier[1:]:
+                acc = plus[acc * n + val[s]]
+            bases.append((ef, acc * n))
+        checks, waiting, triples = dist[t], pending[t], assoc[t]
+        for v in domain:
+            val[t] = v
+            prod[own] = v  # the cells below sum to at most v
+            for ef, base in bases:
+                prod[ef] = plus[base + v]
             ok = True
-            for check in queue:
-                try:
-                    if not check():
+            for jc, ac, bc in checks:
+                if prod[jc] != plus[prod[ac] * n + prod[bc]]:
+                    ok = False
+                    break
+            if ok:
+                for i, k in waiting:
+                    if prod[i] != prod[k]:
                         ok = False
                         break
-                except KeyError as missing:
-                    later = pos[missing.args[0]]
-                    watched[later].append(check)
-                    deferred.append(later)
+            deferred = []
+            if ok:
+                for pq, qr, pn, r in triples:
+                    i = val[pq] * n + r
+                    k = pn + val[qr]
+                    d = ready[i] if ready[i] > ready[k] else ready[k]
+                    if d <= t:
+                        if prod[i] != prod[k]:
+                            ok = False
+                            break
+                    else:
+                        pending[d].append((i, k))
+                        deferred.append(d)
             if ok:
                 fill(t + 1)
-            for later in reversed(deferred):
-                watched[later].pop()
-        del values[cell]
+            for d in deferred:
+                pending[d].pop()
 
     fill(0)
     return results
@@ -224,13 +248,16 @@ def _census_for_addition(add: Table) -> list[tuple[bytes, Table, Table]]:
 
 def default_workers() -> int:
     """Worker count for parallel enumeration; AISEMIRING_WORKERS overrides the
-    processor count."""
+    processor count and must be an integer of at least 1."""
     env = os.environ.get("AISEMIRING_WORKERS")
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
-            raise ValueError(f"AISEMIRING_WORKERS must be an integer, got {env!r}") from None
+            workers = 0
+        if workers < 1:
+            raise ValueError(f"AISEMIRING_WORKERS must be an integer of at least 1, got {env!r}")
+        return workers
     return os.cpu_count() or 1
 
 

@@ -109,6 +109,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.workers is not None and args.workers < 1:
+        raise CliError(f"--workers must be at least 1, got {args.workers}")
     workers = default_workers() if args.workers is None else args.workers
     result = enumerate_ai_semirings(args.order, workers=workers)
     chosen = result.height1 if args.height1 else result.semirings
@@ -382,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="parallel workers (default: AISEMIRING_WORKERS or the processor count)",
+        help="parallel workers, at least 1 (default: AISEMIRING_WORKERS or the processor count)",
     )
     p.set_defaults(fn=_cmd_enumerate)
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -6,6 +7,7 @@ import pytest
 from aisemiring import catalog
 from aisemiring.census import (
     _canonical_add,
+    _multiplications,
     enumerate_ai_semirings,
     enumerate_semilattices,
     write_census,
@@ -41,6 +43,25 @@ def test_enumerate_semilattices_bounds():
         enumerate_semilattices(0)
     with pytest.raises(ValueError):
         enumerate_semilattices(7)
+
+
+def test_multiplications_against_brute_force_up_to_order3():
+    # independent oracle: every n**(n*n) multiplication table filtered by validate
+    for n in (1, 2, 3):
+        rows = list(itertools.product(range(n), repeat=n))
+        for add in enumerate_semilattices(n):
+            found = _multiplications(add)
+            assert len(set(found)) == len(found)
+            assert sorted(found) == [mul for mul in itertools.product(rows, repeat=n) if validate(add, mul).valid]
+
+
+def test_order4_labeled_output_is_pinned(order4_census):
+    # dedup keeps the first labeled table per class, so the order of the
+    # search output decides every member's mul table
+    assert [len(_multiplications(add)) for add in enumerate_semilattices(4)] == [271, 217, 170, 202, 386]
+    tables = [(S.add, S.mul) for S in order4_census.semirings]
+    digest = hashlib.sha256(repr(tables).encode()).hexdigest()
+    assert digest == "b48f793acd69df313ad01e3bb669e16ec24c01b5901a5cb2d141e065ee2c1106"
 
 
 def test_small_census_counts(order3_census):

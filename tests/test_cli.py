@@ -229,6 +229,9 @@ def test_budget_overrun_is_usage_error(capsys):
         (["validate", "@sc:abcdefgh"], {}),
         (["validate", "@s:" + "abcdefghij" * 4], {}),
         (["subdirect", "T2", "@prod:@prod:T2,T2,@prod:T2,T2", "@prod:@prod:T2,T2,@prod:T2,T2"], {}),
+        (["enumerate", "--order", "2", "--workers", "-3"], {}),
+        (["enumerate", "--order", "2", "--workers", "0"], {}),
+        (["enumerate", "--order", "2"], {"AISEMIRING_WORKERS": "-4"}),
     ],
 )
 def test_bad_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, env):
