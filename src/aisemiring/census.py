@@ -13,8 +13,9 @@ cell it reads is filled.  Every constraint is placed in advance at the cell
 where it becomes decidable, except an associativity check whose products
 depend on earlier cell values: it is deferred on the current path to exactly
 the cell that makes it decidable.  Finished tables are validated, then
-deduplicated under the automorphisms of the addition and checked against
-their canonical form.
+deduplicated by ``core.canonical_form`` computed in its two stages: the
+perms that attain the least relabeling of a canonical addition are Aut(+),
+and the least relabeling of each multiplication over them completes its key.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class CensusResult:
 def _canonical_add(add: Table) -> Table:
     """Relabel so the addition table alone is lexicographically least."""
     n = len(add)
-    key = least_relabeling((add,), itertools.permutations(range(n)))
+    key = least_relabeling((add,), itertools.permutations(range(n)))[0]
     return tuple(tuple(key[a * n : (a + 1) * n]) for a in range(n))
 
 
@@ -226,23 +227,15 @@ def _multiplications(add: Table) -> list[Table]:
     return results
 
 
-def _addition_automorphisms(add: Table) -> list[tuple[int, ...]]:
-    n = len(add)
-    out = []
-    for perm in itertools.permutations(range(n)):
-        if all(perm[add[a][b]] == add[perm[a]][perm[b]] for a in range(n) for b in range(n)):
-            out.append(perm)
-    return out
-
-
 def _census_for_addition(add: Table) -> list[tuple[bytes, Table, Table]]:
-    """Deduplicated (key, add, mul) triples for one canonical addition table;
-    Aut(+) fixes ``add``, so only the multiplication is relabeled."""
-    auts = _addition_automorphisms(add)
-    add_part = bytes(v for row in add for v in row)
+    """Deduplicated (key, add, mul) triples for one addition table.  Each key
+    is ``canonical_form`` of its class, found by the same two stages: the
+    least relabeling of ``add``, whose attaining perms are Aut(+) when ``add``
+    is canonical, then the least relabeling of ``mul`` over those perms."""
+    add_part, auts = least_relabeling((add,), itertools.permutations(range(len(add))))
     seen: dict[bytes, Table] = {}
     for mul in _multiplications(add):
-        seen.setdefault(add_part + least_relabeling((mul,), auts), mul)
+        seen.setdefault(add_part + least_relabeling((mul,), auts)[0], mul)
     return [(key, add, mul) for key, mul in sorted(seen.items())]
 
 
@@ -278,16 +271,14 @@ def enumerate_ai_semirings(n: int, workers: int = 1) -> CensusResult:
         chunks = [_census_for_addition(add) for add in additions]
 
     triples = sorted(item for chunk in chunks for item in chunk)
-    semirings = []
-    for i, (key, add, mul) in enumerate(triples):
-        S = FiniteAiSemiring.from_tables(add, mul, name=f"ai{n}_{i:03d}", check=False)
-        if canonical_form(S) != key:
-            raise RuntimeError(f"census key mismatch for {S.name}; dedup bug")
-        semirings.append(S)
+    semirings = tuple(
+        FiniteAiSemiring.from_tables(add, mul, name=f"ai{n}_{i:03d}", check=False)
+        for i, (_, add, mul) in enumerate(triples)
+    )
     height1 = tuple(S for S in semirings if additive_height(S) == 1)
     return CensusResult(
         order=n,
-        semirings=tuple(semirings),
+        semirings=semirings,
         height1=height1,
         elapsed=time.monotonic() - start,
     )

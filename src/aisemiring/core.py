@@ -109,15 +109,6 @@ class FiniteAiSemiring:
     def order(self) -> int:
         return len(self.elements)
 
-    def plus(self, a: int, b: int) -> int:
-        return self.add[a][b]
-
-    def times(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
-    def index_of(self, element_name: str) -> int:
-        return self.elements.index(element_name)
-
     @classmethod
     def from_tables(
         cls,
@@ -310,32 +301,38 @@ def generated_subalgebra(S: FiniteAiSemiring, seed: Iterable[int]) -> tuple[Fini
 _MAX_CANONICAL_ORDER = 8
 
 
-def least_relabeling(tables: Sequence[Table], perms: Iterable[Sequence[int]]) -> bytes:
+def least_relabeling(tables: Sequence[Table], perms: Iterable[Sequence[int]]) -> tuple[bytes, list]:
     """Least key over the relabelings ``perms`` (perm renames i to perm[i]) of
-    tables on one carrier; a key is the relabeled tables written row by row."""
+    tables on one carrier, and the perms that attain it in their given order;
+    a key is the relabeled tables written row by row."""
     n = len(tables[0])
     rng = range(n)
-    best = None
+    best, attained = None, []
     for perm in perms:
         inv = [0] * n
         for i, p in enumerate(perm):
             inv[p] = i
         key = bytes(perm[t[inv[a]][inv[b]]] for t in tables for a in rng for b in rng)
         if best is None or key < best:
-            best = key
-    return best
+            best, attained = key, [perm]
+        elif key == best:
+            attained.append(perm)
+    return best, attained
 
 
 def canonical_form(S: FiniteAiSemiring) -> bytes:
     """Lexicographic minimum over all carrier permutations of add then mul.
 
-    Equal keys characterise isomorphism.  Brute force is fine at the target
-    sizes (n <= 8).
+    Equal keys characterise isomorphism.  Both parts have fixed lengths, so
+    the minimum is the least add relabeling followed by the least mul
+    relabeling over the perms attaining it (a coset of Aut(+)).  Brute force
+    over add is fine at the target sizes (n <= 8).
     """
     n = S.order
     if n > _MAX_CANONICAL_ORDER:
         raise ValueError(f"canonical_form supports order <= {_MAX_CANONICAL_ORDER}")
-    return least_relabeling((S.add, S.mul), itertools.permutations(range(n)))
+    add_key, perms = least_relabeling((S.add,), itertools.permutations(range(n)))
+    return add_key + least_relabeling((S.mul,), perms)[0]
 
 
 def _search_hom(S: FiniteAiSemiring, T: FiniteAiSemiring, accept=None) -> Optional[Morphism]:

@@ -90,8 +90,6 @@ _TWO_ELEMENT = {
     "T2": _two_element_T2,
 }
 
-TWO_ELEMENT_NAMES = tuple(_TWO_ELEMENT)
-
 
 def holds_two_element(which: str, si: SimpleIdentity) -> CriterionVerdict:
     """Decide u ≈ u + q in one of the six 2-element ai-semirings."""
@@ -189,26 +187,43 @@ def holds_s6(si: SimpleIdentity) -> CriterionVerdict:
     return _holds_pattern(si, 0, "head")
 
 
+def _odd_sum_of(vectors: list[frozenset], target: frozenset) -> bool:
+    """Whether ``target`` is the symmetric difference of an odd number of the
+    distinct ``vectors``.  Those sums are exactly v1 ^ span{v1 ^ vi} over
+    GF(2), so one elimination decides it.  No row of ``basis`` holds the pivot
+    letter of an earlier row, so reducing by the rows in order clears them all."""
+    first = vectors[0]
+    basis: list[tuple[str, frozenset]] = []
+
+    def reduce(vec: frozenset) -> frozenset:
+        for pivot, row in basis:
+            if pivot in vec:
+                vec ^= row
+        return vec
+
+    for v in vectors[1:]:
+        vec = reduce(first ^ v)
+        if vec:
+            basis.append((min(vec), vec))
+    return not reduce(first ^ target)
+
+
 def holds_s10(si: SimpleIdentity) -> CriterionVerdict:
     """Decide u ≈ u + q in S10 via odd-multiplicity letter sets.
 
     q must use only letters of u, and its odd-letter set must be the symmetric
     difference of the odd-letter sets of an odd number of distinct summand
     vectors.  Repetitions of a factor cancel in pairs, so odd-size subsets of
-    the distinct vectors realise exactly the products of 3**k summands.
+    the distinct vectors realise exactly the products of 3**k summands.  The
+    subsets are not listed: a GF(2) elimination over the vectors decides it
+    in time polynomial in their number.
     """
     u, q = si.base, si.extra
     if not q.letter_set <= u.variables:
         return CriterionVerdict(False, "fresh-letter")
-    target = word_measures(q).odd_letters
-    vectors = sorted({word_measures(w).odd_letters for w in u.words}, key=sorted)
-    for r in range(1, len(vectors) + 1, 2):
-        for combo in itertools.combinations(vectors, r):
-            acc = frozenset()
-            for vec in combo:
-                acc ^= vec
-            if acc == target:
-                return CriterionVerdict(True, "odd-set-match")
+    vectors = list({word_measures(w).odd_letters for w in u.words})
+    if _odd_sum_of(vectors, word_measures(q).odd_letters):
+        return CriterionVerdict(True, "odd-set-match")
     return CriterionVerdict(False, "no-odd-set-match")
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -7,12 +8,21 @@ import pytest
 from aisemiring import catalog
 from aisemiring.census import (
     _canonical_add,
+    _census_for_addition,
     _multiplications,
     enumerate_ai_semirings,
     enumerate_semilattices,
     write_census,
 )
-from aisemiring.core import FiniteAiSemiring, canonical_form, direct_product, dual, validate
+from aisemiring.cli import main
+from aisemiring.core import (
+    FiniteAiSemiring,
+    canonical_form,
+    direct_product,
+    dual,
+    least_relabeling,
+    validate,
+)
 
 
 def test_semilattice_counts():
@@ -121,8 +131,6 @@ def test_write_census(tmp_path):
     for line in lines:
         key, filename = line.split()
         data = (tmp_path / filename).read_text()
-        import json
-
         S = FiniteAiSemiring.from_dict(json.loads(data))
         assert canonical_form(S).hex() == key
     # a smaller census written over a larger one leaves no stale file behind
@@ -180,3 +188,60 @@ def test_ten_thousand_random_order4_tables_classify(order4_census):
     for _ in range(10_000):
         relabeled = _random_relabeling(rng, rng.choice(members))
         assert canonical_form(relabeled) in keys
+
+
+def _brute_force_key(add, mul):
+    # independent reference for canonical_form: relabel both tables under
+    # every perm of the carrier and keep the least add-then-mul bytes
+    n = len(add)
+    keys = []
+    for perm in itertools.permutations(range(n)):
+        relabeled = [[[0] * n for _ in range(n)] for _ in (add, mul)]
+        for table, out in zip((add, mul), relabeled):
+            for a in range(n):
+                for b in range(n):
+                    out[perm[a]][perm[b]] = perm[table[a][b]]
+        keys.append(bytes(v for out in relabeled for row in out for v in row))
+    return min(keys)
+
+
+def test_canonical_form_matches_brute_force(order3_census, order4_census):
+    rng = random.Random(14)
+    censuses = [enumerate_ai_semirings(1), enumerate_ai_semirings(2), order3_census, order4_census]
+    for result in censuses:
+        keys = [_brute_force_key(S.add, S.mul) for S in result.semirings]
+        # members are pairwise non-isomorphic and sorted by their key
+        assert keys == sorted(set(keys))
+        for S, key in zip(result.semirings, keys):
+            assert canonical_form(S) == key
+            assert canonical_form(_random_relabeling(rng, S)) == key
+    for name in catalog.names():
+        S = catalog.get(name).semiring
+        assert canonical_form(S) == _brute_force_key(S.add, S.mul), name
+
+
+def test_census_keys_match_brute_force_per_addition():
+    for n in (1, 2, 3, 4):
+        for add in enumerate_semilattices(n):
+            for key, add_table, mul in _census_for_addition(add):
+                assert add_table == add and key == _brute_force_key(add, mul)
+
+
+def test_least_addition_relabelings_are_the_automorphisms():
+    # reference: the perms that fix add, found by filtering all of them
+    for n in (1, 2, 3, 4, 5):
+        for add in enumerate_semilattices(n):
+            perms = list(itertools.permutations(range(n)))
+            auts = [
+                perm for perm in perms
+                if all(perm[add[a][b]] == add[perm[a]][perm[b]] for a in range(n) for b in range(n))
+            ]
+            key, attained = least_relabeling((add,), perms)
+            assert key == bytes(v for row in add for v in row)
+            assert attained == auts
+
+
+def test_enumerate_json_keys_match_brute_force(capsys, order4_census):
+    assert main(["enumerate", "--order", "4", "--json", "--workers", "1"]) == 0
+    keys = json.loads(capsys.readouterr().out)["keys"]
+    assert keys == [_brute_force_key(S.add, S.mul).hex() for S in order4_census.semirings]

@@ -8,7 +8,7 @@ import pytest
 
 from aisemiring import catalog, criteria
 from aisemiring.evaluate import satisfies
-from aisemiring.terms import SimpleIdentity, Term, Word, parse_term, word
+from aisemiring.terms import SimpleIdentity, Term, Word, parse_term, word, word_measures
 
 
 def si(u_text, q_text):
@@ -98,6 +98,58 @@ def test_s10_examples():
     # odd products combine three distinct summands
     assert criteria.holds_s10(si("x + y + z", "xyz")).holds
     assert not criteria.holds_s10(si("x + y", "xy")).holds
+
+
+def _s10_by_subsets(si):
+    # reference: try every odd-size subset of the distinct odd-letter vectors
+    u, q = si.base, si.extra
+    if not q.letter_set <= u.variables:
+        return False
+    target = word_measures(q).odd_letters
+    vectors = sorted({word_measures(w).odd_letters for w in u.words}, key=sorted)
+    for r in range(1, len(vectors) + 1, 2):
+        for combo in itertools.combinations(vectors, r):
+            acc = frozenset()
+            for vec in combo:
+                acc ^= vec
+            if acc == target:
+                return True
+    return False
+
+
+def test_s10_elimination_matches_the_subset_search():
+    # every (u, q) shape of acceptance 4, one per distinct odd-letter vector set
+    words = [Word(t) for k in (1, 2, 3) for t in itertools.product("xyz", repeat=k)]
+    q_shapes = [(q, q.letter_set, word_measures(q).odd_letters) for q in words]
+    seen = set()
+    for r in (1, 2, 3):
+        for combo in itertools.combinations(words, r):
+            u = Term(combo)
+            u_shape = (u.variables, frozenset(word_measures(w).odd_letters for w in u.words))
+            for q, *q_shape in q_shapes:
+                shape = (u_shape, *q_shape)
+                if shape not in seen:
+                    seen.add(shape)
+                    s = SimpleIdentity(u, q)
+                    assert criteria.holds_s10(s).holds == _s10_by_subsets(s), str(s)
+    # random terms with up to 12 distinct vectors over six letters
+    rng = random.Random(15)
+    pool = "abcdef"
+    outcomes = []
+    while len(outcomes) < 400:
+        u = Term(
+            tuple(
+                Word(tuple(rng.choice(pool) for _ in range(rng.randint(1, 5))))
+                for _ in range(rng.randint(1, 14))
+            )
+        )
+        if len({word_measures(w).odd_letters for w in u.words}) > 12:
+            continue
+        q = Word(tuple(rng.choice(pool) for _ in range(rng.randint(1, 6))))
+        s = SimpleIdentity(u, q)
+        outcomes.append(_s10_by_subsets(s))
+        assert criteria.holds_s10(s).holds == outcomes[-1], str(s)
+    assert 50 < sum(outcomes) < 350
 
 
 def test_dispatch():
