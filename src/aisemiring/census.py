@@ -13,9 +13,9 @@ cell it reads is filled.  Every constraint is placed in advance at the cell
 where it becomes decidable, except an associativity check whose products
 depend on earlier cell values: it is deferred on the current path to exactly
 the cell that makes it decidable.  Finished tables are validated, then
-deduplicated by ``core.canonical_form`` computed in its two stages: the
-perms that attain the least relabeling of a canonical addition are Aut(+),
-and the least relabeling of each multiplication over them completes its key.
+deduplicated by ``core.canonical_form`` in its two stages (the perms attaining
+a canonical addition's least relabeling are Aut(+)); the least class of each
+addition is rechecked against ``canonical_form`` itself.
 """
 
 from __future__ import annotations
@@ -228,15 +228,18 @@ def _multiplications(add: Table) -> list[Table]:
 
 
 def _census_for_addition(add: Table) -> list[tuple[bytes, Table, Table]]:
-    """Deduplicated (key, add, mul) triples for one addition table.  Each key
-    is ``canonical_form`` of its class, found by the same two stages: the
-    least relabeling of ``add``, whose attaining perms are Aut(+) when ``add``
-    is canonical, then the least relabeling of ``mul`` over those perms."""
+    """Deduplicated (key, add, mul) triples for one addition table; each key is
+    ``canonical_form`` of its class, by the same two stages, since the perms
+    attaining the least relabeling of a canonical ``add`` are Aut(+)."""
     add_part, auts = least_relabeling((add,), itertools.permutations(range(len(add))))
     seen: dict[bytes, Table] = {}
     for mul in _multiplications(add):
         seen.setdefault(add_part + least_relabeling((mul,), auts)[0], mul)
-    return [(key, add, mul) for key, mul in sorted(seen.items())]
+    triples = [(key, add, mul) for key, mul in sorted(seen.items())]
+    for key, _, mul in triples[:1]:  # the least class: one n! scan per addition
+        if canonical_form(FiniteAiSemiring.from_tables(add, mul, check=False)) != key:
+            raise RuntimeError("census key differs from canonical_form; dedup bug")
+    return triples
 
 
 def default_workers() -> int:

@@ -302,9 +302,8 @@ _MAX_CANONICAL_ORDER = 8
 
 
 def least_relabeling(tables: Sequence[Table], perms: Iterable[Sequence[int]]) -> tuple[bytes, list]:
-    """Least key over the relabelings ``perms`` (perm renames i to perm[i]) of
-    tables on one carrier, and the perms that attain it in their given order;
-    a key is the relabeled tables written row by row."""
+    """(least key, the perms attaining it) over the relabelings ``perms`` of
+    tables on one carrier (perm renames i to perm[i]); keys are tables row by row."""
     n = len(tables[0])
     rng = range(n)
     best, attained = None, []
@@ -323,10 +322,9 @@ def least_relabeling(tables: Sequence[Table], perms: Iterable[Sequence[int]]) ->
 def canonical_form(S: FiniteAiSemiring) -> bytes:
     """Lexicographic minimum over all carrier permutations of add then mul.
 
-    Equal keys characterise isomorphism.  Both parts have fixed lengths, so
-    the minimum is the least add relabeling followed by the least mul
-    relabeling over the perms attaining it (a coset of Aut(+)).  Brute force
-    over add is fine at the target sizes (n <= 8).
+    Equal keys characterise isomorphism.  The parts have fixed lengths, so
+    this is the least add relabeling, then the least mul relabeling over the
+    perms attaining it (a coset of Aut(+)); brute force suffices for n <= 8.
     """
     n = S.order
     if n > _MAX_CANONICAL_ORDER:

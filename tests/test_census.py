@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from aisemiring import catalog
+from aisemiring import catalog, census
 from aisemiring.census import (
     _canonical_add,
     _census_for_addition,
@@ -245,3 +245,21 @@ def test_enumerate_json_keys_match_brute_force(capsys, order4_census):
     assert main(["enumerate", "--order", "4", "--json", "--workers", "1"]) == 0
     keys = json.loads(capsys.readouterr().out)["keys"]
     assert keys == [_brute_force_key(S.add, S.mul).hex() for S in order4_census.semirings]
+
+
+def test_census_rechecks_the_least_class_of_each_addition(monkeypatch):
+    checked = []
+
+    def counted(S):
+        checked.append(S)
+        return canonical_form(S)
+
+    monkeypatch.setattr(census, "canonical_form", counted)
+    result = enumerate_ai_semirings(4)
+    assert len(checked) == len(enumerate_semilattices(4))
+    members = {(S.add, S.mul) for S in result.semirings}
+    assert {S.add for S in checked} == set(enumerate_semilattices(4))
+    assert all((S.add, S.mul) in members for S in checked)
+    monkeypatch.setattr(census, "canonical_form", lambda S: b"")
+    with pytest.raises(RuntimeError, match="dedup bug"):
+        _census_for_addition(enumerate_semilattices(3)[0])

@@ -2,7 +2,6 @@ import io
 import json
 import os
 import tempfile
-import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
@@ -140,12 +139,10 @@ def test_criteria_subcommand(capsys):
 
     # 40 distinct summand vectors: no search over their odd-size subsets
     wide = "+".join(f"x{i}" for i in range(1, 41))
-    t0 = time.monotonic()
     code, payload, _ = run_json(
         capsys, ["criteria", "--lemma", "S10", "--identity", f"{wide} = {wide} + x1x2"]
     )
     assert code == 1 and payload["rule"] == "no-odd-set-match"
-    assert time.monotonic() - t0 < 1.0
 
 
 def test_nfb_subcommand(capsys):
