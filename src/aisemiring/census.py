@@ -39,6 +39,11 @@ class CensusResult:
     semirings: tuple[FiniteAiSemiring, ...]
     height1: tuple[FiniteAiSemiring, ...]
     elapsed: float
+    keys: tuple[bytes, ...] = ()  # canonical_form of each of ``semirings``, in order
+
+    def __post_init__(self) -> None:
+        if len(self.keys) != len(self.semirings):  # built without its keys
+            object.__setattr__(self, "keys", tuple(map(canonical_form, self.semirings)))
 
     @property
     def count(self) -> int:
@@ -284,6 +289,7 @@ def enumerate_ai_semirings(n: int, workers: int = 1) -> CensusResult:
         semirings=semirings,
         height1=height1,
         elapsed=time.monotonic() - start,
+        keys=tuple(key for key, _, _ in triples),
     )
 
 
@@ -330,12 +336,12 @@ def write_census(result: CensusResult, out_dir: str) -> str:
     os.mkdir(fresh)
     try:
         lines = []
-        for S in result.semirings:
+        for S, key in zip(result.semirings, result.keys):
             filename = f"{S.name}.json"
             with open(os.path.join(fresh, filename), "w", encoding="utf-8") as fh:
                 json.dump(S.to_dict(), fh, indent=1)
                 fh.write("\n")
-            lines.append(f"{canonical_form(S).hex()} {filename}")
+            lines.append(f"{key.hex()} {filename}")
         with open(os.path.join(fresh, "index.txt"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
         if old_names is None:

@@ -8,9 +8,11 @@ problems.  Every subcommand emits machine-readable JSON under --json.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+import time
 from typing import Optional
 
 from . import catalog, construct, criteria, derivation
@@ -24,8 +26,8 @@ from .core import (
     is_subdirect_embedding,
     validate,
 )
-from .evaluate import BudgetExceededError, check_basis, counterexample
-from .terms import SimpleIdentity, parse_identity, parse_term, split_top_level
+from .evaluate import DEFAULT_BUDGET, BudgetExceededError, BulkEvaluator, check_basis, counterexample
+from .terms import SimpleIdentity, Term, Word, parse_identity, parse_term, split_top_level
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -123,7 +125,8 @@ def _cmd_enumerate(args) -> int:
         "elapsed_seconds": round(result.elapsed, 3),
     }
     if not args.count_only:
-        payload["keys"] = [canonical_form(S).hex() for S in chosen]
+        key_of = dict(zip(result.semirings, result.keys))
+        payload["keys"] = [key_of[S].hex() for S in chosen]
     if args.out:
         index = write_census(result, args.out)
         payload["index"] = index
@@ -240,7 +243,74 @@ def _parse_simple_identity(text: str) -> SimpleIdentity:
     return si
 
 
+def _criteria_sweep(args) -> int:
+    """Every u ≈ u + q over the variable pool, judged by each of the ten
+    criteria and by the bulk evaluator on the criterion's semiring."""
+    if args.lemma or args.identity or args.oracle:
+        raise CliError("--sweep judges every criterion; it takes no --lemma, --identity or --oracle")
+    variables = tuple(dict.fromkeys(args.variables))
+    if not variables or not all(x.isalpha() for x in variables):
+        raise CliError(f"--variables must be letters, one per variable, got {args.variables!r}")
+    if args.max_length < 1 or args.max_summands < 1:
+        raise CliError("--max-length and --max-summands must be at least 1")
+    names = sorted(criteria.CRITERIA)
+    oracles = [catalog.get(name).semiring for name in names]
+    # each word is held as letters and, per semiring, as n masks of n**len(variables)
+    # bits; bounding letters times bits bounds both
+    bits = max(S.order for S in oracles) ** len(variables)
+    letters = 0
+    for k in range(1, args.max_length + 1):
+        letters += k * len(variables) ** k
+        if letters * bits > DEFAULT_BUDGET:
+            raise BudgetExceededError(
+                f"{letters} letters of words over {bits} assignments exceed the budget of {DEFAULT_BUDGET}"
+            )
+    words = [Word(t) for k in range(1, args.max_length + 1) for t in itertools.product(variables, repeat=k)]
+    bulks = [BulkEvaluator(S, variables) for S in oracles]
+    qvecs = [[bulk.word_vector(w) for w in words] for bulk in bulks]
+
+    start = time.monotonic()
+    checked = identities = 0
+    disagreements = []
+    for r in range(1, args.max_summands + 1):
+        for u_words in itertools.combinations(words, r):
+            u = Term(u_words)
+            uvecs = [bulk.term_vector(u) for bulk in bulks]
+            for qi, q in enumerate(words):
+                si = SimpleIdentity(u, q)
+                identities += 1
+                for name, bulk, uvec, qvec in zip(names, bulks, uvecs, qvecs):
+                    claim = criteria.CRITERIA[name](si).holds
+                    truth = bulk.absorbs(uvec, qvec[qi])
+                    checked += 1
+                    if claim != truth:
+                        disagreements.append(
+                            {"lemma": name, "identity": str(si), "criterion": claim, "oracle": truth}
+                        )
+    elapsed = time.monotonic() - start
+    payload = {
+        "comparisons": checked,
+        "identities": identities,
+        "disagreements": disagreements,
+        "elapsed_seconds": round(elapsed, 3),
+    }
+    lines = [
+        f"DISAGREE {d['lemma']}: {d['identity']} criterion={d['criterion']} oracle={d['oracle']}"
+        for d in disagreements
+    ]
+    lines.append(
+        f"{checked} comparisons over {identities} simple identities, "
+        f"{len(disagreements)} disagreements, {elapsed:.1f}s"
+    )
+    _emit(args, payload, "\n".join(lines))
+    return EXIT_FALSE if disagreements else EXIT_OK
+
+
 def _cmd_criteria(args) -> int:
+    if args.sweep:
+        return _criteria_sweep(args)
+    if not args.lemma or not args.identity:
+        raise CliError("give --lemma and --identity, or --sweep")
     name = args.lemma.upper()
     if name not in criteria.CRITERIA:
         raise CliError(f"--lemma must be one of {', '.join(sorted(criteria.CRITERIA))}")
@@ -420,9 +490,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_construct)
 
     p = with_json(sub.add_parser("criteria", help="syntactic satisfaction criteria"))
-    p.add_argument("--lemma", required=True, help="L2 R2 M2 D2 N2 T2 S2 S4 S6 S10")
-    p.add_argument("--identity", required=True, help="a simple identity u ≈ u + q")
+    p.add_argument("--lemma", help="L2 R2 M2 D2 N2 T2 S2 S4 S6 S10")
+    p.add_argument("--identity", help="a simple identity u ≈ u + q")
     p.add_argument("--oracle", action="store_true", help="also run the brute-force evaluator")
+    p.add_argument(
+        "--sweep",
+        action="store_true",
+        help="compare all ten criteria with exhaustive evaluation on every u ≈ u + q over the pool",
+    )
+    p.add_argument("--variables", default="xyz", help="sweep variable pool, one letter each")
+    p.add_argument("--max-length", type=int, default=3, help="longest sweep word")
+    p.add_argument("--max-summands", type=int, default=3, help="most summands in a sweep u")
     p.set_defaults(fn=_cmd_criteria)
 
     p = with_json(sub.add_parser("nfb-check", help="nonfinite-basis witness"))

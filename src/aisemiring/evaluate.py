@@ -13,15 +13,22 @@ lexicographically first one.  Assigning a variable puts its value into every
 word and multiplies out each run of assigned letters; a side is then the set
 of its reduced words, since addition is idempotent.  A subtree whose two sides
 reduce to the same set cannot fail and is skipped.  The last variable is
-decided for all n values at once, as columns of values.  At the internal
-depths (neither the first variable nor the last), a subtree that held is
-remembered by its depth and its two sides, so an identical subtree under
-another prefix is skipped.  The memo lives for one call and keeps at most
-MEMO_LETTERS letters: a state never has more letters than the identity, so
-the memo stops taking entries after MEMO_LETTERS // (letters of the identity)
-of them.  Without that bound an identity whose assigned letters stay apart,
-such as ``x01 x09 x02 x09 ... x08 x09`` against its reverse, leaves nearly
-every internal node of the search in the memo.
+decided for all n values at once: each side is a column of n values, the sum
+of the columns of its words.
+
+At every depth below the first, the last included, a state whose subtree held
+(at the last depth: whose two columns agree) is remembered by its depth and
+its two sides, so an identical state under another prefix is skipped.  Only
+states that held are skipped, so the first failure met is still the first.
+The memo lives for one call and keeps at most MEMO_LETTERS letters: a state
+never has more letters than the identity, so the memo stops taking entries
+after MEMO_LETTERS // (letters of the identity) of them.  Without that bound
+an identity whose assigned letters stay apart, such as
+``x01 x09 x02 x09 ... x08 x09`` against its reverse, leaves nearly every node
+of the search in the memo.  The column of each word at the last depth is kept
+for the call as well, keyed by the word alone, since the letter put in there
+is always the last variable; that cache takes at most
+MEMO_LETTERS // (n + the longest word) words, each with its n values.
 
 ``BulkEvaluator`` decides many identities ``u ≈ u + q`` over one variable
 pool.  It holds a word or term as n bitmasks over the assignment space, one
@@ -106,18 +113,26 @@ def _reduce(term: frozenset, var: int, value: int, add: Table, mul: Table, n: in
     return frozenset(out)
 
 
-def _column(term: frozenset, var: int, add: Table, mul: Table, n: int) -> list[int]:
-    """The values of ``term`` for each element put in for ``var``, its only letter."""
+def _column(
+    term: frozenset, var: int, add: Table, mul: Table, n: int, words: dict, room: int
+) -> list[int]:
+    """The values of ``term`` for each element put in for ``var``, its only
+    letter.  The column of each word is looked up in ``words`` and, while it
+    holds fewer than ``room`` words, stored there."""
     elements = range(n)
     col = None
     for w in term:
-        first = w[0]
-        values = list(elements) if first == var else [first] * n
-        for x in w[1:]:
-            if x == var:
-                values = [mul[a][b] for a, b in zip(values, elements)]
-            else:
-                values = [mul[a][x] for a in values]
+        values = words.get(w)
+        if values is None:
+            first = w[0]
+            values = list(elements) if first == var else [first] * n
+            for x in w[1:]:
+                if x == var:
+                    values = [mul[a][b] for a, b in zip(values, elements)]
+                else:
+                    values = [mul[a][x] for a in values]
+            if len(words) < room:
+                words[w] = values
         col = values if col is None else [add[a][b] for a, b in zip(col, values)]
     return col
 
@@ -133,16 +148,18 @@ def _first_failure(
     """
     last = k - 1
     room = MEMO_LETTERS // (sum(map(len, lhs)) + sum(map(len, rhs)))  # memo entries allowed
+    word_room = MEMO_LETTERS // (n + max(map(len, lhs | rhs)))  # word columns allowed
     states = [(lhs, rhs)]
     values = [-1]  # the value tried at each depth of the current path
-    held = set()  # (depth, lhs, rhs) of internal subtrees without a failure
+    held = set()  # (depth, lhs, rhs) of subtrees below the root without a failure
+    words = {}  # the column of each word at the last depth
     while states:
         d = len(states) - 1
         left, right = states[-1]
         var = n + d
         if d == last:
-            lcol = _column(left, var, add, mul, n)
-            rcol = _column(right, var, add, mul, n)
+            lcol = _column(left, var, add, mul, n, words, word_room)
+            rcol = _column(right, var, add, mul, n, words, word_room)
             if lcol != rcol:
                 values[-1] = next(v for v in range(n) if lcol[v] != rcol[v])
                 return values
@@ -152,12 +169,12 @@ def _first_failure(
                 values[-1] = v
                 nleft = _reduce(left, var, v, add, mul, n)
                 nright = _reduce(right, var, v, add, mul, n)
-                if nleft != nright and (d + 1 == last or (d + 1, nleft, nright) not in held):
+                if nleft != nright and (d + 1, nleft, nright) not in held:
                     states.append((nleft, nright))
                     values.append(-1)
                 continue
-            if d and len(held) < room:
-                held.add((d, left, right))
+        if d and len(held) < room:
+            held.add((d, left, right))
         states.pop()
         values.pop()
     return None

@@ -211,7 +211,7 @@ def test_canonical_form_matches_brute_force(order3_census, order4_census):
     for result in censuses:
         keys = [_brute_force_key(S.add, S.mul) for S in result.semirings]
         # members are pairwise non-isomorphic and sorted by their key
-        assert keys == sorted(set(keys))
+        assert keys == sorted(set(keys)) == list(result.keys)
         for S, key in zip(result.semirings, keys):
             assert canonical_form(S) == key
             assert canonical_form(_random_relabeling(rng, S)) == key
@@ -245,9 +245,12 @@ def test_enumerate_json_keys_match_brute_force(capsys, order4_census):
     assert main(["enumerate", "--order", "4", "--json", "--workers", "1"]) == 0
     keys = json.loads(capsys.readouterr().out)["keys"]
     assert keys == [_brute_force_key(S.add, S.mul).hex() for S in order4_census.semirings]
+    assert main(["enumerate", "--order", "4", "--json", "--workers", "1", "--height1"]) == 0
+    keys = json.loads(capsys.readouterr().out)["keys"]
+    assert keys == [_brute_force_key(S.add, S.mul).hex() for S in order4_census.height1]
 
 
-def test_census_rechecks_the_least_class_of_each_addition(monkeypatch):
+def test_census_rechecks_the_least_class_of_each_addition(monkeypatch, tmp_path):
     checked = []
 
     def counted(S):
@@ -256,7 +259,10 @@ def test_census_rechecks_the_least_class_of_each_addition(monkeypatch):
 
     monkeypatch.setattr(census, "canonical_form", counted)
     result = enumerate_ai_semirings(4)
+    write_census(result, str(tmp_path))  # the index reuses the census keys
     assert len(checked) == len(enumerate_semilattices(4))
+    # a result built without its keys computes them
+    assert census.CensusResult(4, result.semirings, result.height1, 0.0).keys == result.keys
     members = {(S.add, S.mul) for S in result.semirings}
     assert {S.add for S in checked} == set(enumerate_semilattices(4))
     assert all((S.add, S.mul) in members for S in checked)

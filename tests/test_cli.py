@@ -239,6 +239,13 @@ def test_budget_overrun_is_usage_error(capsys):
         (["enumerate", "--order", "2", "--workers", "-3"], {}),
         (["enumerate", "--order", "2", "--workers", "0"], {}),
         (["enumerate", "--order", "2"], {"AISEMIRING_WORKERS": "-4"}),
+        (["criteria"], {}),
+        (["criteria", "--sweep", "--identity", "x = x + x"], {}),
+        (["criteria", "--sweep", "--max-summands", "0"], {}),
+        (["criteria", "--sweep", "--variables", "x1"], {}),
+        (["criteria", "--sweep", "--max-length", "40"], {}),
+        (["criteria", "--sweep", "--variables", "x", "--max-length", "100000000"], {}),
+        (["criteria", "--sweep", "--variables", "abcdefghijklmnopq", "--max-length", "1"], {}),
     ],
 )
 def test_bad_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, env):

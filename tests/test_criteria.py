@@ -1,12 +1,11 @@
 import itertools
+import json
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from aisemiring import catalog, criteria
+from aisemiring.cli import main
 from aisemiring.evaluate import satisfies
 from aisemiring.terms import SimpleIdentity, Term, Word, parse_term, word, word_measures
 
@@ -178,13 +177,21 @@ def test_random_oracle_agreement():
         ), (name, str(s))
 
 
-def test_criteria_sweep_script_agrees():
-    script = Path(__file__).resolve().parent.parent / "scripts" / "criteria_sweep.py"
-    done = subprocess.run(
-        [sys.executable, str(script), "--max-summands", "2", "--max-length", "2"],
-        capture_output=True,
-        text=True,
-        timeout=120,
+def test_criteria_sweep_agrees(capsys):
+    code = main(["criteria", "--sweep", "--max-summands", "2", "--max-length", "2"])
+    out = capsys.readouterr()
+    assert code == 0, out.out + out.err
+    assert "0 disagreements" in out.out
+
+
+def test_criteria_sweep_reports_a_disagreement(capsys, monkeypatch):
+    honest = criteria.CRITERIA["L2"]
+    monkeypatch.setitem(
+        criteria.CRITERIA, "L2", lambda si: criteria.CriterionVerdict(not honest(si).holds, "planted")
     )
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert "0 disagreements" in done.stdout
+    code = main(["criteria", "--sweep", "--variables", "xy", "--max-summands", "1", "--max-length", "1", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    # 2 words for u and 2 for q, ten criteria each; every L2 verdict is flipped
+    assert (payload["identities"], payload["comparisons"]) == (4, 40)
+    assert [d["lemma"] for d in payload["disagreements"]] == ["L2"] * 4

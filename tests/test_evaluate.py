@@ -288,3 +288,75 @@ def test_memo_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _square(name):
+    A = S(name)
+    return direct_product(A, A)
+
+
+def test_four_variable_squares_match_brute_force():
+    # order-16 S x S with four variables, where nearly all the search is at
+    # the last variable: basis identities in the square of their own
+    # semiring hold, and in the square of another one mostly fail
+    cases = [("S_(4,4)", "bqx6 ≈ bqx6 + e"), ("S_(4,20)", "bqx6 ≈ bqx6 + e")]
+    for name, other in [("S_(4,4)", "S_(4,20)"), ("S_(4,20)", "S_(4,47)"), ("S_(4,47)", "S_(4,4)")]:
+        for identity in catalog.expand_basis(name):
+            if len(identity.variables) == 4:
+                cases += [(name, str(identity)), (other, str(identity))]
+    held = 0
+    for name, text in cases:
+        square, identity = _square(name), parse_identity(text)
+        expected = _reference_counterexample(square, identity)
+        assert counterexample(square, identity) == expected, (name, text)
+        held += expected is None
+    assert 0 < held < len(cases)
+
+
+def test_repeated_last_states_match_brute_force(monkeypatch):
+    # in S_(4,4) the prefix xyz takes few values, so the states at the last
+    # variable w repeat under many prefixes; their columns are computed once
+    calls = []
+    column = evaluate._column
+    monkeypatch.setattr(evaluate, "_column", lambda *args: calls.append(1) or column(*args))
+    s44 = S("S_(4,4)")
+    for text in ("xyzw ≈ xyzw + w", "xyz + w ≈ xyz + w + wx"):
+        calls.clear()
+        assert counterexample(s44, parse_identity(text)) is None
+        assert len(calls) < 4 ** 3  # fewer than one column pair per prefix
+    identities = [
+        parse_identity(text)
+        for text in (
+            "xyzw ≈ xyzw + w",
+            "xyz + w ≈ xyz + w + wx",
+            "xyz + w ≈ xyz + w + wz",
+            "xy + zw ≈ xy + zw + w^2",
+            "x^2yw + z ≈ x^2yw + z + zw",
+        )
+    ]
+    held = failed = 0
+    for name in catalog.names():
+        algebra = S(name)
+        for identity in identities:
+            expected = _reference_counterexample(algebra, identity)
+            assert counterexample(algebra, identity) == expected, (name, str(identity))
+            held += expected is None
+            failed += expected is not None
+    assert held and failed
+
+
+def test_word_columns_are_bounded(monkeypatch):
+    # x01..x12 stay apart in both words, so the 2**12 prefixes of this
+    # commutative identity give 2**13 distinct words at the last variable x13;
+    # a cache keeping all of their columns would take about 3 MB
+    names = [f"x{i:02d}" for i in range(1, 14)]
+    left = [x for a in names[:-1] for x in (a, names[-1])]
+    rotated = parse_identity("".join(left) + " ≈ " + "".join(left[-1:] + left[:-1]))
+    monkeypatch.setattr(evaluate, "MEMO_LETTERS", 64 * 2 * len(left))
+    tracemalloc.start()
+    try:
+        assert counterexample(S("M2"), rotated) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
