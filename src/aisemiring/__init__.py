@@ -44,11 +44,7 @@ from .terms import (
     parse_identity,
     parse_term,
     substitute,
-    term_measures,
-    term_product,
-    term_sum,
     word,
-    word_measures,
 )
 
 __version__ = "0.1.0"
@@ -87,10 +83,6 @@ __all__ = [
     "parse_term",
     "satisfies",
     "substitute",
-    "term_measures",
-    "term_product",
-    "term_sum",
     "validate",
     "word",
-    "word_measures",
 ]

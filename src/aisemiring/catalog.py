@@ -31,7 +31,7 @@ from .core import (
     validate,
 )
 from .evaluate import check_basis
-from .terms import Identity, parse_identity, split_top_level
+from .terms import Identity, Term, Word, parse_identity, split_top_level
 
 
 class CatalogError(KeyError):
@@ -251,8 +251,6 @@ BASIS_NAMES = tuple(_BASES)
 
 def _delete_variables(identity: Identity, gone: frozenset[str]) -> Optional[Identity]:
     """Drop the given variables from every word; None if a word would vanish."""
-    from .terms import Term, Word
-
     def strip(term: Term) -> Optional[Term]:
         words = []
         for w in term.words:

@@ -11,7 +11,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .core import FiniteAiSemiring, Morphism, Table, _as_table, find_embedding, natural_order
-from .terms import Word
+from .terms import Word, word
 
 
 # Bound on the order of a semiring built from a reference (products, word
@@ -232,8 +232,6 @@ def m(*texts: str) -> FiniteAiSemiring:
 
 
 def _words(texts: Sequence[str]) -> tuple[Word, ...]:
-    from .terms import word
-
     return tuple(word(t) for t in texts)
 
 

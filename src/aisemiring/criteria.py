@@ -5,6 +5,11 @@ tails, letter sets, lengths, multiplicities).  Every one of them is mirrored
 by the brute-force evaluator on the matching catalog semiring, and the test
 suite cross-validates the two exhaustively on small identities.
 
+What the criteria read of u (its summands, letters, ends, end patterns and
+S10's reduced odd-letter vectors) is a prepared base, computed once per term
+object and kept on it, so judging many q against one u derives nothing about
+u twice.
+
 Verdicts carry the name of the clause that fired:
 
     L2   head-match | no-head-match
@@ -26,9 +31,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
-from .terms import SimpleIdentity, Term, Word, term_measures, word_measures
+from .terms import SimpleIdentity, Term
 
 
 @dataclass(frozen=True)
@@ -40,27 +45,89 @@ class CriterionVerdict:
         return {"holds": self.holds, "rule": self.rule}
 
 
+def _odd_letters(letters: tuple[str, ...]) -> frozenset[str]:
+    return frozenset(x for x in set(letters) if letters.count(x) % 2)
+
+
+def _inner(letters: tuple[str, ...], end: int) -> tuple[str, ...]:
+    """The letters away from one end (-1 the tail, 0 the head)."""
+    return letters[:-1] if end == -1 else letters[1:]
+
+
+def _end_letters(u: Term, end: int) -> Optional[frozenset[str]]:
+    """The letters at one end of u's summands if none of them occurs anywhere
+    else in a summand (u has the end pattern), else None."""
+    ends = frozenset(w.letters[end] for w in u.words)
+    if any(not ends.isdisjoint(_inner(w.letters, end)) for w in u.words):
+        return None
+    return ends
+
+
+def _reduce(rows: list[tuple[str, frozenset]], vec: frozenset) -> frozenset:
+    """vec reduced over GF(2) by the rows in order.  No row holds the pivot
+    letter of an earlier row, so one pass clears every pivot."""
+    for pivot, row in rows:
+        if pivot in vec:
+            vec ^= row
+    return vec
+
+
+class _Base:
+    """The facts about u that the criteria read."""
+
+    def __init__(self, u: Term):
+        words = u.words
+        self.summands = frozenset(w.letters for w in words)
+        self.variables = frozenset(x for w in words for x in w.letters)
+        self.heads = frozenset(w.head for w in words)
+        self.tails = frozenset(w.tail for w in words)
+        self.letter_sets = frozenset(w.letter_set for w in words)
+        self.longest = max(map(len, words))
+        self.pair_letters = frozenset(x for w in words if len(w) == 2 for x in w.letters)
+        self.mixed = any(len(w) == 1 and w.head in self.pair_letters for w in words)
+        self.end_letters = (_end_letters(u, 0), _end_letters(u, -1))  # indexed by the end
+        # S10: the sums of an odd number of the distinct odd-letter vectors are
+        # exactly v1 ^ span{v1 ^ vi}; reduce the span to pivoted rows once
+        vectors = list(dict.fromkeys(_odd_letters(w.letters) for w in words))
+        self.odd_first = vectors[0]
+        self.odd_rows: list[tuple[str, frozenset]] = []
+        for v in vectors[1:]:
+            vec = _reduce(self.odd_rows, self.odd_first ^ v)
+            if vec:
+                self.odd_rows.append((min(vec), vec))
+
+
+def _base(u: Term) -> _Base:
+    """u's prepared base, kept in the term's instance dict the way
+    functools.cached_property keeps a value; Term's eq, hash and repr read
+    only its words."""
+    base = u.__dict__.get("_criteria_base")
+    if base is None:
+        base = u.__dict__["_criteria_base"] = _Base(u)
+    return base
+
+
 def _two_element_L2(si: SimpleIdentity) -> CriterionVerdict:
-    if word_measures(si.extra).head in term_measures(si.base).heads:
+    if si.extra.head in _base(si.base).heads:
         return CriterionVerdict(True, "head-match")
     return CriterionVerdict(False, "no-head-match")
 
 
 def _two_element_R2(si: SimpleIdentity) -> CriterionVerdict:
-    if word_measures(si.extra).tail in term_measures(si.base).tails:
+    if si.extra.tail in _base(si.base).tails:
         return CriterionVerdict(True, "tail-match")
     return CriterionVerdict(False, "no-tail-match")
 
 
 def _two_element_M2(si: SimpleIdentity) -> CriterionVerdict:
-    if si.extra.letter_set <= si.base.variables:
+    if _base(si.base).variables.issuperset(si.extra.letters):
         return CriterionVerdict(True, "letters-covered")
     return CriterionVerdict(False, "fresh-letter")
 
 
 def _two_element_D2(si: SimpleIdentity) -> CriterionVerdict:
     extra_letters = si.extra.letter_set
-    if any(w.letter_set <= extra_letters for w in si.base.words):
+    if any(s <= extra_letters for s in _base(si.base).letter_sets):
         return CriterionVerdict(True, "summand-letters-inside-extra")
     return CriterionVerdict(False, "no-summand-inside-extra")
 
@@ -68,79 +135,46 @@ def _two_element_D2(si: SimpleIdentity) -> CriterionVerdict:
 def _two_element_N2(si: SimpleIdentity) -> CriterionVerdict:
     if len(si.extra) >= 2:
         return CriterionVerdict(True, "extra-length-2-plus")
-    if si.extra in si.base:
+    if si.extra.letters in _base(si.base).summands:
         return CriterionVerdict(True, "extra-is-summand")
     return CriterionVerdict(False, "extra-short-and-new")
 
 
 def _two_element_T2(si: SimpleIdentity) -> CriterionVerdict:
-    if any(len(w) >= 2 for w in si.base.words):
+    base = _base(si.base)
+    if base.longest >= 2:
         return CriterionVerdict(True, "long-summand")
-    if si.extra in si.base:
+    if si.extra.letters in base.summands:
         return CriterionVerdict(True, "extra-is-summand")
     return CriterionVerdict(False, "all-short-and-extra-new")
 
 
-_TWO_ELEMENT = {
-    "L2": _two_element_L2,
-    "R2": _two_element_R2,
-    "M2": _two_element_M2,
-    "D2": _two_element_D2,
-    "N2": _two_element_N2,
-    "T2": _two_element_T2,
-}
-
-
-def holds_two_element(which: str, si: SimpleIdentity) -> CriterionVerdict:
-    """Decide u ≈ u + q in one of the six 2-element ai-semirings."""
-    try:
-        return _TWO_ELEMENT[which.upper()](si)
-    except KeyError:
-        raise ValueError(f"unknown 2-element semiring {which!r}") from None
-
-
 def holds_s2(si: SimpleIdentity) -> CriterionVerdict:
     """Decide u ≈ u + q in S2 from summand lengths and letter overlaps."""
-    u, q = si.base, si.extra
-    tm = term_measures(u)
-    if any(len(w) >= 3 for w in u.words):
+    base, q = _base(si.base), si.extra
+    if base.longest >= 3:
         return CriterionVerdict(True, "long-summand")
-    singles = frozenset(x for w in tm.of_length(1) for x in w.letter_set)
-    pairs = frozenset(x for w in tm.of_length(2) for x in w.letter_set)
-    if singles & pairs:
+    if base.mixed:
         return CriterionVerdict(True, "length-mix-overlap")
     if len(q) == 1:
-        if q in u:
+        if q.letters in base.summands:
             return CriterionVerdict(True, "extra-is-summand")
         return CriterionVerdict(False, "extra-not-a-summand")
     if len(q) == 2:
-        if q.letter_set <= pairs:
+        if base.pair_letters.issuperset(q.letters):
             return CriterionVerdict(True, "extra-in-pair-letters")
         return CriterionVerdict(False, "extra-outside-pair-letters")
     return CriterionVerdict(False, "extra-too-long")
 
 
-def _end_pattern(u: Term, end: int) -> bool:
-    """Letters at one end of the summands (-1 the tail, 0 the head) occur at
-    most once per summand, and only at that end."""
-    ends = {w.letters[end] for w in u.words}
-    for e, w in itertools.product(ends, u.words):
-        k = w.count(e)
-        if k > 1:
-            return False
-        if k == 1 and w.letters[end] != e:
-            return False
-    return True
-
-
 def property_t(u: Term) -> bool:
     """Tail letters occur at most once per summand, and only as tails."""
-    return _end_pattern(u, -1)
+    return _base(u).end_letters[-1] is not None
 
 
 def property_h(u: Term) -> bool:
     """Head letters occur at most once per summand, and only as heads."""
-    return _end_pattern(u, 0)
+    return _base(u).end_letters[0] is not None
 
 
 def delta(v: Term) -> frozenset[frozenset[str]]:
@@ -163,18 +197,22 @@ def delta(v: Term) -> frozenset[frozenset[str]]:
 
 
 def _holds_pattern(si: SimpleIdentity, end: int, kind: str) -> CriterionVerdict:
-    if si.is_trivial:
+    base, q = _base(si.base), si.extra.letters
+    if q in base.summands:
         return CriterionVerdict(True, "trivial")
-    u, q = si.base, si.extra
-    if not q.letter_set <= u.variables:
+    if not base.variables.issuperset(q):
         return CriterionVerdict(False, "fresh-letter")
-    if all(len(w) == 1 for w in u.words):
+    if base.longest == 1:
         return CriterionVerdict(False, "no-long-summand")
-    if _end_pattern(u, end):
-        if _end_pattern(Term(u.words + (q,)), end):
-            return CriterionVerdict(True, f"{kind}-pattern-preserved")
-        return CriterionVerdict(False, f"{kind}-pattern-broken")
-    return CriterionVerdict(True, f"{kind}-pattern-absent")
+    ends = base.end_letters[end]
+    if ends is None:
+        return CriterionVerdict(True, f"{kind}-pattern-absent")
+    # q's letters all occur in u, so an end letter of q that is not one of u's
+    # occurs inside a summand of u: u + q keeps the pattern exactly when q ends
+    # in one of u's end letters and holds none of them elsewhere
+    if q[end] in ends and ends.isdisjoint(_inner(q, end)):
+        return CriterionVerdict(True, f"{kind}-pattern-preserved")
+    return CriterionVerdict(False, f"{kind}-pattern-broken")
 
 
 def holds_s4(si: SimpleIdentity) -> CriterionVerdict:
@@ -187,27 +225,6 @@ def holds_s6(si: SimpleIdentity) -> CriterionVerdict:
     return _holds_pattern(si, 0, "head")
 
 
-def _odd_sum_of(vectors: list[frozenset], target: frozenset) -> bool:
-    """Whether ``target`` is the symmetric difference of an odd number of the
-    distinct ``vectors``.  Those sums are exactly v1 ^ span{v1 ^ vi} over
-    GF(2), so one elimination decides it.  No row of ``basis`` holds the pivot
-    letter of an earlier row, so reducing by the rows in order clears them all."""
-    first = vectors[0]
-    basis: list[tuple[str, frozenset]] = []
-
-    def reduce(vec: frozenset) -> frozenset:
-        for pivot, row in basis:
-            if pivot in vec:
-                vec ^= row
-        return vec
-
-    for v in vectors[1:]:
-        vec = reduce(first ^ v)
-        if vec:
-            basis.append((min(vec), vec))
-    return not reduce(first ^ target)
-
-
 def holds_s10(si: SimpleIdentity) -> CriterionVerdict:
     """Decide u ≈ u + q in S10 via odd-multiplicity letter sets.
 
@@ -215,20 +232,24 @@ def holds_s10(si: SimpleIdentity) -> CriterionVerdict:
     difference of the odd-letter sets of an odd number of distinct summand
     vectors.  Repetitions of a factor cancel in pairs, so odd-size subsets of
     the distinct vectors realise exactly the products of 3**k summands.  The
-    subsets are not listed: a GF(2) elimination over the vectors decides it
-    in time polynomial in their number.
+    subsets are not listed: the base holds the vectors reduced by one GF(2)
+    elimination, so each q costs one pass over its rows.
     """
-    u, q = si.base, si.extra
-    if not q.letter_set <= u.variables:
+    base, q = _base(si.base), si.extra.letters
+    if not base.variables.issuperset(q):
         return CriterionVerdict(False, "fresh-letter")
-    vectors = list({word_measures(w).odd_letters for w in u.words})
-    if _odd_sum_of(vectors, word_measures(q).odd_letters):
+    if not _reduce(base.odd_rows, base.odd_first ^ _odd_letters(q)):
         return CriterionVerdict(True, "odd-set-match")
     return CriterionVerdict(False, "no-odd-set-match")
 
 
 CRITERIA: dict[str, Callable[[SimpleIdentity], CriterionVerdict]] = {
-    **_TWO_ELEMENT,
+    "L2": _two_element_L2,
+    "R2": _two_element_R2,
+    "M2": _two_element_M2,
+    "D2": _two_element_D2,
+    "N2": _two_element_N2,
+    "T2": _two_element_T2,
     "S2": holds_s2,
     "S4": holds_s4,
     "S6": holds_s6,

@@ -323,6 +323,3 @@ class BulkEvaluator:
             if base[a] & extra[b]:
                 return False
         return True
-
-    def simple_identity_holds(self, base: tuple[int, ...], q: Word) -> bool:
-        return self.absorbs(base, self.word_vector(q))

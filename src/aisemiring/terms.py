@@ -1,4 +1,4 @@
-"""Words, terms as finite word sets, identities, parsing and word measures.
+"""Words, terms as finite word sets, identities and parsing.
 
 A term is a nonempty finite set of nonempty words; sum is union, product is
 pairwise concatenation.  Every identity between terms reduces to a family of
@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Optional
 
 
@@ -162,14 +161,6 @@ class SimpleIdentity:
         return str(self.as_identity())
 
 
-def term_sum(a: Term, b: Term) -> Term:
-    return a + b
-
-
-def term_product(a: Term, b: Term) -> Term:
-    return a * b
-
-
 def bounded_product(a: Term, b: Term) -> Term:
     """a * b; ValueError if it would have more than MAX_TERM_WORDS summands or
     a word longer than MAX_WORD_LENGTH letters."""
@@ -195,70 +186,6 @@ def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
             _check_bounds(len(out.words) + len(img.words), 0)
         out = img if out is None else out + img
     return out
-
-
-# ---------------------------------------------------------------------------
-# word and term measures
-
-# Words and terms whose measures are kept; the least recently used go first,
-# so the terms a long run judges do not stay alive for the life of the process.
-MEASURES_CACHE_SIZE = 4096
-
-
-@dataclass(frozen=True)
-class WordMeasures:
-    """head/tail letter, letter set, length, per-letter counts, the word with
-    its last (resp. first) letter removed, and the odd-multiplicity letters."""
-
-    head: str
-    tail: str
-    letters: frozenset[str]
-    length: int
-    counts: Mapping[str, int]
-    prefix: Optional[Word]
-    suffix: Optional[Word]
-    odd_letters: frozenset[str]
-
-
-@lru_cache(maxsize=MEASURES_CACHE_SIZE)
-def word_measures(w: Word) -> WordMeasures:
-    counts: dict[str, int] = {}
-    for x in w.letters:
-        counts[x] = counts.get(x, 0) + 1
-    return WordMeasures(
-        head=w.head,
-        tail=w.tail,
-        letters=w.letter_set,
-        length=len(w),
-        counts=counts,
-        prefix=Word(w.letters[:-1]) if len(w) > 1 else None,
-        suffix=Word(w.letters[1:]) if len(w) > 1 else None,
-        odd_letters=frozenset(x for x, k in counts.items() if k % 2 == 1),
-    )
-
-
-@dataclass(frozen=True)
-class TermMeasures:
-    heads: frozenset[str]
-    tails: frozenset[str]
-    letters: frozenset[str]
-    by_length: Mapping[int, tuple[Word, ...]]
-
-    def of_length(self, k: int) -> tuple[Word, ...]:
-        return self.by_length.get(k, ())
-
-
-@lru_cache(maxsize=MEASURES_CACHE_SIZE)
-def term_measures(u: Term) -> TermMeasures:
-    by_length: dict[int, list[Word]] = {}
-    for w in u.words:
-        by_length.setdefault(len(w), []).append(w)
-    return TermMeasures(
-        heads=frozenset(w.head for w in u.words),
-        tails=frozenset(w.tail for w in u.words),
-        letters=u.variables,
-        by_length={k: tuple(v) for k, v in by_length.items()},
-    )
 
 
 def normalize_identity(identity: Identity) -> tuple[SimpleIdentity, ...]:

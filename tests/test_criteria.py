@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -7,7 +8,7 @@ import pytest
 from aisemiring import catalog, criteria
 from aisemiring.cli import main
 from aisemiring.evaluate import satisfies
-from aisemiring.terms import SimpleIdentity, Term, Word, parse_term, word, word_measures
+from aisemiring.terms import SimpleIdentity, Term, Word, parse_term, word
 
 
 def si(u_text, q_text):
@@ -15,18 +16,18 @@ def si(u_text, q_text):
 
 
 def test_two_element_clauses():
-    assert criteria.holds_two_element("L2", si("xy + z", "xw")).holds
-    assert not criteria.holds_two_element("L2", si("xy", "wx")).holds
-    assert criteria.holds_two_element("R2", si("xy", "zy")).holds
-    assert criteria.holds_two_element("M2", si("xy", "x")).holds
-    assert not criteria.holds_two_element("M2", si("xy", "w")).holds
-    assert criteria.holds_two_element("D2", si("xy + z", "zw")).holds
-    assert criteria.holds_two_element("N2", si("x", "yz")).holds
-    assert not criteria.holds_two_element("N2", si("x", "y")).holds
-    assert criteria.holds_two_element("T2", si("xy + z", "w")).holds
-    assert not criteria.holds_two_element("T2", si("x + y", "z")).holds
+    assert criteria.check("L2", si("xy + z", "xw")).holds
+    assert not criteria.check("L2", si("xy", "wx")).holds
+    assert criteria.check("R2", si("xy", "zy")).holds
+    assert criteria.check("M2", si("xy", "x")).holds
+    assert not criteria.check("M2", si("xy", "w")).holds
+    assert criteria.check("D2", si("xy + z", "zw")).holds
+    assert criteria.check("N2", si("x", "yz")).holds
+    assert not criteria.check("N2", si("x", "y")).holds
+    assert criteria.check("T2", si("xy + z", "w")).holds
+    assert not criteria.check("T2", si("x + y", "z")).holds
     with pytest.raises(ValueError):
-        criteria.holds_two_element("Q2", si("x", "x"))
+        criteria.check("Q2", si("x", "x"))
 
 
 def test_s2_clauses():
@@ -90,6 +91,96 @@ def test_s6_is_the_reverse_of_s4():
     assert criteria.holds_s6(si("xyx", "y")).rule == "head-pattern-absent"
 
 
+def _end_pattern(u, end):
+    # reference: letters at one end of the summands (-1 the tail, 0 the head)
+    # occur at most once per summand, and only at that end
+    ends = {w.letters[end] for w in u.words}
+    for e, w in itertools.product(ends, u.words):
+        k = w.count(e)
+        if k > 1:
+            return False
+        if k == 1 and w.letters[end] != e:
+            return False
+    return True
+
+
+def _pattern_by_rebuild(si, end, kind):
+    # reference for S4 (end -1) and S6 (end 0): rebuild u + q and check its pattern
+    u, q = si.base, si.extra
+    if si.is_trivial:
+        return criteria.CriterionVerdict(True, "trivial")
+    if not q.letter_set <= u.variables:
+        return criteria.CriterionVerdict(False, "fresh-letter")
+    if all(len(w) == 1 for w in u.words):
+        return criteria.CriterionVerdict(False, "no-long-summand")
+    if not _end_pattern(u, end):
+        return criteria.CriterionVerdict(True, f"{kind}-pattern-absent")
+    if _end_pattern(Term(u.words + (q,)), end):
+        return criteria.CriterionVerdict(True, f"{kind}-pattern-preserved")
+    return criteria.CriterionVerdict(False, f"{kind}-pattern-broken")
+
+
+def _assert_patterns_match(u, qs, rules):
+    for q in qs:
+        s = SimpleIdentity(u, q)
+        for judge, end, kind in ((criteria.holds_s4, -1, "tail"), (criteria.holds_s6, 0, "head")):
+            verdict = judge(s)
+            assert verdict == _pattern_by_rebuild(s, end, kind), str(s)
+            rules[verdict.rule] += 1
+
+
+def test_s4_s6_pattern_rule_matches_the_rebuild():
+    rules = collections.Counter()
+    # every (u, q) of acceptance 4 up to renaming the letters, which both sides
+    # only compare for equality: u is the least of its six renamings
+    words = [Word(t) for k in (1, 2, 3) for t in itertools.product("xyz", repeat=k)]
+    renamings = [dict(zip("xyz", p)) for p in itertools.permutations("xyz")]
+    for r in (1, 2, 3):
+        for combo in itertools.combinations(words, r):
+            u = Term(combo)
+            if u.words == min(Term(tuple(Word(tuple(m[x] for x in w.letters)) for w in combo)).words for m in renamings):
+                _assert_patterns_match(u, words, rules)
+    # random terms over six letters, q mostly over the letters of u
+    rng = random.Random(23)
+    pool = "abcdef"
+    for _ in range(400):
+        u = Term(
+            tuple(
+                Word(tuple(rng.choice(pool) for _ in range(rng.randint(1, 4))))
+                for _ in range(rng.randint(1, 6))
+            )
+        )
+        letters = sorted(u.variables) * 4 + list(pool)
+        qs = [Word(tuple(rng.choice(letters) for _ in range(rng.randint(1, 5)))) for _ in range(10)]
+        _assert_patterns_match(u, qs, rules)
+    # every rule of both criteria fired
+    assert all(rules[f"{kind}-pattern-{how}"] for kind in ("tail", "head") for how in ("preserved", "broken", "absent"))
+    assert all(rules[rule] for rule in ("trivial", "fresh-letter", "no-long-summand"))
+
+
+def test_base_is_kept_per_term():
+    qs = [Word(t) for k in (1, 2, 3) for t in itertools.product("xyz", repeat=k)]
+    for text in ("xy + zx", "xyz + y", "x + yx^2", "xy + yz + zx", "x + y^2z"):
+        u = parse_term(text)
+        copy = Term(u.words)
+        assert copy == u and copy is not u
+        judged = (u, u.reverse(), copy)
+        # one term at a time, each q against a fresh term
+        expected = {
+            (i, q, name): judge(SimpleIdentity(Term(t.words), q))
+            for i, t in enumerate(judged)
+            for q in qs
+            for name, judge in criteria.CRITERIA.items()
+        }
+        for q in qs:  # the same q against u, its reverse and an equal copy in turn
+            for i, t in enumerate(judged):
+                for name, judge in criteria.CRITERIA.items():
+                    assert judge(SimpleIdentity(t, q)) == expected[i, q, name], (name, str(t), str(q))
+        # the kept base leaves equality, hashing and printing to the words alone
+        assert criteria._base(u) is criteria._base(u) and criteria._base(copy) is not criteria._base(u)
+        assert (hash(u), repr(u)) == (hash(Term(u.words)), repr(Term(u.words)))
+
+
 def test_s10_examples():
     assert criteria.holds_s10(si("xy^2", "x")).holds
     assert criteria.holds_s10(si("xy", "yx")).holds
@@ -99,13 +190,17 @@ def test_s10_examples():
     assert not criteria.holds_s10(si("x + y", "xy")).holds
 
 
+def _odd_letters(w):
+    return frozenset(x for x in w.letters if w.count(x) % 2 == 1)
+
+
 def _s10_by_subsets(si):
     # reference: try every odd-size subset of the distinct odd-letter vectors
     u, q = si.base, si.extra
     if not q.letter_set <= u.variables:
         return False
-    target = word_measures(q).odd_letters
-    vectors = sorted({word_measures(w).odd_letters for w in u.words}, key=sorted)
+    target = _odd_letters(q)
+    vectors = sorted({_odd_letters(w) for w in u.words}, key=sorted)
     for r in range(1, len(vectors) + 1, 2):
         for combo in itertools.combinations(vectors, r):
             acc = frozenset()
@@ -119,12 +214,12 @@ def _s10_by_subsets(si):
 def test_s10_elimination_matches_the_subset_search():
     # every (u, q) shape of acceptance 4, one per distinct odd-letter vector set
     words = [Word(t) for k in (1, 2, 3) for t in itertools.product("xyz", repeat=k)]
-    q_shapes = [(q, q.letter_set, word_measures(q).odd_letters) for q in words]
+    q_shapes = [(q, q.letter_set, _odd_letters(q)) for q in words]
     seen = set()
     for r in (1, 2, 3):
         for combo in itertools.combinations(words, r):
             u = Term(combo)
-            u_shape = (u.variables, frozenset(word_measures(w).odd_letters for w in u.words))
+            u_shape = (u.variables, frozenset(_odd_letters(w) for w in u.words))
             for q, *q_shape in q_shapes:
                 shape = (u_shape, *q_shape)
                 if shape not in seen:
@@ -142,7 +237,7 @@ def test_s10_elimination_matches_the_subset_search():
                 for _ in range(rng.randint(1, 14))
             )
         )
-        if len({word_measures(w).odd_letters for w in u.words}) > 12:
+        if len({_odd_letters(w) for w in u.words}) > 12:
             continue
         q = Word(tuple(rng.choice(pool) for _ in range(rng.randint(1, 6))))
         s = SimpleIdentity(u, q)

@@ -146,7 +146,7 @@ def test_bulk_evaluator_matches_satisfies():
             expected = satisfies(
                 algebra, parse_identity(f"{u} ≈ {u} + {q}")
             )
-            assert bulk.simple_identity_holds(bulk.term_vector(u), q) == expected
+            assert bulk.absorbs(bulk.term_vector(u), bulk.word_vector(q)) == expected
 
 
 def _decode(vector, count):

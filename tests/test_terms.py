@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aisemiring.terms import (
-    MEASURES_CACHE_SIZE,
     Identity,
     SimpleIdentity,
     Term,
@@ -13,11 +12,7 @@ from aisemiring.terms import (
     parse_identity,
     parse_term,
     substitute,
-    term_measures,
-    term_product,
-    term_sum,
     word,
-    word_measures,
 )
 
 letters = st.sampled_from(["x", "y", "z", "w"])
@@ -81,42 +76,6 @@ def test_greedy_tokenization():
     assert parse_term("xy") == Term((Word(("x", "y")),))
 
 
-def test_word_measures():
-    m = word_measures(word("xyx"))
-    assert (m.head, m.tail, m.length) == ("x", "x", 3)
-    assert m.letters == {"x", "y"}
-    assert m.counts == {"x": 2, "y": 1}
-    assert m.prefix == word("xy") and m.suffix == word("yx")
-    assert m.odd_letters == {"y"}
-
-    single = word_measures(word("x"))
-    assert single.prefix is None and single.suffix is None
-    assert single.odd_letters == {"x"}
-
-    assert word_measures(word("xy^2")).odd_letters == {"x"}
-
-
-def test_term_measures():
-    u = parse_term("x + xy + zzz")
-    m = term_measures(u)
-    assert m.heads == {"x", "z"}
-    assert m.tails == {"x", "y", "z"}
-    assert m.of_length(1) == (word("x"),)
-    assert m.of_length(2) == (word("xy"),)
-    assert m.of_length(3) == (word("zzz"),)
-    assert m.of_length(4) == ()
-    assert term_measures(parse_term("x^2")).of_length(2) == (word("x^2"),)
-
-
-def test_measure_caches_are_bounded():
-    for i in range(MEASURES_CACHE_SIZE + 100):
-        w = Word((f"x{i}",))
-        term_measures(Term((w, Word(("y",)))))
-        word_measures(w)
-    assert term_measures.cache_info().currsize <= MEASURES_CACHE_SIZE
-    assert word_measures.cache_info().currsize <= MEASURES_CACHE_SIZE
-
-
 def test_normalize_identity():
     out = normalize_identity(parse_identity("a ≈ b"))
     assert [str(s) for s in out] == ["a ≈ a + b", "b ≈ a + b"]
@@ -128,11 +87,9 @@ def test_normalize_identity():
 
 
 def test_sum_product_examples():
-    assert term_product(parse_term("x + y"), parse_term("z")) == parse_term("xz + yz")
-    assert term_sum(term_product(parse_term("x"), parse_term("y + z")), parse_term("w")) == parse_term(
-        "xy + xz + w"
-    )
-    assert term_sum(parse_term("x"), parse_term("x")) == parse_term("x")
+    assert parse_term("x + y") * parse_term("z") == parse_term("xz + yz")
+    assert parse_term("x") * parse_term("y + z") + parse_term("w") == parse_term("xy + xz + w")
+    assert parse_term("x") + parse_term("x") == parse_term("x")
 
 
 def test_substitute():
@@ -161,21 +118,19 @@ def test_empty_rejections():
 @given(terms, terms, terms)
 @settings(max_examples=150, deadline=None)
 def test_term_algebra_laws(a, b, c):
-    assert term_sum(a, b) == term_sum(b, a)
-    assert term_sum(a, a) == a
-    assert term_sum(term_sum(a, b), c) == term_sum(a, term_sum(b, c))
-    assert term_product(term_product(a, b), c) == term_product(a, term_product(b, c))
-    assert term_product(a, term_sum(b, c)) == term_sum(term_product(a, b), term_product(a, c))
-    assert term_product(term_sum(a, b), c) == term_sum(term_product(a, c), term_product(b, c))
+    assert a + b == b + a
+    assert a + a == a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
 
 
 @given(small_terms, small_terms, st.dictionaries(letters, small_terms, min_size=4, max_size=4))
 @settings(max_examples=100, deadline=None)
 def test_substitute_is_a_homomorphism(a, b, sigma):
-    assert substitute(term_sum(a, b), sigma) == term_sum(substitute(a, sigma), substitute(b, sigma))
-    assert substitute(term_product(a, b), sigma) == term_product(
-        substitute(a, sigma), substitute(b, sigma)
-    )
+    assert substitute(a + b, sigma) == substitute(a, sigma) + substitute(b, sigma)
+    assert substitute(a * b, sigma) == substitute(a, sigma) * substitute(b, sigma)
 
 
 @given(terms)
