@@ -543,37 +543,6 @@ CONSTRUCTORS = {
 }
 
 
-def _constructor(head: str):
-    try:
-        return CONSTRUCTORS[head.strip().lower()]
-    except KeyError:
-        raise ValueError(f"unknown constructor reference @{head}") from None
-
-
-def _head(ref: str, depth: int):
-    """Head, argument text, builder and arity of the @constructor reference
-    ``ref`` nested ``depth`` constructors deep (1 for the outermost)."""
-    if depth > MAX_REFERENCE_DEPTH:
-        raise ValueError(f"reference nests more than {MAX_REFERENCE_DEPTH} constructors")
-    head, _, arg = ref[1:].partition(":")
-    return (head, arg, *_constructor(head))
-
-
-def _reference_end(text: str, start: int, depth: int) -> int:
-    """Index of the comma ending the shortest complete reference at text[start:]
-    (or len(text)); a name or text argument ends at a comma outside parentheses."""
-    ref = text[start:].lstrip()
-    start = len(text) - len(ref)
-    if ref.startswith("@"):
-        head, _, _, arity = _head(ref, depth)
-        start += len(head) + 1  # the colon
-        for _ in range(arity):
-            start = _reference_end(text, start + 1, depth + 1)
-        if arity:
-            return start
-    return start + len(split_top_level(text[start:], ",")[0])
-
-
 def resolve(ref: str) -> FiniteAiSemiring:
     """Resolve a catalog name or an @constructor reference to a semiring.
 
@@ -584,22 +553,40 @@ def resolve(ref: str) -> FiniteAiSemiring:
     More than MAX_REFERENCE_DEPTH nested constructors, or a product of more
     than MAX_PRODUCT_ORDER elements, raise ValueError.
     """
-    return _resolve(ref, 1)
+    return _parse(ref, 0, 1, True)[0]
 
 
-def _resolve(ref: str, depth: int) -> FiniteAiSemiring:
-    ref = ref.strip()
-    if not ref.startswith("@"):
-        return get(ref).semiring
-    head, arg, builder, arity = _head(ref, depth)
-    if arity == 0:
-        return builder(arg)
-    if arity == 1:
-        return builder(_resolve(arg, depth + 1))
-    cut = _reference_end(arg, 0, depth + 1)
-    if cut >= len(arg):
-        raise ValueError(f"@{head} takes two references REF,REF, got {ref!r}")
-    return builder(_resolve(arg[:cut], depth + 1), _resolve(arg[cut + 1 :], depth + 1))
+def _parse(text: str, start: int, depth: int, last: bool) -> tuple[FiniteAiSemiring, int]:
+    """Build the reference at text[start:], nested ``depth`` constructors deep
+    (1 for the outermost), and return it with the index where it ends.
+
+    A ``last`` reference runs to the end of the text. Any other ends at the
+    first comma outside parentheses after its last constructor, and another
+    operand must follow that comma."""
+    at = len(text) - len(text[start:].lstrip())
+    builder = None
+    if text.startswith("@", at):
+        if depth > MAX_REFERENCE_DEPTH:
+            raise ValueError(f"reference nests more than {MAX_REFERENCE_DEPTH} constructors")
+        colon = text.find(":", at)
+        colon = len(text) if colon < 0 else colon
+        head = text[at + 1 : colon]
+        try:
+            builder, arity = CONSTRUCTORS[head.strip().lower()]
+        except KeyError:
+            raise ValueError(f"unknown constructor reference @{head}") from None
+        if arity:
+            operands, end = [], colon
+            for i in range(arity):
+                operand, end = _parse(text, end + 1, depth + 1, last and i == arity - 1)
+                operands.append(operand)
+            return builder(*operands), end
+        at = colon + 1
+    end = len(text) if last else at + len(split_top_level(text[at:], ",")[0])
+    if not last and end >= len(text):
+        raise ValueError(f"{text!r} ends where another operand of a product is expected")
+    arg = text[at:end]
+    return (builder(arg) if builder else get(arg.strip()).semiring), end
 
 
 @dataclass(frozen=True)

@@ -48,15 +48,19 @@ def _load_semiring_file(path: str) -> FiniteAiSemiring:
         raise CliError(f"{path}: not a semiring JSON file ({exc})")
 
 
+def _is_path(ref: str) -> bool:
+    """A reference names a file if it does not start with @ and has a path
+    separator or exists."""
+    return not ref.startswith("@") and (os.path.sep in ref or os.path.exists(ref))
+
+
 def resolve_ref(ref: str) -> FiniteAiSemiring:
     """Catalog name, @constructor reference, or path to a semiring JSON file."""
-    if not ref.startswith("@") and (os.path.sep in ref or os.path.exists(ref)):
+    if _is_path(ref):
         return _load_semiring_file(ref)
     try:
         return catalog.resolve(ref)
     except catalog.CatalogError:
-        if os.path.exists(ref):
-            return _load_semiring_file(ref)
         raise CliError(f"unknown semiring reference {ref!r}")
 
 
@@ -87,15 +91,17 @@ def _table_text(S: FiniteAiSemiring) -> str:
 
 
 def _cmd_validate(args) -> int:
-    if not args.table and not args.semiring:
-        raise CliError("give a semiring reference or --table FILE")
-    if args.table:
-        with open(args.table, "r", encoding="utf-8") as fh:
+    if bool(args.table) == bool(args.semiring):
+        raise CliError("give either a semiring reference or --table FILE")
+    # a file is read as raw tables, so that broken laws are reported, not refused
+    path = args.table or (args.semiring if _is_path(args.semiring) else None)
+    if path:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         try:
             add, mul = data["add"], data["mul"]
         except (KeyError, TypeError):
-            raise CliError(f"{args.table}: expected an object with add and mul tables")
+            raise CliError(f"{path}: expected an object with add and mul tables")
     else:
         S = resolve_ref(args.semiring)
         add, mul = S.add, S.mul
@@ -135,6 +141,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.basis and args.identity:
+        raise CliError("give --identity or --basis, not both")
     S = resolve_ref(args.semiring)
     if args.basis:
         identities = catalog.get(args.basis).basis

@@ -147,10 +147,6 @@ class WordSemiringSpec:
             raise ValueError("need at least one generating word")
 
     @property
-    def alphabet(self) -> tuple[str, ...]:
-        return tuple(sorted({x for w in self.words for x in w.letters}))
-
-    @property
     def flavour(self) -> str:
         return ("M" if self.monoid else "S") + ("c" if self.commutative else "")
 

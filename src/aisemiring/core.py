@@ -349,9 +349,8 @@ def _search_hom(S: FiniteAiSemiring, T: FiniteAiSemiring, accept=None) -> Option
             for b in range(upto + 1):
                 for sop, top in ((S.add, T.add), (S.mul, T.mul)):
                     k = sop[a][b]
-                    if k <= upto or img[k] >= 0:
-                        if top[img[a]][img[b]] != img[k]:
-                            return False
+                    if k <= upto and top[img[a]][img[b]] != img[k]:
+                        return False
         return True
 
     def extend(i: int) -> Optional[tuple[int, ...]]:

@@ -128,6 +128,15 @@ def test_resolve_nested_references():
     assert catalog.resolve("@prod:@sc:ab,@sc:a,b") == direct_product(
         catalog.resolve("@sc:ab"), catalog.resolve("@sc:a,b")
     )
+    assert catalog.resolve("@prod:@dual:S_(4,1),@sc:a,b") == direct_product(
+        catalog.resolve("@dual:S_(4,1)"), catalog.resolve("@sc:a,b")
+    )
+    # a word list used as a left operand ends at its first comma, leaving "b,T2"
+    with pytest.raises(CatalogError):
+        catalog.resolve("@prod:@sc:a,b,T2")
+    # the inner product takes both names, so the outer one has no right operand
+    with pytest.raises(ValueError):
+        catalog.resolve("@prod:@prod:T2,T2")
     with pytest.raises(ValueError):
         catalog.resolve("@prod:T2")
     with pytest.raises(ValueError):

@@ -74,6 +74,8 @@ def test_validate_subcommand(capsys, tmp_path):
     code, payload, _ = run_json(capsys, ["validate", "--table", str(bad)])
     assert code == 1 and not payload["valid"]
     assert payload["violations"]
+    # a file given as the semiring reference is checked the same way
+    assert run_json(capsys, ["validate", str(bad)])[:2] == (1, payload)
 
     malformed = tmp_path / "malformed.json"
     malformed.write_text(json.dumps({"elements": ["0"], "add": [[0, 0]], "mul": [[0]]}))
@@ -246,12 +248,15 @@ def test_budget_overrun_is_usage_error(capsys):
         (["criteria", "--sweep", "--max-length", "40"], {}),
         (["criteria", "--sweep", "--variables", "x", "--max-length", "100000000"], {}),
         (["criteria", "--sweep", "--variables", "abcdefghijklmnopq", "--max-length", "1"], {}),
+        (["validate", "T2", "--table", "{broken_laws}"], {}),
+        (["check", "--semiring", "T2", "--basis", "S_(4,4)", "--identity", "x = y"], {}),
     ],
 )
 def test_bad_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, env):
     files = {
         "add_five": {"add": 5, "mul": [[0]]},
         "bool_entries": {"elements": ["0", "1"], "add": [[0, 1], [1, 1]], "mul": [[0, 0], [True, 1]]},
+        "broken_laws": {"elements": ["0", "1"], "add": [[0, 1], [1, 1]], "mul": [[1, 0], [0, 0]]},
         "semigroup_out_of_range": {"elements": ["0", "1"], "mul": [[0, 0], [0, 5]], "zero": 0},
     }
     for name, data in files.items():
