@@ -40,7 +40,6 @@ from .terms import (
     Term,
     TermSyntaxError,
     Word,
-    normalize_identity,
     parse_identity,
     parse_term,
     substitute,
@@ -78,7 +77,6 @@ __all__ = [
     "generated_subalgebra",
     "is_subdirect_embedding",
     "natural_order",
-    "normalize_identity",
     "parse_identity",
     "parse_term",
     "satisfies",

@@ -38,13 +38,22 @@ class CliError(Exception):
     pass
 
 
-def _load_semiring_file(path: str) -> FiniteAiSemiring:
+def _read_json(path: str):
+    """The JSON document in a file; every read failure is a CliError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return FiniteAiSemiring.from_dict(json.load(fh))
+            return json.load(fh)
     except FileNotFoundError:
         raise CliError(f"no such file: {path}")
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise CliError(f"{path}: not a JSON file ({exc})")
+
+
+def _load_semiring_file(path: str) -> FiniteAiSemiring:
+    data = _read_json(path)
+    try:
+        return FiniteAiSemiring.from_dict(data)
+    except (KeyError, TypeError) as exc:
         raise CliError(f"{path}: not a semiring JSON file ({exc})")
 
 
@@ -96,8 +105,7 @@ def _cmd_validate(args) -> int:
     # a file is read as raw tables, so that broken laws are reported, not refused
     path = args.table or (args.semiring if _is_path(args.semiring) else None)
     if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _read_json(path)
         try:
             add, mul = data["add"], data["mul"]
         except (KeyError, TypeError):
@@ -210,8 +218,7 @@ def _cmd_construct(args) -> int:
     elif text:
         S = builder(text)
     elif kind == "flat-ext" and args.table:
-        with open(args.table, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _read_json(args.table)
         try:
             G = construct.FiniteSemigroup(
                 elements=tuple(data["elements"]),
@@ -418,7 +425,7 @@ def _cmd_cert(args) -> int:
             raise CliError("cert verify needs a certificate file or bundled name")
         try:
             if os.path.exists(args.path):
-                cert = derivation.load_certificate(args.path)
+                cert = derivation.certificate_from_dict(_read_json(args.path))
             else:
                 cert = derivation.load_bundled_certificate(args.path)
         except FileNotFoundError:

@@ -256,10 +256,6 @@ class Morphism:
     def injective(self) -> bool:
         return len(set(self.mapping)) == len(self.mapping)
 
-    @property
-    def bijective(self) -> bool:
-        return self.injective and len(self.mapping) == self.target.order
-
     def to_dict(self) -> dict:
         return {
             "source": self.source.name,

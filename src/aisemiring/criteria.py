@@ -54,10 +54,9 @@ def _inner(letters: tuple[str, ...], end: int) -> tuple[str, ...]:
     return letters[:-1] if end == -1 else letters[1:]
 
 
-def _end_letters(u: Term, end: int) -> Optional[frozenset[str]]:
-    """The letters at one end of u's summands if none of them occurs anywhere
-    else in a summand (u has the end pattern), else None."""
-    ends = frozenset(w.letters[end] for w in u.words)
+def _end_letters(u: Term, ends: frozenset[str], end: int) -> Optional[frozenset[str]]:
+    """ends, the letters at one end of u's summands, if none of them occurs
+    anywhere else in a summand (u has the end pattern), else None."""
     if any(not ends.isdisjoint(_inner(w.letters, end)) for w in u.words):
         return None
     return ends
@@ -79,13 +78,13 @@ class _Base:
         words = u.words
         self.summands = frozenset(w.letters for w in words)
         self.variables = frozenset(x for w in words for x in w.letters)
-        self.heads = frozenset(w.head for w in words)
-        self.tails = frozenset(w.tail for w in words)
+        # both pairs are indexed by the end: 0 the head, -1 the tail
+        self.ends = (frozenset(w.head for w in words), frozenset(w.tail for w in words))
         self.letter_sets = frozenset(w.letter_set for w in words)
         self.longest = max(map(len, words))
         self.pair_letters = frozenset(x for w in words if len(w) == 2 for x in w.letters)
         self.mixed = any(len(w) == 1 and w.head in self.pair_letters for w in words)
-        self.end_letters = (_end_letters(u, 0), _end_letters(u, -1))  # indexed by the end
+        self.end_letters = (_end_letters(u, self.ends[0], 0), _end_letters(u, self.ends[-1], -1))
         # S10: the sums of an odd number of the distinct odd-letter vectors are
         # exactly v1 ^ span{v1 ^ vi}; reduce the span to pivoted rows once
         vectors = list(dict.fromkeys(_odd_letters(w.letters) for w in words))
@@ -107,16 +106,18 @@ def _base(u: Term) -> _Base:
     return base
 
 
+def _end_match(si: SimpleIdentity, end: int, kind: str) -> CriterionVerdict:
+    if si.extra.letters[end] in _base(si.base).ends[end]:
+        return CriterionVerdict(True, f"{kind}-match")
+    return CriterionVerdict(False, f"no-{kind}-match")
+
+
 def _two_element_L2(si: SimpleIdentity) -> CriterionVerdict:
-    if si.extra.head in _base(si.base).heads:
-        return CriterionVerdict(True, "head-match")
-    return CriterionVerdict(False, "no-head-match")
+    return _end_match(si, 0, "head")
 
 
 def _two_element_R2(si: SimpleIdentity) -> CriterionVerdict:
-    if si.extra.tail in _base(si.base).tails:
-        return CriterionVerdict(True, "tail-match")
-    return CriterionVerdict(False, "no-tail-match")
+    return _end_match(si, -1, "tail")
 
 
 def _two_element_M2(si: SimpleIdentity) -> CriterionVerdict:

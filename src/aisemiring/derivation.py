@@ -149,11 +149,6 @@ def certificate_to_dict(cert: DerivationCertificate) -> dict:
     }
 
 
-def load_certificate(path: str) -> DerivationCertificate:
-    with open(path, "r", encoding="utf-8") as fh:
-        return certificate_from_dict(json.load(fh))
-
-
 def bundled_certificate_names() -> tuple[str, ...]:
     pkg = resources.files(__package__) / "certs"
     return tuple(sorted(p.name[: -len(".json")] for p in pkg.iterdir() if p.name.endswith(".json")))

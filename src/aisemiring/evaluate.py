@@ -212,12 +212,8 @@ class IdentityVerdict:
     holds: bool
     witness: Optional[dict[str, int]]
 
-    def to_dict(self, S: Optional[FiniteAiSemiring] = None) -> dict:
-        witness = None
-        if self.witness is not None:
-            witness = {
-                x: (S.elements[v] if S is not None else v) for x, v in self.witness.items()
-            }
+    def to_dict(self, S: FiniteAiSemiring) -> dict:
+        witness = None if self.witness is None else {x: S.elements[v] for x, v in self.witness.items()}
         return {"identity": str(self.identity), "holds": self.holds, "witness": witness}
 
 

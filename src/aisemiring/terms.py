@@ -129,10 +129,6 @@ class Identity:
     def variables(self) -> frozenset[str]:
         return self.lhs.variables | self.rhs.variables
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.lhs == self.rhs
-
     def reverse(self) -> "Identity":
         return Identity(self.lhs.reverse(), self.rhs.reverse())
 
@@ -186,18 +182,6 @@ def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
             _check_bounds(len(out.words) + len(img.words), 0)
         out = img if out is None else out + img
     return out
-
-
-def normalize_identity(identity: Identity) -> tuple[SimpleIdentity, ...]:
-    """Split u ≈ v into the equivalent family u ≈ u+v_j, v ≈ v+u_i.
-
-    Members whose extra word already occurs in the base are trivial; they are
-    kept and can be recognised via ``SimpleIdentity.is_trivial``.
-    """
-    u, v = identity.lhs, identity.rhs
-    out = [SimpleIdentity(u, w) for w in v.words]
-    out.extend(SimpleIdentity(v, w) for w in u.words)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

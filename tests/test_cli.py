@@ -82,6 +82,9 @@ def test_validate_subcommand(capsys, tmp_path):
     code, _, err = run(capsys, ["validate", "--table", str(malformed)])
     assert code == 2
 
+    code, _, err = run(capsys, ["validate", "--table", str(tmp_path / "missing.json")])
+    assert code == 2 and err.startswith("error: no such file:")
+
 
 def test_enumerate_subcommand(capsys, tmp_path):
     code, out, _ = run(capsys, ["enumerate", "--order", "2"])
@@ -250,6 +253,11 @@ def test_budget_overrun_is_usage_error(capsys):
         (["criteria", "--sweep", "--variables", "abcdefghijklmnopq", "--max-length", "1"], {}),
         (["validate", "T2", "--table", "{broken_laws}"], {}),
         (["check", "--semiring", "T2", "--basis", "S_(4,4)", "--identity", "x = y"], {}),
+        (["validate", "{deep}"], {}),
+        (["validate", "--table", "{deep}"], {}),
+        (["construct", "flat-ext", "--table", "{deep}"], {}),
+        (["construct", "dual", "{deep}"], {}),
+        (["cert", "verify", "{deep}"], {}),
     ],
 )
 def test_bad_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, env):
@@ -259,11 +267,13 @@ def test_bad_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, env):
         "broken_laws": {"elements": ["0", "1"], "add": [[0, 1], [1, 1]], "mul": [[1, 0], [0, 0]]},
         "semigroup_out_of_range": {"elements": ["0", "1"], "mul": [[0, 0], [0, 5]], "zero": 0},
     }
-    for name, data in files.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    texts = {name: json.dumps(data) for name, data in files.items()}
+    texts["deep"] = "[" * 100000 + "]" * 100000  # json.dumps itself refuses this depth
+    for name, text in texts.items():
+        (tmp_path / f"{name}.json").write_text(text)
     for key, value in env.items():
         monkeypatch.setenv(key, value)
-    paths = {name: str(tmp_path / f"{name}.json") for name in files}
+    paths = {name: str(tmp_path / f"{name}.json") for name in texts}
     argv = [arg.format(dir=str(tmp_path), **paths) for arg in argv]
     code, out, err = run(capsys, argv)
     assert code == 2 and err.startswith("error:") and "Traceback" not in err
@@ -328,8 +338,14 @@ _cert_docs = st.one_of(_values, _mutants(_CERT), _mutants(_STEP).map(lambda step
 
 
 def _files(docs):
-    """File contents: a JSON document, text that is not JSON, or bytes that are not UTF-8."""
-    return st.one_of(docs.map(json.dumps), st.text(max_size=20), st.binary(max_size=8))
+    """File contents: a JSON document, text that is not JSON, bytes that are not
+    UTF-8, or brackets nested deeper than the decoder goes."""
+    return st.one_of(
+        docs.map(json.dumps),
+        st.text(max_size=20),
+        st.binary(max_size=8),
+        st.builds(lambda k: "[" * k + "]" * k, st.integers(1000, 100000)),
+    )
 
 
 _small = st.sampled_from(["T2", "L2", "S7", "S_(4,1)", "S_(4,49)", "nonsense"])

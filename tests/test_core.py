@@ -52,7 +52,7 @@ def test_public_names_snapshot():
         "BudgetExceededError additive_height canonical_form check_basis counterexample "
         "direct_product dual enumerate_ai_semirings enumerate_semilattices eval_term "
         "find_embedding find_isomorphism generated_subalgebra is_subdirect_embedding "
-        "natural_order normalize_identity parse_identity parse_term satisfies substitute "
+        "natural_order parse_identity parse_term satisfies substitute "
         "validate word".split()
     )
     assert all(hasattr(aisemiring, name) for name in aisemiring.__all__)

@@ -4,11 +4,9 @@ from hypothesis import strategies as st
 
 from aisemiring.terms import (
     Identity,
-    SimpleIdentity,
     Term,
     TermSyntaxError,
     Word,
-    normalize_identity,
     parse_identity,
     parse_term,
     substitute,
@@ -74,16 +72,6 @@ def test_identity_separators():
 def test_greedy_tokenization():
     assert parse_term("x1x2") == Term((Word(("x1", "x2")),))
     assert parse_term("xy") == Term((Word(("x", "y")),))
-
-
-def test_normalize_identity():
-    out = normalize_identity(parse_identity("a ≈ b"))
-    assert [str(s) for s in out] == ["a ≈ a + b", "b ≈ a + b"]
-    out = normalize_identity(parse_identity("xy ≈ x^2 + y^2"))
-    assert len(out) == 3
-    assert all(isinstance(s, SimpleIdentity) for s in out)
-    trivial = normalize_identity(parse_identity("x + y ≈ x + y"))
-    assert all(s.is_trivial for s in trivial)
 
 
 def test_sum_product_examples():
