@@ -232,6 +232,11 @@ def _multiplications(add: Table) -> list[Table]:
     return results
 
 
+def _elements(n: int) -> tuple[str, ...]:
+    """The element names of a census member, as ``from_tables`` gives them."""
+    return tuple(str(i + 1) for i in range(n))
+
+
 def _census_for_addition(add: Table) -> list[tuple[bytes, Table, Table]]:
     """Deduplicated (key, add, mul) triples for one addition table; each key is
     ``canonical_form`` of its class, by the same two stages, since the perms
@@ -242,24 +247,9 @@ def _census_for_addition(add: Table) -> list[tuple[bytes, Table, Table]]:
         seen.setdefault(add_part + least_relabeling((mul,), auts)[0], mul)
     triples = [(key, add, mul) for key, mul in sorted(seen.items())]
     for key, _, mul in triples[:1]:  # the least class: one n! scan per addition
-        if canonical_form(FiniteAiSemiring.from_tables(add, mul, check=False)) != key:
+        if canonical_form(FiniteAiSemiring("", _elements(len(add)), add, mul)) != key:
             raise RuntimeError("census key differs from canonical_form; dedup bug")
     return triples
-
-
-def default_workers() -> int:
-    """Worker count for parallel enumeration; AISEMIRING_WORKERS overrides the
-    processor count and must be an integer of at least 1."""
-    env = os.environ.get("AISEMIRING_WORKERS")
-    if env:
-        try:
-            workers = int(env)
-        except ValueError:
-            workers = 0
-        if workers < 1:
-            raise ValueError(f"AISEMIRING_WORKERS must be an integer of at least 1, got {env!r}")
-        return workers
-    return os.cpu_count() or 1
 
 
 def enumerate_ai_semirings(n: int, workers: int = 1) -> CensusResult:
@@ -279,9 +269,10 @@ def enumerate_ai_semirings(n: int, workers: int = 1) -> CensusResult:
         chunks = [_census_for_addition(add) for add in additions]
 
     triples = sorted(item for chunk in chunks for item in chunk)
+    # every table passed validate at its leaf of the search
+    elements = _elements(n)
     semirings = tuple(
-        FiniteAiSemiring.from_tables(add, mul, name=f"ai{n}_{i:03d}", check=False)
-        for i, (_, add, mul) in enumerate(triples)
+        FiniteAiSemiring(f"ai{n}_{i:03d}", elements, add, mul) for i, (_, add, mul) in enumerate(triples)
     )
     height1 = tuple(S for S in semirings if additive_height(S) == 1)
     return CensusResult(

@@ -16,7 +16,7 @@ import time
 from typing import Optional
 
 from . import catalog, construct, criteria, derivation
-from .census import default_workers, enumerate_ai_semirings, write_census
+from .census import enumerate_ai_semirings, write_census
 from .core import (
     FiniteAiSemiring,
     Morphism,
@@ -45,6 +45,8 @@ def _read_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise CliError(f"no such file: {path}")
+    except OSError as exc:  # a directory, no permission, ...
+        raise CliError(f"{path}: cannot read ({exc.strerror or exc})")
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise CliError(f"{path}: not a JSON file ({exc})")
 
@@ -127,7 +129,7 @@ def _cmd_validate(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.workers is not None and args.workers < 1:
         raise CliError(f"--workers must be at least 1, got {args.workers}")
-    workers = default_workers() if args.workers is None else args.workers
+    workers = (os.cpu_count() or 1) if args.workers is None else args.workers
     result = enumerate_ai_semirings(args.order, workers=workers)
     chosen = result.height1 if args.height1 else result.semirings
     count = len(chosen)
@@ -423,13 +425,13 @@ def _cmd_cert(args) -> int:
     if args.action == "verify":
         if not args.path:
             raise CliError("cert verify needs a certificate file or bundled name")
-        try:
-            if os.path.exists(args.path):
-                cert = derivation.certificate_from_dict(_read_json(args.path))
-            else:
+        if os.path.exists(args.path):
+            cert = derivation.certificate_from_dict(_read_json(args.path))
+        else:
+            try:
                 cert = derivation.load_bundled_certificate(args.path)
-        except FileNotFoundError:
-            raise CliError(f"no certificate file or bundled name {args.path!r}")
+            except FileNotFoundError:
+                raise CliError(f"no certificate file or bundled name {args.path!r}")
         verdict = derivation.verify_certificate(cert)
         payload = {"endpoints": str(cert.endpoints), **verdict.to_dict()}
         text = "certificate valid" if verdict.valid else (
@@ -469,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="parallel workers, at least 1 (default: AISEMIRING_WORKERS or the processor count)",
+        help="parallel workers, at least 1 (default: the processor count)",
     )
     p.set_defaults(fn=_cmd_enumerate)
 

@@ -11,7 +11,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .core import FiniteAiSemiring, Morphism, Table, _as_table, find_embedding, natural_order
-from .terms import Word, word
+from .terms import word
 
 
 # Bound on the order of a semiring built from a reference (products, word
@@ -133,24 +133,6 @@ def is_abelian_group_with_zero(G: FiniteSemigroup) -> bool:
 # word semirings
 
 
-@dataclass(frozen=True)
-class WordSemiringSpec:
-    """Generating words, one of four flavours: plain or commutative, with or
-    without the empty word."""
-
-    words: tuple[Word, ...]
-    commutative: bool
-    monoid: bool
-
-    def __post_init__(self):
-        if not self.words:
-            raise ValueError("need at least one generating word")
-
-    @property
-    def flavour(self) -> str:
-        return ("M" if self.monoid else "S") + ("c" if self.commutative else "")
-
-
 def _factors(letters: tuple[str, ...]) -> set[tuple[str, ...]]:
     n = len(letters)
     return {letters[i:j] for i in range(n) for j in range(i + 1, n + 1)}
@@ -168,20 +150,25 @@ def _divisors(letters: tuple[str, ...]) -> set[tuple[str, ...]]:
     return out
 
 
-def word_semiring(spec: WordSemiringSpec) -> FiniteAiSemiring:
-    """The flat semiring on all nonempty subwords of the generators plus 0.
+def word_semiring(texts: Sequence[str], commutative: bool, monoid: bool) -> FiniteAiSemiring:
+    """The flat semiring on all nonempty subwords of the generating words plus
+    0, and the empty word too if ``monoid``.
 
     Subword means contiguous factor in the plain flavours and divisor multiset
-    in the commutative ones; products fall to 0 as soon as they leave the
-    carrier.  A carrier of more than MAX_BUILT_ORDER elements raises
-    ValueError before any table is built.
+    in the ``commutative`` ones; products fall to 0 as soon as they leave the
+    carrier.  No generating word, or a carrier of more than MAX_BUILT_ORDER
+    elements, raises ValueError before any table is built.
     """
-    name = f"{spec.flavour}({','.join(str(w) for w in spec.words)})"
-    room = MAX_BUILT_ORDER - 1 - spec.monoid  # the zero and the empty word take a place each
+    words = tuple(map(word, texts))
+    if not words:
+        raise ValueError("need at least one generating word")
+    flavour = ("M" if monoid else "S") + ("c" if commutative else "")
+    name = f"{flavour}({','.join(map(str, words))})"
+    room = MAX_BUILT_ORDER - 1 - monoid  # the zero and the empty word take a place each
     too_big = ValueError(f"{name} would have more than {MAX_BUILT_ORDER} elements")
     pieces: set[tuple[str, ...]] = set()
-    for w in spec.words:
-        if spec.commutative:
+    for w in words:
+        if commutative:
             letters = w.sorted().letters
             # a multiset with multiplicities c has prod(c + 1) - 1 nonempty divisors
             if math.prod(c + 1 for c in map(letters.count, set(letters))) - 1 > room:
@@ -193,13 +180,13 @@ def word_semiring(spec: WordSemiringSpec) -> FiniteAiSemiring:
             pieces |= _factors(w.letters)
         if len(pieces) > room:
             raise too_big
-    if spec.monoid:
+    if monoid:
         pieces.add(())
     carrier = sorted(pieces, key=lambda t: (len(t), t))
     index = {t: i + 1 for i, t in enumerate(carrier)}  # 0 is the zero element
 
     def times(a: tuple[str, ...], b: tuple[str, ...]) -> int:
-        prod = tuple(sorted(a + b)) if spec.commutative else a + b
+        prod = tuple(sorted(a + b)) if commutative else a + b
         return index.get(prod, 0)
 
     n = len(carrier) + 1
@@ -212,23 +199,19 @@ def word_semiring(spec: WordSemiringSpec) -> FiniteAiSemiring:
 
 
 def sc(*texts: str) -> FiniteAiSemiring:
-    return word_semiring(WordSemiringSpec(_words(texts), commutative=True, monoid=False))
+    return word_semiring(texts, commutative=True, monoid=False)
 
 
 def s(*texts: str) -> FiniteAiSemiring:
-    return word_semiring(WordSemiringSpec(_words(texts), commutative=False, monoid=False))
+    return word_semiring(texts, commutative=False, monoid=False)
 
 
 def mc(*texts: str) -> FiniteAiSemiring:
-    return word_semiring(WordSemiringSpec(_words(texts), commutative=True, monoid=True))
+    return word_semiring(texts, commutative=True, monoid=True)
 
 
 def m(*texts: str) -> FiniteAiSemiring:
-    return word_semiring(WordSemiringSpec(_words(texts), commutative=False, monoid=True))
-
-
-def _words(texts: Sequence[str]) -> tuple[Word, ...]:
-    return tuple(word(t) for t in texts)
+    return word_semiring(texts, commutative=False, monoid=True)
 
 
 # ---------------------------------------------------------------------------

@@ -116,12 +116,11 @@ class FiniteAiSemiring:
         mul: Sequence[Sequence[int]],
         elements: Optional[Sequence[str]] = None,
         name: str = "",
-        check: bool = True,
     ) -> "FiniteAiSemiring":
-        if check:
-            report = validate(add, mul)
-            if not report.valid:
-                raise InvalidSemiringError(report)
+        """A validated semiring; the dataclass constructor is the unchecked path."""
+        report = validate(add, mul)
+        if not report.valid:
+            raise InvalidSemiringError(report)
         add = _as_table(add, "add")
         mul = _as_table(mul, "mul", len(add))
         n = len(add)
@@ -145,9 +144,9 @@ class FiniteAiSemiring:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, check: bool = True) -> "FiniteAiSemiring":
+    def from_dict(cls, data: dict) -> "FiniteAiSemiring":
         return cls.from_tables(
-            data["add"], data["mul"], elements=data.get("elements"), name=data.get("name", ""), check=check
+            data["add"], data["mul"], elements=data.get("elements"), name=data.get("name", "")
         )
 
     def __repr__(self) -> str:

@@ -2,7 +2,8 @@
 
 Satisfaction is exact: every assignment of elements to variables is decided,
 none is sampled, and an identity whose n**k assignments (n elements, k
-variables) exceed the budget is refused before any search.  Witnesses are
+variables) exceed the budget is refused before any search; the budget is set
+on ``counterexample`` and is DEFAULT_BUDGET unless given.  Witnesses are
 always the lexicographically first failing assignment (variables sorted by
 name, element indices ascending), so results are deterministic and
 schedule-independent.
@@ -202,8 +203,8 @@ def counterexample(
     return None if values is None else dict(zip(variables, values))
 
 
-def satisfies(S: FiniteAiSemiring, identity: Identity, budget: int = DEFAULT_BUDGET) -> bool:
-    return counterexample(S, identity, budget) is None
+def satisfies(S: FiniteAiSemiring, identity: Identity) -> bool:
+    return counterexample(S, identity) is None
 
 
 @dataclass(frozen=True)
@@ -226,12 +227,10 @@ class BasisReport:
         return all(v.holds for v in self.verdicts)
 
 
-def check_basis(
-    S: FiniteAiSemiring, identities: Iterable[Identity], budget: int = DEFAULT_BUDGET
-) -> BasisReport:
+def check_basis(S: FiniteAiSemiring, identities: Iterable[Identity]) -> BasisReport:
     verdicts = []
     for identity in identities:
-        witness = counterexample(S, identity, budget)
+        witness = counterexample(S, identity)
         verdicts.append(IdentityVerdict(identity, witness is None, witness))
     return BasisReport(tuple(verdicts))
 

@@ -213,3 +213,8 @@ def test_building_refuses_an_invalid_table(monkeypatch):
     monkeypatch.setattr(catalog, "dual", broken)
     with pytest.raises(CatalogError, match="S6"):
         catalog._catalog.__wrapped__()
+    monkeypatch.undo()
+    # a hand-typed table is refused by name: (1 * 3) * 2 = 2 but 1 * (3 * 2) = 1
+    monkeypatch.setitem(catalog._ORDER4_MUL, 1, "1211111111111111")
+    with pytest.raises(CatalogError, match=r"S_\(4,1\).*mul-associativity"):
+        catalog._catalog.__wrapped__()

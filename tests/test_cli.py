@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from aisemiring import catalog
+from aisemiring import catalog, cli
+from aisemiring.census import enumerate_ai_semirings
 from aisemiring.cli import main
 
 
@@ -229,7 +230,7 @@ def test_budget_overrun_is_usage_error(capsys):
         (["validate", "--table", "{add_five}"], {}),
         (["validate", "--table", "{bool_entries}"], {}),
         (["validate", "{bool_entries}"], {}),
-        (["enumerate", "--order", "2"], {"AISEMIRING_WORKERS": "abc"}),
+        (["validate", "{dir}/"], {}),
         (["iso", "@prod:T2", "L2"], {}),
         (["construct", "ne"], {}),
         (["check", "--semiring", "T2", "--identity", "(" * 2000 + "x" + ")" * 2000 + " = x"], {}),
@@ -243,7 +244,7 @@ def test_budget_overrun_is_usage_error(capsys):
         (["subdirect", "T2", "@prod:@prod:T2,T2,@prod:T2,T2", "@prod:@prod:T2,T2,@prod:T2,T2"], {}),
         (["enumerate", "--order", "2", "--workers", "-3"], {}),
         (["enumerate", "--order", "2", "--workers", "0"], {}),
-        (["enumerate", "--order", "2"], {"AISEMIRING_WORKERS": "-4"}),
+        (["validate", "--table", "{dir}"], {}),
         (["criteria"], {}),
         (["criteria", "--sweep", "--identity", "x = x + x"], {}),
         (["criteria", "--sweep", "--max-summands", "0"], {}),
@@ -258,6 +259,7 @@ def test_budget_overrun_is_usage_error(capsys):
         (["construct", "flat-ext", "--table", "{deep}"], {}),
         (["construct", "dual", "{deep}"], {}),
         (["cert", "verify", "{deep}"], {}),
+        (["cert", "verify", "{dir}"], {}),
     ],
 )
 def test_bad_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, env):
@@ -274,10 +276,26 @@ def test_bad_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, env):
     for key, value in env.items():
         monkeypatch.setenv(key, value)
     paths = {name: str(tmp_path / f"{name}.json") for name in texts}
+    given_dir = any("{dir}" in arg for arg in argv)
     argv = [arg.format(dir=str(tmp_path), **paths) for arg in argv]
     code, out, err = run(capsys, argv)
-    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err and "[Errno" not in err
+    if given_dir:  # the message names the directory, not the OS error number
+        assert err.startswith(f"error: {tmp_path}")
     assert all(os.path.isfile(path) for path in paths.values())
+
+
+def test_enumerate_workers_default_to_the_processor_count(capsys, monkeypatch):
+    handed = []
+
+    def record(n, workers=1):
+        handed.append(workers)
+        return enumerate_ai_semirings(n)
+
+    monkeypatch.setattr(cli, "enumerate_ai_semirings", record)
+    assert run(capsys, ["enumerate", "--order", "2", "--workers", "1"])[0] == 0
+    assert run(capsys, ["enumerate", "--order", "2"])[0] == 0
+    assert handed == [1, os.cpu_count() or 1]
 
 
 

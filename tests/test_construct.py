@@ -7,7 +7,6 @@ from aisemiring.construct import (
     FiniteSemigroup,
     NotFlatError,
     NotZeroCancellativeError,
-    WordSemiringSpec,
     cyclic_elements,
     cyclic_group_with_zero,
     flat_from_semigroup,
@@ -27,7 +26,6 @@ from aisemiring.construct import (
     word_semiring,
 )
 from aisemiring.core import direct_product, find_embedding, find_isomorphism, natural_order, validate
-from aisemiring.terms import word
 
 
 def S(name):
@@ -98,7 +96,7 @@ def test_word_semiring_carriers():
     # commutative subwords are divisor multisets, plain ones contiguous factors
     assert set(sc("aba").elements) == {"0", "a", "b", "ab", "aa", "aab"}
     assert set(s("aba").elements) == {"0", "a", "b", "ab", "ba", "aba"}
-    multi = word_semiring(WordSemiringSpec((word("ab"), word("c")), commutative=True, monoid=False))
+    multi = word_semiring(("ab", "c"), commutative=True, monoid=False)
     assert set(multi.elements) == {"0", "a", "b", "c", "ab"}
     # at most 64 elements, refused before any table is built
     assert sc("abcdef").order == s("abcdefghij").order + 8 == 64

@@ -36,7 +36,7 @@ def test_bool_entries_are_malformed():
     with pytest.raises(MalformedTableError):
         validate([[False, True], [True, True]], [[0, 0], [0, 0]])
     with pytest.raises(MalformedTableError):
-        FiniteAiSemiring.from_tables([[0, 1], [1, 1]], [[0, 0], [0, True]], check=False)
+        FiniteAiSemiring.from_tables([[0, 1], [1, 1]], [[0, 0], [0, True]])
     with pytest.raises(MalformedTableError):
         validate(5, [[0]])
     with pytest.raises(MalformedTableError, match="strings"):
