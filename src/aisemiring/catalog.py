@@ -363,15 +363,25 @@ def _pin_order3(
     return candidates[0].renamed(name)
 
 
+def _check_table(S: FiniteAiSemiring) -> None:
+    report = validate(S.add, S.mul)
+    if not report.valid:
+        laws = ", ".join(law for law, _ in report.violations)
+        raise CatalogError(f"{S.name}: the stored table violates {laws}")
+
+
 @lru_cache(maxsize=1)
 def _catalog() -> dict[str, CatalogEntry]:
-    # typed tables are built unchecked; ``put`` validates every entry once
+    # typed tables are built unchecked and validated before any derivation
+    # reads them; derived entries are validated once they are built
     semirings: dict[str, FiniteAiSemiring] = {}
     for label, mul in _ORDER2_MUL.items():
         semirings[label] = FiniteAiSemiring(label, ("0", "1"), construct.flat_addition(2, 1), mul)
     semirings["S7"] = FiniteAiSemiring("S7", ("1", "a", "inf"), construct.flat_addition(3, 2), _S7_MUL)
     for k in range(1, 59):
         semirings[f"S_(4,{k})"] = _order4(k)
+    for S in semirings.values():
+        _check_table(S)
 
     # derived order-3 subalgebras; seeds are carrier subsets of order-4 entries
     sub, _ = generated_subalgebra(semirings["S_(4,15)"], (0, 1, 2))
@@ -385,18 +395,16 @@ def _catalog() -> dict[str, CatalogEntry]:
     census3 = enumerate_ai_semirings(3).semirings
     for name in _PINNED_ORDER3:
         semirings[name] = _pin_order3(name, semirings, census3)
+    derived = ("S2", "S4", "S6", "S10", *_PINNED_ORDER3)
+    for name in derived:
+        _check_table(semirings[name])
 
     entries: dict[str, CatalogEntry] = {}
 
     def put(name, status, basis=None, claims=()):
-        S = semirings[name]
-        report = validate(S.add, S.mul)
-        if not report.valid:
-            laws = ", ".join(law for law, _ in report.violations)
-            raise CatalogError(f"{name}: the stored table violates {laws}")
         entries[name] = CatalogEntry(
             name=name,
-            semiring=S,
+            semiring=semirings[name],
             status=status,
             basis=basis,
             claims=tuple(claims),
@@ -415,7 +423,7 @@ def _catalog() -> dict[str, CatalogEntry]:
             Claim("isomorphic-to", ("@m:a",), "word monoid semiring on a letter"),
         ),
     )
-    for name in ("S2", "S4", "S6", "S10", "S5", "S9", "S13", "S14", "S15"):
+    for name in derived:
         put(name, "external")
     for k in range(1, 59):
         name = f"S_(4,{k})"

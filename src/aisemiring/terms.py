@@ -216,6 +216,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent over the tokens of one text.
+
+    Every (sub)term it holds is a tuple of distinct letter tuples; the
+    ``Word``s and the ``Term`` are built once per side, by ``_side``.  Repeats
+    merge where ``Term`` would merge them, so every count ``_check_size``
+    sees is the summand count of the ``Term`` that (sub)term stands for.
+    """
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
@@ -229,19 +237,19 @@ class _Parser:
         self.i += 1
         return tok
 
-    def term(self) -> Term:
+    def term(self) -> tuple[tuple[str, ...], ...]:
         out = self.product()
-        words = list(out.words)
+        words = list(out)
         while True:
             kind, value, pos = self.peek()
             if kind == "op" and value == "+":
                 self.take()
-                words.extend(self.product().words)
+                words.extend(self.product())
                 _check_size(len(words), 0, pos)
             else:
-                return out if len(words) == len(out.words) else Term(tuple(words))
+                return out if len(words) == len(out) else tuple(dict.fromkeys(words))
 
-    def product(self) -> Term:
+    def product(self) -> tuple[tuple[str, ...], ...]:
         out = None
         while True:
             kind, value, pos = self.peek()
@@ -251,9 +259,9 @@ class _Parser:
                     out, length = factor, factor_length
                 else:
                     length += factor_length
-                    if length > MAX_WORD_LENGTH or len(factor.words) > 1:  # else out's count holds
-                        _check_size(len(out.words) * len(factor.words), length, pos)
-                    out = out * factor
+                    if length > MAX_WORD_LENGTH or len(factor) > 1:  # else out's count holds
+                        _check_size(len(out) * len(factor), length, pos)
+                    out = _times(out, factor)
             elif kind == "op" and value == "*":
                 if out is None:
                     raise TermSyntaxError("'*' needs a left factor", pos)
@@ -263,17 +271,17 @@ class _Parser:
                     raise TermSyntaxError("expected a variable or '('", pos)
                 return out
 
-    def factor(self) -> tuple[Term, int]:
+    def factor(self) -> tuple[tuple[tuple[str, ...], ...], int]:
         """The next factor and the length of its longest word."""
         kind, value, pos = self.take()
         if kind == "var":
-            base, length = Term((Word((value,)),)), 1
+            base, length = ((value,),), 1
         elif kind == "op" and value == "(":
             self.depth += 1
             if self.depth > MAX_TERM_DEPTH:
                 raise TermSyntaxError(f"parentheses nest deeper than {MAX_TERM_DEPTH}", pos)
             base = self.term()
-            length = max(len(w.letters) for w in base.words)
+            length = max(map(len, base))
             self.depth -= 1
             kind, value, pos = self.take()
             if not (kind == "op" and value == ")"):
@@ -292,10 +300,24 @@ class _Parser:
                 k = int(value)
                 if k < 1:
                     raise TermSyntaxError("exponent would make an empty word", pos)
-                _check_size(len(base.words) ** k, length * k, pos)
-                base, length = base ** k, length * k
+                _check_size(len(base) ** k, length * k, pos)
+                power = base
+                for _ in range(k - 1):
+                    power = _times(power, base)
+                base, length = power, length * k
             else:
                 return base, length
+
+
+def _times(a: tuple[tuple[str, ...], ...], b: tuple[tuple[str, ...], ...]) -> tuple[tuple[str, ...], ...]:
+    """Pairwise concatenation of two parsed (sub)terms, repeats merged."""
+    if len(a) == 1 and len(b) == 1:
+        return (a[0] + b[0],)
+    return tuple(dict.fromkeys(x + y for x in a for y in b))
+
+
+def _side(words: tuple[tuple[str, ...], ...]) -> Term:
+    return Term(tuple(map(Word, words)))
 
 
 def _check_size(words: int, length: int, pos: int) -> None:
@@ -333,7 +355,7 @@ def parse_term(text: str) -> Term:
     kind, _, pos = p.peek()
     if kind != "end":
         raise TermSyntaxError("trailing input after term", pos)
-    return t
+    return _side(t)
 
 
 def parse_identity(text: str) -> Identity:
@@ -346,4 +368,4 @@ def parse_identity(text: str) -> Identity:
     kind, _, pos = p.peek()
     if kind != "end":
         raise TermSyntaxError("trailing input after identity", pos)
-    return Identity(lhs, rhs)
+    return Identity(_side(lhs), _side(rhs))

@@ -218,3 +218,8 @@ def test_building_refuses_an_invalid_table(monkeypatch):
     monkeypatch.setitem(catalog._ORDER4_MUL, 1, "1211111111111111")
     with pytest.raises(CatalogError, match=r"S_\(4,1\).*mul-associativity"):
         catalog._catalog.__wrapped__()
+    monkeypatch.undo()
+    # a broken table that a derivation reads is named, not the derived entry (S5)
+    monkeypatch.setitem(catalog._ORDER4_MUL, 15, "1211111111111111")
+    with pytest.raises(CatalogError, match=r"S_\(4,15\)"):
+        catalog._catalog.__wrapped__()

@@ -222,47 +222,48 @@ def test_budget_overrun_is_usage_error(capsys):
     assert code == 2 and "error" in err
 
 
-@pytest.mark.parametrize(
-    "argv, env",
-    [
-        (["catalog", "show"], {}),
-        (["cert", "verify"], {}),
-        (["validate", "--table", "{add_five}"], {}),
-        (["validate", "--table", "{bool_entries}"], {}),
-        (["validate", "{bool_entries}"], {}),
-        (["validate", "{dir}/"], {}),
-        (["iso", "@prod:T2", "L2"], {}),
-        (["construct", "ne"], {}),
-        (["check", "--semiring", "T2", "--identity", "(" * 2000 + "x" + ")" * 2000 + " = x"], {}),
-        (["check", "--semiring", "T2", "--identity", "(x + y)^18 = x"], {}),
-        (["construct", "flat-ext", "--table", "{semigroup_out_of_range}"], {}),
-        (["validate", "@dual:" * 1200 + "T2"], {}),
-        (["construct", "product", "@prod:T2,S_(4,1)", "@prod:S_(4,1),S_(4,1)"], {}),
-        (["enumerate", "--order", "1", "--out", "{dir}"], {}),
-        (["validate", "@sc:abcdefgh"], {}),
-        (["validate", "@s:" + "abcdefghij" * 4], {}),
-        (["subdirect", "T2", "@prod:@prod:T2,T2,@prod:T2,T2", "@prod:@prod:T2,T2,@prod:T2,T2"], {}),
-        (["enumerate", "--order", "2", "--workers", "-3"], {}),
-        (["enumerate", "--order", "2", "--workers", "0"], {}),
-        (["validate", "--table", "{dir}"], {}),
-        (["criteria"], {}),
-        (["criteria", "--sweep", "--identity", "x = x + x"], {}),
-        (["criteria", "--sweep", "--max-summands", "0"], {}),
-        (["criteria", "--sweep", "--variables", "x1"], {}),
-        (["criteria", "--sweep", "--max-length", "40"], {}),
-        (["criteria", "--sweep", "--variables", "x", "--max-length", "100000000"], {}),
-        (["criteria", "--sweep", "--variables", "abcdefghijklmnopq", "--max-length", "1"], {}),
-        (["validate", "T2", "--table", "{broken_laws}"], {}),
-        (["check", "--semiring", "T2", "--basis", "S_(4,4)", "--identity", "x = y"], {}),
-        (["validate", "{deep}"], {}),
-        (["validate", "--table", "{deep}"], {}),
-        (["construct", "flat-ext", "--table", "{deep}"], {}),
-        (["construct", "dual", "{deep}"], {}),
-        (["cert", "verify", "{deep}"], {}),
-        (["cert", "verify", "{dir}"], {}),
-    ],
-)
-def test_bad_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, env):
+_BAD_INPUTS = [
+    ["catalog", "show"],
+    ["cert", "verify"],
+    ["validate", "--table", "{add_five}"],
+    ["validate", "--table", "{bool_entries}"],
+    ["validate", "{bool_entries}"],
+    ["validate", "{dir}/"],
+    ["iso", "@prod:T2", "L2"],
+    ["construct", "ne"],
+    ["check", "--semiring", "T2", "--identity", "(" * 2000 + "x" + ")" * 2000 + " = x"],
+    ["check", "--semiring", "T2", "--identity", "(x + y)^18 = x"],
+    ["construct", "flat-ext", "--table", "{semigroup_out_of_range}"],
+    ["validate", "@dual:" * 1200 + "T2"],
+    ["construct", "product", "@prod:T2,S_(4,1)", "@prod:S_(4,1),S_(4,1)"],
+    ["enumerate", "--order", "1", "--out", "{dir}"],
+    ["validate", "@sc:abcdefgh"],
+    ["validate", "@s:" + "abcdefghij" * 4],
+    ["subdirect", "T2", "@prod:@prod:T2,T2,@prod:T2,T2", "@prod:@prod:T2,T2,@prod:T2,T2"],
+    ["enumerate", "--order", "2", "--workers", "-3"],
+    ["enumerate", "--order", "2", "--workers", "0"],
+    ["validate", "--table", "{dir}"],
+    ["criteria"],
+    ["criteria", "--sweep", "--identity", "x = x + x"],
+    ["criteria", "--sweep", "--max-summands", "0"],
+    ["criteria", "--sweep", "--variables", "x1"],
+    ["criteria", "--sweep", "--max-length", "40"],
+    ["criteria", "--sweep", "--variables", "x", "--max-length", "100000000"],
+    ["criteria", "--sweep", "--variables", "abcdefghijklmnopq", "--max-length", "1"],
+    ["validate", "T2", "--table", "{broken_laws}"],
+    ["check", "--semiring", "T2", "--basis", "S_(4,4)", "--identity", "x = y"],
+    ["validate", "{deep}"],
+    ["validate", "--table", "{deep}"],
+    ["construct", "flat-ext", "--table", "{deep}"],
+    ["construct", "dual", "{deep}"],
+    ["cert", "verify", "{deep}"],
+    ["cert", "verify", "{dir}"],
+]
+
+
+# a row keeps the id it had when each row also named environment variables
+@pytest.mark.parametrize("argv", _BAD_INPUTS, ids=[f"argv{i}-env{i}" for i in range(len(_BAD_INPUTS))])
+def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     files = {
         "add_five": {"add": 5, "mul": [[0]]},
         "bool_entries": {"elements": ["0", "1"], "add": [[0, 1], [1, 1]], "mul": [[0, 0], [True, 1]]},
@@ -273,8 +274,6 @@ def test_bad_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, env):
     texts["deep"] = "[" * 100000 + "]" * 100000  # json.dumps itself refuses this depth
     for name, text in texts.items():
         (tmp_path / f"{name}.json").write_text(text)
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
     paths = {name: str(tmp_path / f"{name}.json") for name in texts}
     given_dir = any("{dir}" in arg for arg in argv)
     argv = [arg.format(dir=str(tmp_path), **paths) for arg in argv]

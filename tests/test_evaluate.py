@@ -123,7 +123,7 @@ def test_product_satisfaction_is_componentwise():
         assert satisfies(P, identity) == (satisfies(A, identity) and satisfies(B, identity))
 
 
-def test_normalize_identity_preserves_satisfaction():
+def test_identity_splits_into_simple_identities():
     # u ≈ v holds exactly when every u ≈ u + v_j and v ≈ v + u_i does
     rng = random.Random(5)
     for name in ("S_(4,4)", "S2", "T2", "S_(4,37)"):

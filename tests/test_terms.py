@@ -3,10 +3,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aisemiring.terms import (
+    MAX_TERM_DEPTH,
+    MAX_TERM_WORDS,
+    MAX_WORD_LENGTH,
     Identity,
     Term,
     TermSyntaxError,
     Word,
+    _check_bounds,
+    _tokenize,
     parse_identity,
     parse_term,
     substitute,
@@ -44,22 +49,21 @@ def test_parse_errors_carry_positions():
 
 
 def test_parse_bounds():
-    from aisemiring.terms import MAX_TERM_DEPTH, MAX_TERM_WORDS, MAX_WORD_LENGTH
+    def position(text):
+        with pytest.raises(TermSyntaxError) as exc:
+            parse_term(text)
+        return exc.value.position
 
     assert parse_term("(" * MAX_TERM_DEPTH + "x" + ")" * MAX_TERM_DEPTH) == parse_term("x")
-    with pytest.raises(TermSyntaxError):
-        parse_term("(" * (MAX_TERM_DEPTH + 1) + "x" + ")" * (MAX_TERM_DEPTH + 1))
-    with pytest.raises(TermSyntaxError):
-        parse_term("(" * 2000 + "x" + ")" * 2000)
+    assert position("(" * (MAX_TERM_DEPTH + 1) + "x" + ")" * (MAX_TERM_DEPTH + 1)) == MAX_TERM_DEPTH
+    assert position("(" * 2000 + "x" + ")" * 2000) == MAX_TERM_DEPTH
     assert len(parse_term("(x + y)^12")) == 4096 <= MAX_TERM_WORDS
-    with pytest.raises(TermSyntaxError):
-        parse_term("(x + y)^18")
-    with pytest.raises(TermSyntaxError):
-        parse_term(" + ".join(f"x{i}" for i in range(MAX_TERM_WORDS + 1)))
+    assert position("(x + y)^18") == len("(x + y)^")
+    many = " + ".join(f"x{i}" for i in range(MAX_TERM_WORDS + 1))
+    assert position(many) == many.rindex("+")
     assert len(parse_term(f"x^{MAX_WORD_LENGTH}").words[0]) == MAX_WORD_LENGTH
     for text in (f"x^{MAX_WORD_LENGTH + 1}", "x^" + "9" * 5000, f"(xy)^{MAX_WORD_LENGTH // 2 + 1}"):
-        with pytest.raises(TermSyntaxError):
-            parse_term(text)
+        assert position(text) == text.index("^") + 1
     for not_text in (5, [0], None):
         with pytest.raises(TypeError):
             parse_term(not_text)
@@ -132,3 +136,180 @@ def test_parse_print_roundtrip(t):
 def test_identity_roundtrip(lhs, rhs):
     identity = Identity(lhs, rhs)
     assert parse_identity(str(identity)) == identity
+
+
+# ---------------------------------------------------------------------------
+# the parser against a reference that builds a Term for every factor and
+# multiplies Terms pairwise: every Term, error message and position must agree
+
+
+class _ReferenceParser:
+    def __init__(self, text):
+        self.tokens = _tokenize(text)
+        self.i = 0
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.i]
+
+    def take(self):
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def term(self):
+        out = self.product()
+        words = list(out.words)
+        while True:
+            kind, value, pos = self.peek()
+            if kind == "op" and value == "+":
+                self.take()
+                words.extend(self.product().words)
+                _reference_check_size(len(words), 0, pos)
+            else:
+                return out if len(words) == len(out.words) else Term(tuple(words))
+
+    def product(self):
+        out = None
+        while True:
+            kind, value, pos = self.peek()
+            if kind == "var" or (kind == "op" and value == "("):
+                factor, factor_length = self.factor()
+                if out is None:
+                    out, length = factor, factor_length
+                else:
+                    length += factor_length
+                    if length > MAX_WORD_LENGTH or len(factor.words) > 1:
+                        _reference_check_size(len(out.words) * len(factor.words), length, pos)
+                    out = out * factor
+            elif kind == "op" and value == "*":
+                if out is None:
+                    raise TermSyntaxError("'*' needs a left factor", pos)
+                self.take()
+            else:
+                if out is None:
+                    raise TermSyntaxError("expected a variable or '('", pos)
+                return out
+
+    def factor(self):
+        kind, value, pos = self.take()
+        if kind == "var":
+            base, length = Term((Word((value,)),)), 1
+        elif kind == "op" and value == "(":
+            self.depth += 1
+            if self.depth > MAX_TERM_DEPTH:
+                raise TermSyntaxError(f"parentheses nest deeper than {MAX_TERM_DEPTH}", pos)
+            base = self.term()
+            length = max(len(w.letters) for w in base.words)
+            self.depth -= 1
+            kind, value, pos = self.take()
+            if not (kind == "op" and value == ")"):
+                raise TermSyntaxError("expected ')'", pos)
+        else:
+            raise TermSyntaxError("expected a variable or '('", pos)
+        while True:
+            kind, value, pos = self.peek()
+            if kind == "op" and value == "^":
+                self.take()
+                kind, value, pos = self.take()
+                if kind != "num":
+                    raise TermSyntaxError("expected digits after '^'", pos)
+                if len(value) > len(str(MAX_WORD_LENGTH)) or int(value) > MAX_WORD_LENGTH:
+                    raise TermSyntaxError(f"exponent above {MAX_WORD_LENGTH}", pos)
+                k = int(value)
+                if k < 1:
+                    raise TermSyntaxError("exponent would make an empty word", pos)
+                _reference_check_size(len(base.words) ** k, length * k, pos)
+                base, length = base ** k, length * k
+            else:
+                return base, length
+
+
+def _reference_check_size(words, length, pos):
+    try:
+        _check_bounds(words, length)
+    except ValueError as exc:
+        raise TermSyntaxError(str(exc), pos) from None
+
+
+def _reference_parse(text, identity=False):
+    p = _ReferenceParser(text)
+    lhs = p.term()
+    if identity:
+        kind, value, pos = p.take()
+        if not (kind == "approx" or (kind == "op" and value == "=")):
+            raise TermSyntaxError("expected '≈' or '=' between the two sides", pos)
+        rhs = p.term()
+    kind, _, pos = p.peek()
+    if kind != "end":
+        raise TermSyntaxError(f"trailing input after {'identity' if identity else 'term'}", pos)
+    return Identity(lhs, rhs) if identity else lhs
+
+
+def _reference_word(text):
+    t = _reference_parse(text)
+    if len(t.words) != 1:
+        raise ValueError(f"{text!r} is a sum, not a single word")
+    return t.words[0]
+
+
+def _outcome(parse, text):
+    try:
+        return "parsed", parse(text)
+    except TermSyntaxError as exc:
+        return "syntax", str(exc), exc.position
+    except (TypeError, ValueError) as exc:
+        return type(exc).__name__
+
+
+def _assert_parsers_agree(text):
+    assert _outcome(parse_term, text) == _outcome(_reference_parse, text)
+    assert _outcome(parse_identity, text) == _outcome(lambda t: _reference_parse(t, identity=True), text)
+    assert _outcome(word, text) == _outcome(_reference_word, text)
+
+
+_TOKENS = ["x", "y", "z", "x1", "x12", "(", ")", "+", "*", "^", "0", "1", "2", "13", "=", "≈", " ", "?"]
+# token soup is mostly malformed, so well-formed terms and identities are drawn too
+_term_texts = st.recursive(
+    st.sampled_from(["x", "y", "z", "x1", "x12"]),
+    lambda inner: st.one_of(
+        st.builds("{} + {}".format, inner, inner),
+        st.builds("{}{}".format, inner, inner),
+        st.builds("{} * {}".format, inner, inner),
+        st.builds("({})^{}".format, inner, st.sampled_from(["1", "2", "3", "13"])),
+    ),
+    max_leaves=8,
+)
+_texts = st.one_of(
+    st.lists(st.sampled_from(_TOKENS), max_size=30).map("".join),
+    _term_texts,
+    st.builds("{}{}{}".format, _term_texts, st.sampled_from([" = ", "≈"]), _term_texts),
+)
+_HOSTILE = [
+    "x^1024 x",
+    "x^1025",
+    "(x + y)^12",
+    "(x + y)^13",
+    "(xx + x)(x + xx)^11",
+    "x^1000 (x + y) y^30",
+    "(" * 100 + "x" + ")" * 100,
+    "(" * 101 + "x" + ")" * 101,
+    " + ".join(f"x{i}" for i in range(4097)),
+    "x" * 1025,
+    "(x + x)^13",  # a sum counts its summands after repeats merge
+    "(x + xx)^12 (x + y)",  # so does a product
+    5,
+    None,
+]
+
+
+@given(_texts)
+@settings(max_examples=500, deadline=None)
+def test_parser_matches_reference(text):
+    _assert_parsers_agree(text)
+
+
+@pytest.mark.parametrize("text", _HOSTILE, ids=range(len(_HOSTILE)))
+def test_parser_matches_reference_on_hostile_text(text):
+    for candidate in (text, f"{text} = x", f"x ≈ {text}") if isinstance(text, str) else (text,):
+        _assert_parsers_agree(candidate)
