@@ -16,6 +16,12 @@ the cell that makes it decidable.  Finished tables are validated, then
 deduplicated by ``core.canonical_form`` in its two stages (the perms attaining
 a canonical addition's least relabeling are Aut(+)); the least class of each
 addition is rechecked against ``canonical_form`` itself.
+
+Facts about the addition alone are found once per addition, not once per
+table: ``validate`` keeps the laws of each addition it has checked in a small
+cache (every multiplication law is still checked on every table), and the
+additive height is measured once, on the least class, and holds for every
+class over that addition.
 """
 
 from __future__ import annotations
@@ -237,19 +243,29 @@ def _elements(n: int) -> tuple[str, ...]:
     return tuple(str(i + 1) for i in range(n))
 
 
-def _census_for_addition(add: Table) -> list[tuple[bytes, Table, Table]]:
-    """Deduplicated (key, add, mul) triples for one addition table; each key is
-    ``canonical_form`` of its class, by the same two stages, since the perms
-    attaining the least relabeling of a canonical ``add`` are Aut(+)."""
+def _census_for_addition(add: Table) -> tuple[int, list[tuple[bytes, Table, Table]]]:
+    """The additive height of ``add`` and the deduplicated (key, add, mul)
+    triples over it; each key is ``canonical_form`` of its class, by the same
+    two stages, since the perms attaining the least relabeling of a canonical
+    ``add`` are Aut(+).
+
+    The height depends on the addition alone, so it is measured once, on the
+    least class.  The order checks ``natural_order`` makes for it on the other
+    classes are implied by the ``validate`` each table passed at its leaf:
+    distributivity makes multiplication monotone, and a finite semilattice has
+    a top (the sum of all its elements)."""
     add_part, auts = least_relabeling((add,), itertools.permutations(range(len(add))))
     seen: dict[bytes, Table] = {}
     for mul in _multiplications(add):
         seen.setdefault(add_part + least_relabeling((mul,), auts)[0], mul)
     triples = [(key, add, mul) for key, mul in sorted(seen.items())]
-    for key, _, mul in triples[:1]:  # the least class: one n! scan per addition
-        if canonical_form(FiniteAiSemiring("", _elements(len(add)), add, mul)) != key:
-            raise RuntimeError("census key differs from canonical_form; dedup bug")
-    return triples
+    # the least class (there is one: the constant product onto the top is a
+    # multiplication): one n! scan per addition
+    key, _, mul = triples[0]
+    least = FiniteAiSemiring("", _elements(len(add)), add, mul)
+    if canonical_form(least) != key:
+        raise RuntimeError("census key differs from canonical_form; dedup bug")
+    return additive_height(least), triples
 
 
 def enumerate_ai_semirings(n: int, workers: int = 1) -> CensusResult:
@@ -268,17 +284,17 @@ def enumerate_ai_semirings(n: int, workers: int = 1) -> CensusResult:
     else:
         chunks = [_census_for_addition(add) for add in additions]
 
-    triples = sorted(item for chunk in chunks for item in chunk)
+    triples = sorted(item for _, chunk in chunks for item in chunk)
     # every table passed validate at its leaf of the search
     elements = _elements(n)
     semirings = tuple(
         FiniteAiSemiring(f"ai{n}_{i:03d}", elements, add, mul) for i, (_, add, mul) in enumerate(triples)
     )
-    height1 = tuple(S for S in semirings if additive_height(S) == 1)
+    flat = {add for add, (height, _) in zip(additions, chunks) if height == 1}
     return CensusResult(
         order=n,
         semirings=semirings,
-        height1=height1,
+        height1=tuple(S for S in semirings if S.add in flat),
         elapsed=time.monotonic() - start,
         keys=tuple(key for key, _, _ in triples),
     )

@@ -126,10 +126,17 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if report.valid else EXIT_FALSE
 
 
+def _available_processors() -> int:
+    """The processors this process may run on, where the platform says so."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cmd_enumerate(args) -> int:
     if args.workers is not None and args.workers < 1:
         raise CliError(f"--workers must be at least 1, got {args.workers}")
-    workers = (os.cpu_count() or 1) if args.workers is None else args.workers
+    workers = _available_processors() if args.workers is None else args.workers
     result = enumerate_ai_semirings(args.order, workers=workers)
     chosen = result.height1 if args.height1 else result.semirings
     count = len(chosen)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 Row = tuple[int, ...]
@@ -53,21 +54,15 @@ def _as_table(rows: Sequence[Sequence[int]], what: str, n: Optional[int] = None)
     return table
 
 
-def validate(add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]]) -> ValidationReport:
-    """Check the ai-semiring laws, reporting the first witness per violated law.
+@lru_cache(maxsize=64)  # small and fixed: a census validates the tables over one addition in a row
+def _add_violations(add: Table) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """The first witness of each addition law that ``add`` breaks, in order.
 
-    Malformed input (shape or range) raises ``MalformedTableError`` instead of
-    being reported as a law violation.
+    Called only on tables that ``_as_table`` has accepted, so the cache never
+    sees a bool entry (``True == 1`` would let it answer for an int table).
     """
-    add = _as_table(add, "add")
-    n = len(add)
-    if n == 0:
-        raise MalformedTableError("empty table")
-    mul = _as_table(mul, "mul", n)
-
     violations = []
-    rng = range(n)
-
+    rng = range(len(add))
     for a in rng:
         if add[a][a] != a:
             violations.append(("add-idempotence", (a,)))
@@ -80,6 +75,27 @@ def validate(add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]]) -> Vali
         if add[add[a][b]][c] != add[a][add[b][c]]:
             violations.append(("add-associativity", (a, b, c)))
             break
+    return tuple(violations)
+
+
+def validate(add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]]) -> ValidationReport:
+    """Check the ai-semiring laws, reporting the first witness per violated law.
+
+    Malformed input (shape or range) raises ``MalformedTableError`` instead of
+    being reported as a law violation.  The violations of the addition's own
+    laws are kept for the 64 additions seen last, so a census that validates
+    many multiplications over one addition checks that addition once; every
+    law that involves the multiplication is checked on every call.
+    """
+    add = _as_table(add, "add")
+    n = len(add)
+    if n == 0:
+        raise MalformedTableError("empty table")
+    mul = _as_table(mul, "mul", n)
+
+    violations = list(_add_violations(add))
+    rng = range(n)
+
     for a, b, c in itertools.product(rng, rng, rng):
         if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
             violations.append(("mul-associativity", (a, b, c)))

@@ -17,6 +17,7 @@ from aisemiring.census import (
 from aisemiring.cli import main
 from aisemiring.core import (
     FiniteAiSemiring,
+    additive_height,
     canonical_form,
     direct_product,
     dual,
@@ -123,6 +124,29 @@ def test_order4_parallel_census_is_bit_identical(order4_census):
     ]
 
 
+def test_height1_is_the_classes_of_additive_height_one(monkeypatch, order3_census, order4_census):
+    results = [enumerate_ai_semirings(1), enumerate_ai_semirings(2), order3_census, order4_census]
+    for result in results:
+        assert result.height1 == tuple(S for S in result.semirings if additive_height(S) == 1)
+    assert [len(result.height1) for result in results] == [0, 6, 17, 58]
+    assert enumerate_ai_semirings(4, workers=2).height1 == order4_census.height1
+    # the height is measured once per addition, and holds for every class over it
+    measured = []
+
+    def counted(S):
+        measured.append(S.add)
+        return additive_height(S)
+
+    monkeypatch.setattr(census, "additive_height", counted)
+    assert enumerate_ai_semirings(4).height1 == order4_census.height1
+    assert measured == list(enumerate_semilattices(4))
+    for n in (1, 2, 3, 4):
+        for add in enumerate_semilattices(n):
+            height, triples = _census_for_addition(add)
+            classes = [FiniteAiSemiring("", census._elements(n), add, mul) for _, _, mul in triples]
+            assert {additive_height(S) for S in classes} == {height}
+
+
 def test_write_census(tmp_path):
     result = enumerate_ai_semirings(2)
     index = write_census(result, str(tmp_path))
@@ -223,7 +247,7 @@ def test_canonical_form_matches_brute_force(order3_census, order4_census):
 def test_census_keys_match_brute_force_per_addition():
     for n in (1, 2, 3, 4):
         for add in enumerate_semilattices(n):
-            for key, add_table, mul in _census_for_addition(add):
+            for key, add_table, mul in _census_for_addition(add)[1]:
                 assert add_table == add and key == _brute_force_key(add, mul)
 
 

@@ -294,7 +294,12 @@ def test_enumerate_workers_default_to_the_processor_count(capsys, monkeypatch):
     monkeypatch.setattr(cli, "enumerate_ai_semirings", record)
     assert run(capsys, ["enumerate", "--order", "2", "--workers", "1"])[0] == 0
     assert run(capsys, ["enumerate", "--order", "2"])[0] == 0
-    assert handed == [1, os.cpu_count() or 1]
+    available = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    assert handed == [1, available]
+    # the processors this process may use, not every processor of the machine
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+    assert run(capsys, ["enumerate", "--order", "2"])[0] == 0
+    assert handed[-1] == 3
 
 
 

@@ -1,9 +1,13 @@
 import itertools
+import random
 
 import pytest
 
 from aisemiring import catalog
+from aisemiring.census import _census_for_addition, enumerate_ai_semirings, enumerate_semilattices
 from aisemiring.core import (
+    ValidationReport,
+    _add_violations,
     FiniteAiSemiring,
     InvalidSemiringError,
     MalformedTableError,
@@ -76,6 +80,96 @@ def test_validate_malformed_is_distinct_from_invalid():
         validate(((0, 1), (1, 1)), ((0, 5), (0, 1)))
     with pytest.raises(InvalidSemiringError):
         FiniteAiSemiring.from_tables(((0, 1), (1, 1)), ((1, 0), (0, 0)))
+
+
+def _reference_validate(add, mul):
+    # the six-loop validate that checked every law on every call; the
+    # reference for the one that caches the laws of each addition
+    add, mul = tuple(map(tuple, add)), tuple(map(tuple, mul))
+    violations = []
+    rng = range(len(add))
+    for a in rng:
+        if add[a][a] != a:
+            violations.append(("add-idempotence", (a,)))
+            break
+    for a, b in itertools.product(rng, rng):
+        if add[a][b] != add[b][a]:
+            violations.append(("add-commutativity", (a, b)))
+            break
+    for a, b, c in itertools.product(rng, rng, rng):
+        if add[add[a][b]][c] != add[a][add[b][c]]:
+            violations.append(("add-associativity", (a, b, c)))
+            break
+    for a, b, c in itertools.product(rng, rng, rng):
+        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
+            violations.append(("mul-associativity", (a, b, c)))
+            break
+    for a, b, c in itertools.product(rng, rng, rng):
+        if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
+            violations.append(("left-distributivity", (a, b, c)))
+            break
+    for a, b, c in itertools.product(rng, rng, rng):
+        if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]:
+            violations.append(("right-distributivity", (a, b, c)))
+            break
+    return ValidationReport(valid=not violations, violations=tuple(violations))
+
+
+def _validate_cases(censuses):
+    """The members of ``censuses`` and of an order-5 census, each also with
+    one entry changed, and random tables of orders 1-5.  At order 5 only the
+    classes over two of the cheaper additions are taken, since the whole
+    order-5 census takes seconds."""
+    rng = random.Random(15)
+    census = [(S.add, S.mul) for result in censuses for S in result.semirings]
+    census += [
+        (add, mul) for i in (5, 7) for _, add, mul in _census_for_addition(enumerate_semilattices(5)[i])[1]
+    ]
+    perturbed = []
+    for add, mul in census:
+        n = len(add)
+        if n == 1:
+            continue
+        tables = [list(map(list, add)), list(map(list, mul))]
+        which, a, b = rng.randrange(2), rng.randrange(n), rng.randrange(n)
+        tables[which][a][b] = rng.choice([v for v in range(n) if v != tables[which][a][b]])
+        perturbed.append(tuple(tuple(map(tuple, t)) for t in tables))
+    def table(n):
+        return tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+
+    randoms = []
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(200):
+            randoms.append((table(n), table(n)))
+            randoms.append((rng.choice(enumerate_semilattices(n)), table(n)))
+    return census + perturbed + randoms
+
+
+def test_validate_matches_the_reference(order3_census, order4_census):
+    censuses = (enumerate_ai_semirings(1), enumerate_ai_semirings(2), order3_census, order4_census)
+    cases = _validate_cases(censuses)
+    laws = {law for add, mul in cases for law, _ in _reference_validate(add, mul).violations}
+    assert len(laws) == 6  # every law is broken somewhere, so every witness is compared
+    for add, mul in cases:
+        expected = _reference_validate(add, mul)
+        _add_violations.cache_clear()
+        assert validate(add, mul) == expected  # cold: this addition is not cached
+        assert validate(add, mul) == expected  # warm: it is now
+        assert validate([list(r) for r in add], [list(r) for r in mul]) == expected
+        assert _add_violations.cache_info().hits == 2
+
+
+def test_validate_cache_never_skips_the_table_check():
+    # True == 1 and hash(True) == hash(1), so a cached int addition would
+    # answer for the same values with a bool entry if the check came later
+    add, mul = ((0, 1), (1, 1)), ((0, 0), (0, 1))
+    assert validate(add, mul).valid
+    with pytest.raises(MalformedTableError):
+        validate(((0, True), (True, True)), mul)
+    with pytest.raises(MalformedTableError):
+        validate([[0, 1], [True, 1]], mul)
+    with pytest.raises(MalformedTableError):
+        validate(add, ((0, 0), (0, True)))
 
 
 def test_natural_order_tops():
