@@ -12,10 +12,20 @@ indexed ``e * n + f``; each product is computed once per path, when the last
 cell it reads is filled.  Every constraint is placed in advance at the cell
 where it becomes decidable, except an associativity check whose products
 depend on earlier cell values: it is deferred on the current path to exactly
-the cell that makes it decidable.  Finished tables are validated, then
-deduplicated by ``core.canonical_form`` in its two stages (the perms attaining
-a canonical addition's least relabeling are Aut(+)); the least class of each
-addition is rechecked against ``canonical_form`` itself.
+the cell that makes it decidable.
+
+Isomorphic multiplications over one addition are relabelings of each other
+by Aut(+), the perms attaining a canonical addition's least relabeling.  The
+search keeps only the lex-leader of each Aut(+)-orbit, the table whose cell
+values are least: a partial table is pruned as soon as some automorphism maps
+its decided cells to a smaller prefix (the least-number heuristic of Mace4;
+Crawford, Ginsberg, Luks & Roy, KR 1996).  Each class is so built once.  The
+unpruned search lists the labeled tables in increasing order of their cell
+values, so the lex-leader of a class is the first of its tables the unpruned
+search lists.  Finished tables are validated and keyed by
+``core.canonical_form`` in its two stages; two tables with one key are a
+symmetry bug, and the least class of each addition is rechecked against
+``canonical_form`` itself.
 
 Facts about the addition alone are found once per addition, not once per
 table: ``validate`` keeps the laws of each addition it has checked in a small
@@ -33,6 +43,7 @@ import shutil
 import time
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 from .core import FiniteAiSemiring, Table, additive_height, canonical_form, least_relabeling, validate
 
@@ -114,9 +125,16 @@ def _join_irreducibles(add: Table) -> list[int]:
     return ji
 
 
-def _multiplications(add: Table) -> list[Table]:
-    """All multiplication tables making ``add`` an ai-semiring (labeled, not
-    deduplicated), in the lexicographic order of their cell values.
+def _multiplications(add: Table, auts: Sequence[Sequence[int]]) -> list[Table]:
+    """The multiplication tables making ``add`` an ai-semiring that are least,
+    in the lexicographic order of their cell values, among their relabelings
+    by ``auts``, listed in that order.
+
+    ``auts`` must be automorphisms of ``add``.  Given all of Aut(+), one table
+    per isomorphism class over ``add`` is returned; given only the identity,
+    every labeled table.  Since cells are filled in order and each domain is
+    ascending, the search meets the labeled tables in increasing order, so
+    the table returned for a class is the first the unpruned search lists.
 
     Backtracks over the join-irreducible cells only, indexed by their
     position in growing-square order; every product ``e * f`` (index
@@ -128,6 +146,14 @@ def _multiplications(add: Table) -> list[Table]:
     fires at once if both products it compares are ready, and otherwise it is
     deferred to exactly the cell where the later of them becomes ready, and
     withdrawn on backtrack.
+
+    Lex-leader pruning: a non-identity ``perm`` in ``auts`` relabels the
+    table to one holding ``perm[val[src[k]]]`` at cell k = (p, q), where
+    ``src[k]`` is the cell (perm^-1 p, perm^-1 q).  At cell t its prefix up
+    to the first k with ``src[k] > t`` is decided, and a value is refused
+    when that prefix is less than the table's own.  A perm is compared only
+    at the cells where its decided prefix grows; elsewhere the comparison is
+    the one the parent node passed.
     """
     n = len(add)
     rng = range(n)
@@ -173,6 +199,24 @@ def _multiplications(add: Table) -> list[Table]:
         pq, qr = pos[(p, q)], pos[(q, r)]
         assoc[max(pq, qr)].append((pq, qr, p * n, r))
 
+    # (perm, src, length of its decided prefix) for the perms whose prefix grows at each cell
+    leaders: list[list[tuple[Sequence[int], tuple[int, ...], int]]] = [[] for _ in cells]
+    for perm in auts:
+        if all(perm[a] == a for a in rng):
+            continue
+        inv = [0] * n
+        for a in rng:
+            inv[perm[a]] = a
+        src = tuple(pos[(inv[p], inv[q])] for p, q in cells)
+        length = 0
+        for t in range(total):
+            grown = length
+            while grown < total and src[grown] <= t:
+                grown += 1
+            if grown > length:
+                leaders[t].append((perm, src, grown))
+                length = grown
+
     val = [0] * total
     prod = [0] * (n * n)
     pending: list[list[tuple[int, int]]] = [[] for _ in cells]
@@ -200,7 +244,7 @@ def _multiplications(add: Table) -> list[Table]:
             for s in earlier[1:]:
                 acc = plus[acc * n + val[s]]
             bases.append((ef, acc * n))
-        checks, waiting, triples = dist[t], pending[t], assoc[t]
+        checks, waiting, triples, syms = dist[t], pending[t], assoc[t], leaders[t]
         for v in domain:
             val[t] = v
             prod[own] = v  # the cells below sum to at most v
@@ -229,6 +273,16 @@ def _multiplications(add: Table) -> list[Table]:
                     else:
                         pending[d].append((i, k))
                         deferred.append(d)
+            if ok:  # lex-leader: no perm maps the decided prefix below itself
+                for perm, src, length in syms:
+                    for k in range(length):
+                        w = perm[val[src[k]]]
+                        if w != val[k]:
+                            if w < val[k]:
+                                ok = False
+                            break
+                    if not ok:
+                        break
             if ok:
                 fill(t + 1)
             for d in deferred:
@@ -244,10 +298,11 @@ def _elements(n: int) -> tuple[str, ...]:
 
 
 def _census_for_addition(add: Table) -> tuple[int, list[tuple[bytes, Table, Table]]]:
-    """The additive height of ``add`` and the deduplicated (key, add, mul)
-    triples over it; each key is ``canonical_form`` of its class, by the same
+    """The additive height of ``add`` and one (key, add, mul) triple per
+    class over it; each key is ``canonical_form`` of its class, by the same
     two stages, since the perms attaining the least relabeling of a canonical
-    ``add`` are Aut(+).
+    ``add`` are Aut(+).  ``add`` must be in canonical relabeling, else those
+    perms are a coset of Aut(+) and the search would drop classes.
 
     The height depends on the addition alone, so it is measured once, on the
     least class.  The order checks ``natural_order`` makes for it on the other
@@ -255,9 +310,14 @@ def _census_for_addition(add: Table) -> tuple[int, list[tuple[bytes, Table, Tabl
     distributivity makes multiplication monotone, and a finite semilattice has
     a top (the sum of all its elements)."""
     add_part, auts = least_relabeling((add,), itertools.permutations(range(len(add))))
+    if add_part != bytes(v for row in add for v in row):
+        raise ValueError("addition is not in canonical relabeling")
     seen: dict[bytes, Table] = {}
-    for mul in _multiplications(add):
-        seen.setdefault(add_part + least_relabeling((mul,), auts)[0], mul)
+    for mul in _multiplications(add, auts):
+        key = add_part + least_relabeling((mul,), auts)[0]
+        if key in seen:
+            raise RuntimeError("search listed two tables of one class; symmetry bug")
+        seen[key] = mul
     triples = [(key, add, mul) for key, mul in sorted(seen.items())]
     # the least class (there is one: the constant product onto the top is a
     # multiplication): one n! scan per addition

@@ -56,23 +56,113 @@ def test_enumerate_semilattices_bounds():
         enumerate_semilattices(7)
 
 
+def _identity(n):
+    return (tuple(range(n)),)
+
+
+def _automorphisms(add):
+    n = len(add)
+    return least_relabeling((add,), itertools.permutations(range(n)))[1]
+
+
+def _relabel(perm, table):
+    n = len(table)
+    inv = [perm.index(i) for i in range(n)]
+    return tuple(tuple(perm[table[inv[a]][inv[b]]] for b in range(n)) for a in range(n))
+
+
+def _cell_vector(add, mul):
+    # the search's cells: pairs of join-irreducibles in growing-square order,
+    # the join-irreducibles sorted by how many elements lie below them
+    n = len(add)
+    joins = {add[a][b] for a in range(n) for b in range(n) if add[a][b] not in (a, b)}
+    ji = sorted((x for x in range(n) if x not in joins), key=lambda x: (sum(add[y][x] == x for y in range(n)), x))
+    cells = []
+    for k in range(len(ji)):
+        cells += [(ji[i], ji[k]) for i in range(k)] + [(ji[k], ji[j]) for j in range(k)] + [(ji[k], ji[k])]
+    return tuple(mul[p][q] for p, q in cells)
+
+
 def test_multiplications_against_brute_force_up_to_order3():
     # independent oracle: every n**(n*n) multiplication table filtered by validate
     for n in (1, 2, 3):
         rows = list(itertools.product(range(n), repeat=n))
         for add in enumerate_semilattices(n):
-            found = _multiplications(add)
+            valid = [mul for mul in itertools.product(rows, repeat=n) if validate(add, mul).valid]
+            found = _multiplications(add, _identity(n))
             assert len(set(found)) == len(found)
-            assert sorted(found) == [mul for mul in itertools.product(rows, repeat=n) if validate(add, mul).valid]
+            assert sorted(found) == valid
+            # pruned by Aut(+): the least member in cell order of each orbit
+            auts = [
+                perm for perm in itertools.permutations(range(n))
+                if all(perm[add[a][b]] == add[perm[a]][perm[b]] for a in range(n) for b in range(n))
+            ]
+            leaders = {
+                min((_relabel(perm, mul) for perm in auts), key=lambda t: _cell_vector(add, t)) for mul in valid
+            }
+            assert _multiplications(add, auts) == sorted(leaders, key=lambda t: _cell_vector(add, t))
 
 
 def test_order4_labeled_output_is_pinned(order4_census):
-    # dedup keeps the first labeled table per class, so the order of the
-    # search output decides every member's mul table
-    assert [len(_multiplications(add)) for add in enumerate_semilattices(4)] == [271, 217, 170, 202, 386]
+    # the census keeps the least labeled table in cell order of each class,
+    # the first of its class in the order of the unpruned search output
+    additions = enumerate_semilattices(4)
+    assert [len(_multiplications(add, _identity(4))) for add in additions] == [271, 217, 170, 202, 386]
+    pruned = [len(_multiplications(add, _automorphisms(add))) for add in additions]
+    assert pruned == [58, 217, 93, 112, 386]
+    assert pruned == [sum(S.add == add for S in order4_census.semirings) for add in additions]
     tables = [(S.add, S.mul) for S in order4_census.semirings]
     digest = hashlib.sha256(repr(tables).encode()).hexdigest()
     assert digest == "b48f793acd69df313ad01e3bb669e16ec24c01b5901a5cb2d141e065ee2c1106"
+
+
+def _first_of_each_class(add, auts):
+    first = {}
+    for mul in _multiplications(add, _identity(len(add))):
+        first.setdefault(least_relabeling((mul,), auts)[0], mul)
+    return list(first.values())
+
+
+def test_pruned_search_keeps_the_first_table_of_each_class():
+    # differential check against the unpruned search; the two order-5
+    # additions left out take over a second each unpruned, and the order-5
+    # digest test covers them
+    additions = [add for n in (1, 2, 3, 4) for add in enumerate_semilattices(n)]
+    for add in additions + list(enumerate_semilattices(5)[2:]):
+        auts = _automorphisms(add)
+        assert _multiplications(add, auts) == _first_of_each_class(add, auts)
+
+
+def test_search_that_ignores_automorphisms_is_a_symmetry_bug(monkeypatch):
+    unpruned = census._multiplications
+    monkeypatch.setattr(census, "_multiplications", lambda add, auts: unpruned(add, _identity(len(add))))
+    with pytest.raises(RuntimeError, match="symmetry bug"):
+        _census_for_addition(enumerate_semilattices(4)[0])
+
+
+def test_census_refuses_an_addition_out_of_canonical_relabeling():
+    add = enumerate_semilattices(4)[0]
+    relabeled = _relabel((3, 2, 1, 0), add)
+    assert relabeled != add and _canonical_add(relabeled) == add
+    with pytest.raises(ValueError, match="canonical relabeling"):
+        _census_for_addition(relabeled)
+
+
+def _census_digest(result):
+    h = hashlib.sha256()
+    for S, key in zip(result.semirings, result.keys):
+        h.update(repr((S.name, S.add, S.mul, key.hex())).encode())
+    h.update(repr([S.name for S in result.height1]).encode())
+    return h.hexdigest()
+
+
+def test_order5_census_output_is_pinned():
+    # _census_digest of enumerate_ai_semirings(5) taken from the census
+    # before its search was pruned by Aut(+), when it kept the first table
+    # of each class the unpruned search listed; the same for any worker count
+    digest = "7006d29888385d44800342c686f9f5e8c4e111693aa3d2ff3feb94e3676f0230"
+    assert _census_digest(enumerate_ai_semirings(5, workers=1)) == digest
+    assert _census_digest(enumerate_ai_semirings(5, workers=2)) == digest
 
 
 def test_small_census_counts(order3_census):
@@ -189,10 +279,7 @@ def _random_relabeling(rng, S):
     n = S.order
     perm = list(range(n))
     rng.shuffle(perm)
-    inv = [perm.index(i) for i in range(n)]
-    add = tuple(tuple(perm[S.add[inv[a]][inv[b]]] for b in range(n)) for a in range(n))
-    mul = tuple(tuple(perm[S.mul[inv[a]][inv[b]]] for b in range(n)) for a in range(n))
-    return FiniteAiSemiring.from_tables(add, mul)
+    return FiniteAiSemiring.from_tables(_relabel(perm, S.add), _relabel(perm, S.mul))
 
 
 def test_random_relabelings_classify_into_census(order3_census):
