@@ -4,8 +4,10 @@ Covers the six 2-element semirings, the 3-element semiring S7, the 58
 4-element semirings whose additive reduct is the height-1 semilattice
 (top element "1", atoms "2", "3", "4"), derived 3-element subalgebras
 (S2, S4, S6, S10), and five further 3-element semirings (S5, S9, S13,
-S14, S15) pinned down inside the order-3 census by their structural
-claims rather than hand-typed tables.
+S14, S15). Every typed table is validated when the catalog is built, and a
+build runs no census and no homomorphism search: that each of the five is
+the unique order-3 census class with its embedding and subdirect-product
+claims is proved in tests/test_catalog.py.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from functools import lru_cache
 from typing import Optional
 
 from . import construct
-from .census import enumerate_ai_semirings
 from .core import (
     FiniteAiSemiring,
     additive_height,
@@ -34,7 +35,7 @@ from .terms import Identity, Term, Word, parse_identity, split_top_level
 
 
 class CatalogError(KeyError):
-    pass
+    __str__ = Exception.__str__  # the message, not KeyError's repr of it
 
 
 @dataclass(frozen=True)
@@ -141,6 +142,17 @@ _ORDER2_MUL = {
 }
 
 _S7_MUL = ((0, 1, 2), (1, 2, 2), (2, 2, 2))
+
+# 3-element semirings on the height-1 addition with top "1"; each is the one
+# order-3 class that embeds two 2-element entries and completes the
+# subdirect-in claim of an order-4 entry (tests/test_catalog.py proves it)
+_ORDER3_MUL = {
+    "S5": ((0, 0, 0), (0, 0, 0), (2, 2, 2)),
+    "S9": ((0, 0, 0), (0, 1, 0), (2, 2, 2)),
+    "S13": ((0, 0, 2), (0, 0, 2), (2, 2, 2)),
+    "S14": ((0, 1, 0), (0, 1, 0), (0, 1, 2)),
+    "S15": ((0, 1, 0), (1, 1, 1), (0, 1, 2)),
+}
 
 # the other 49 order-4 entries are finitely based
 _NONFINITELY_BASED_ORDER4 = {11, 13, 24, 25, 26, 28, 31, 49, 50}
@@ -333,36 +345,6 @@ def _claims_for_order4(k: int) -> tuple[Claim, ...]:
     return tuple(claims)
 
 
-_PINNED_ORDER3 = {
-    # name: (embedded 2-element semirings, (order-4 entry, its other subdirect factor))
-    "S5": (("L2", "T2"), ("S_(4,41)", "S2")),
-    "S9": (("L2", "M2"), ("S_(4,47)", "S4")),
-    "S13": (("D2", "T2"), ("S_(4,42)", "S2")),
-    "S14": (("R2", "M2"), ("S_(4,30)", "S4")),
-    "S15": (("M2", "D2"), ("S_(4,48)", "S4")),
-}
-
-
-def _pin_order3(
-    name: str, base: dict[str, FiniteAiSemiring], census3: tuple[FiniteAiSemiring, ...]
-) -> FiniteAiSemiring:
-    """The unique member of the order-3 census satisfying the entry's claims."""
-    embeds, (big_name, partner_name) = _PINNED_ORDER3[name]
-    big = base[big_name]
-    partner = base[partner_name]
-    candidates = []
-    for M in census3:
-        if all(find_embedding(base[e], M) is not None for e in embeds):
-            if is_subdirect_embedding(big, partner, M) is not None:
-                candidates.append(M)
-    if len(candidates) != 1:
-        raise CatalogError(
-            f"{name}: expected exactly one order-3 census member matching the "
-            f"pinning claims, found {len(candidates)}"
-        )
-    return candidates[0].renamed(name)
-
-
 def _check_table(S: FiniteAiSemiring) -> None:
     report = validate(S.add, S.mul)
     if not report.valid:
@@ -378,6 +360,8 @@ def _catalog() -> dict[str, CatalogEntry]:
     for label, mul in _ORDER2_MUL.items():
         semirings[label] = FiniteAiSemiring(label, ("0", "1"), construct.flat_addition(2, 1), mul)
     semirings["S7"] = FiniteAiSemiring("S7", ("1", "a", "inf"), construct.flat_addition(3, 2), _S7_MUL)
+    for name, mul in _ORDER3_MUL.items():
+        semirings[name] = FiniteAiSemiring(name, ("1", "2", "3"), construct.flat_addition(3, 0), mul)
     for k in range(1, 59):
         semirings[f"S_(4,{k})"] = _order4(k)
     for S in semirings.values():
@@ -391,11 +375,7 @@ def _catalog() -> dict[str, CatalogEntry]:
     semirings["S6"] = dual(semirings["S4"]).renamed("S6")
     sub, _ = generated_subalgebra(semirings["S_(4,20)"], (3,))
     semirings["S10"] = sub.renamed("S10")
-
-    census3 = enumerate_ai_semirings(3).semirings
-    for name in _PINNED_ORDER3:
-        semirings[name] = _pin_order3(name, semirings, census3)
-    derived = ("S2", "S4", "S6", "S10", *_PINNED_ORDER3)
+    derived = ("S2", "S4", "S6", "S10")
     for name in derived:
         _check_table(semirings[name])
 
@@ -423,7 +403,7 @@ def _catalog() -> dict[str, CatalogEntry]:
             Claim("isomorphic-to", ("@m:a",), "word monoid semiring on a letter"),
         ),
     )
-    for name in derived:
+    for name in (*derived, *_ORDER3_MUL):
         put(name, "external")
     for k in range(1, 59):
         name = f"S_(4,{k})"

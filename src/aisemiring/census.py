@@ -70,7 +70,7 @@ class CensusResult:
 def _canonical_add(add: Table) -> Table:
     """Relabel so the addition table alone is lexicographically least."""
     n = len(add)
-    key = least_relabeling((add,), itertools.permutations(range(n)))[0]
+    key = least_relabeling(add, itertools.permutations(range(n)))[0]
     return tuple(tuple(key[a * n : (a + 1) * n]) for a in range(n))
 
 
@@ -309,12 +309,12 @@ def _census_for_addition(add: Table) -> tuple[int, list[tuple[bytes, Table, Tabl
     classes are implied by the ``validate`` each table passed at its leaf:
     distributivity makes multiplication monotone, and a finite semilattice has
     a top (the sum of all its elements)."""
-    add_part, auts = least_relabeling((add,), itertools.permutations(range(len(add))))
+    add_part, auts = least_relabeling(add, itertools.permutations(range(len(add))))
     if add_part != bytes(v for row in add for v in row):
         raise ValueError("addition is not in canonical relabeling")
     seen: dict[bytes, Table] = {}
     for mul in _multiplications(add, auts):
-        key = add_part + least_relabeling((mul,), auts)[0]
+        key = add_part + least_relabeling(mul, auts)[0]
         if key in seen:
             raise RuntimeError("search listed two tables of one class; symmetry bug")
         seen[key] = mul

@@ -219,6 +219,13 @@ _CONSTRUCT_HEADS = {"flat-ext": "flatext", "product": "prod"}
 def _cmd_construct(args) -> int:
     kind = args.kind
     builder, arity = catalog.CONSTRUCTORS[_CONSTRUCT_HEADS.get(kind, kind)]
+    given = {"references": args.refs, "--words": args.words, "--group": args.group, "--table": args.table}
+    takes = ("references",) if arity else ("--group", "--table") if kind == "flat-ext" else ("--words",)
+    unused = [name for name, value in given.items() if value not in (None, []) and name not in takes]
+    if unused:
+        raise CliError(f"construct {kind} takes no {' or '.join(unused)}")
+    if args.group and args.table:
+        raise CliError("construct flat-ext takes --group or --table, not both")
     text = args.group if kind == "flat-ext" else args.words
     if arity:
         if len(args.refs) != arity:
@@ -226,7 +233,7 @@ def _cmd_construct(args) -> int:
         S = builder(*map(resolve_ref, args.refs))
     elif text:
         S = builder(text)
-    elif kind == "flat-ext" and args.table:
+    elif args.table:
         data = _read_json(args.table)
         try:
             G = construct.FiniteSemigroup(
@@ -252,19 +259,21 @@ def _cmd_construct(args) -> int:
 
 
 def _parse_simple_identity(text: str) -> SimpleIdentity:
-    """Read u ≈ u + q, recovering q as the last written summand of the rhs."""
+    """Read u ≈ u + q: the left side u lies inside the right side, and q is
+    the one right-side summand not in u. When the sides are equal, q is the
+    last written summand of the right side."""
     identity = parse_identity(text)
+    u, rhs = set(identity.lhs.words), set(identity.rhs.words)
+    extra = rhs - u
+    if not u <= rhs or len(extra) > 1:
+        raise CliError("identity is not of the simple form u ≈ u + q")
+    if extra:
+        return SimpleIdentity(identity.lhs, extra.pop())
     sep = "≈" if "≈" in text else "="
-    rhs_text = text.split(sep, 1)[1]
-    chunks = split_top_level(rhs_text, "+")
-    q_term = parse_term(chunks[-1])
+    q_term = parse_term(split_top_level(text.split(sep, 1)[1], "+")[-1])
     if len(q_term.words) != 1:
         raise CliError("the final summand of the right side must be a single word")
-    q = q_term.words[0]
-    si = SimpleIdentity(identity.lhs, q)
-    if si.as_identity().rhs != identity.rhs:
-        raise CliError("identity is not of the simple form u ≈ u + q")
-    return si
+    return SimpleIdentity(identity.lhs, q_term.words[0])
 
 
 def _criteria_sweep(args) -> int:

@@ -312,17 +312,17 @@ def generated_subalgebra(S: FiniteAiSemiring, seed: Iterable[int]) -> tuple[Fini
 _MAX_CANONICAL_ORDER = 8
 
 
-def least_relabeling(tables: Sequence[Table], perms: Iterable[Sequence[int]]) -> tuple[bytes, list]:
+def least_relabeling(table: Table, perms: Iterable[Sequence[int]]) -> tuple[bytes, list]:
     """(least key, the perms attaining it) over the relabelings ``perms`` of
-    tables on one carrier (perm renames i to perm[i]); keys are tables row by row."""
-    n = len(tables[0])
+    a table (perm renames i to perm[i]); keys are the table row by row."""
+    n = len(table)
     rng = range(n)
     best, attained = None, []
     for perm in perms:
         inv = [0] * n
         for i, p in enumerate(perm):
             inv[p] = i
-        key = bytes(perm[t[inv[a]][inv[b]]] for t in tables for a in rng for b in rng)
+        key = bytes(perm[table[inv[a]][inv[b]]] for a in rng for b in rng)
         if best is None or key < best:
             best, attained = key, [perm]
         elif key == best:
@@ -340,8 +340,8 @@ def canonical_form(S: FiniteAiSemiring) -> bytes:
     n = S.order
     if n > _MAX_CANONICAL_ORDER:
         raise ValueError(f"canonical_form supports order <= {_MAX_CANONICAL_ORDER}")
-    add_key, perms = least_relabeling((S.add,), itertools.permutations(range(n)))
-    return add_key + least_relabeling((S.mul,), perms)[0]
+    add_key, perms = least_relabeling(S.add, itertools.permutations(range(n)))
+    return add_key + least_relabeling(S.mul, perms)[0]
 
 
 def _search_hom(S: FiniteAiSemiring, T: FiniteAiSemiring, accept=None) -> Optional[Morphism]:

@@ -1,15 +1,19 @@
+import ast
+import inspect
 import itertools
 
 import pytest
 
-from aisemiring import catalog
+from aisemiring import catalog, census, core
 from aisemiring.catalog import BASIS_NAMES, CatalogEntry, CatalogError, Claim, expand_basis
 from aisemiring.core import (
     FiniteAiSemiring,
     additive_height,
     canonical_form,
     direct_product,
+    find_embedding,
     find_isomorphism,
+    is_subdirect_embedding,
     natural_order,
     validate,
 )
@@ -86,6 +90,42 @@ def test_pinned_order3_members_live_in_the_census(order3_census):
     keys = {canonical_form(S) for S in order3_census.semirings}
     for name in ("S5", "S9", "S13", "S14", "S15", "S2", "S4", "S6", "S10"):
         assert canonical_form(catalog.get(name).semiring) in keys
+
+
+# name: (embedded 2-element entries, (order-4 entry, its other subdirect factor))
+_ORDER3_CLAIMS = {
+    "S5": (("L2", "T2"), ("S_(4,41)", "S2")),
+    "S9": (("L2", "M2"), ("S_(4,47)", "S4")),
+    "S13": (("D2", "T2"), ("S_(4,42)", "S2")),
+    "S14": (("R2", "M2"), ("S_(4,30)", "S4")),
+    "S15": (("M2", "D2"), ("S_(4,48)", "S4")),
+}
+
+
+def test_typed_order3_entries_are_the_unique_census_classes_with_their_claims(cat, order3_census):
+    for name, (embeds, (big, partner)) in _ORDER3_CLAIMS.items():
+        # the order-4 entry states the claim this spec completes
+        assert ("subdirect-in", (partner, name)) in {(c.kind, c.args) for c in cat[big].claims}
+        matches = [
+            M
+            for M in order3_census.semirings
+            if all(find_embedding(cat[e].semiring, M) is not None for e in embeds)
+            and is_subdirect_embedding(cat[big].semiring, cat[partner].semiring, M) is not None
+        ]
+        assert len(matches) == 1, (name, len(matches))
+        S, M = cat[name].semiring, matches[0]
+        assert (S.elements, S.add, S.mul) == (M.elements, M.add, M.mul), name
+
+
+def test_building_runs_no_census_and_no_homomorphism_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("building the catalog searched")
+
+    monkeypatch.setattr(census, "enumerate_ai_semirings", refuse)
+    monkeypatch.setattr(core, "_search_hom", refuse)
+    assert tuple(catalog._catalog.__wrapped__()) == catalog.names()
+    imports = [node for node in ast.walk(ast.parse(inspect.getsource(catalog))) if isinstance(node, ast.ImportFrom)]
+    assert all(node.module != "census" and "census" not in {a.name for a in node.names} for node in imports)
 
 
 def test_bases_present_for_the_ten_entries():
@@ -219,7 +259,7 @@ def test_building_refuses_an_invalid_table(monkeypatch):
     with pytest.raises(CatalogError, match=r"S_\(4,1\).*mul-associativity"):
         catalog._catalog.__wrapped__()
     monkeypatch.undo()
-    # a broken table that a derivation reads is named, not the derived entry (S5)
+    # a broken table that a derivation reads is named, not the derived entry (S2)
     monkeypatch.setitem(catalog._ORDER4_MUL, 15, "1211111111111111")
     with pytest.raises(CatalogError, match=r"S_\(4,15\)"):
         catalog._catalog.__wrapped__()

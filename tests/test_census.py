@@ -62,7 +62,7 @@ def _identity(n):
 
 def _automorphisms(add):
     n = len(add)
-    return least_relabeling((add,), itertools.permutations(range(n)))[1]
+    return least_relabeling(add, itertools.permutations(range(n)))[1]
 
 
 def _relabel(perm, table):
@@ -119,7 +119,7 @@ def test_order4_labeled_output_is_pinned(order4_census):
 def _first_of_each_class(add, auts):
     first = {}
     for mul in _multiplications(add, _identity(len(add))):
-        first.setdefault(least_relabeling((mul,), auts)[0], mul)
+        first.setdefault(least_relabeling(mul, auts)[0], mul)
     return list(first.values())
 
 
@@ -347,7 +347,7 @@ def test_least_addition_relabelings_are_the_automorphisms():
                 perm for perm in perms
                 if all(perm[add[a][b]] == add[perm[a]][perm[b]] for a in range(n) for b in range(n))
             ]
-            key, attained = least_relabeling((add,), perms)
+            key, attained = least_relabeling(add, perms)
             assert key == bytes(v for row in add for v in row)
             assert attained == auts
 

@@ -151,6 +151,29 @@ def test_criteria_subcommand(capsys):
     assert code == 1 and payload["rule"] == "no-odd-set-match"
 
 
+def test_criteria_reads_q_as_the_summand_missing_on_the_left(capsys):
+    code, expected, _ = run_json(capsys, ["criteria", "--lemma", "M2", "--identity", "x + y ≈ x + y + yx"])
+    assert code == 0 and expected["identity"] == "x + y ≈ x + y + yx"
+    for text in ("x + y ≈ yx + x + y", "y + x ≈ x + yx + y", "x + y = y + yx + x + y"):
+        assert run_json(capsys, ["criteria", "--lemma", "M2", "--identity", text])[:2] == (0, expected)
+    code, payload, _ = run_json(capsys, ["criteria", "--lemma", "M2", "--identity", "x ≈ y + x"])
+    assert code == 1 and payload["identity"] == "x ≈ x + y"
+    # with equal sides q stays the last written summand
+    assert [cli._parse_simple_identity(text).extra.letters for text in ("x + y = y + x", "y + x = x + y")] == [
+        ("x",),
+        ("y",),
+    ]
+    for text in ("x + y ≈ x", "x ≈ y + z"):
+        code, _, err = run(capsys, ["criteria", "--lemma", "M2", "--identity", text])
+        assert code == 2 and err == "error: identity is not of the simple form u ≈ u + q\n"
+
+
+def test_unknown_catalog_entry_prints_without_quotes(capsys):
+    for argv in (["catalog", "show", "nope"], ["check", "--semiring", "T2", "--basis", "nope"]):
+        code, _, err = run(capsys, argv)
+        assert (code, err) == (2, "error: unknown catalog entry 'nope'\n")
+
+
 def test_nfb_subcommand(capsys):
     code, payload, _ = run_json(capsys, ["nfb-check", "S_(4,49)"])
     assert code == 0 and payload["conclusion"]
@@ -258,6 +281,9 @@ _BAD_INPUTS = [
     ["construct", "dual", "{deep}"],
     ["cert", "verify", "{deep}"],
     ["cert", "verify", "{dir}"],
+    ["construct", "sc", "T2", "L2", "--words", "ab"],
+    ["construct", "flat-ext", "--group", "z3", "--table", "{semigroup_out_of_range}"],
+    ["construct", "dual", "T2", "--words", "ab"],
 ]
 
 
