@@ -79,40 +79,35 @@ def enumerate_semilattices(n: int) -> tuple[Table, ...]:
     """All commutative idempotent associative tables on n elements, one per
     isomorphism class, each in canonical relabeling.
 
-    Works by enumerating partial orders whose labeling is a linear extension
-    (i below j implies i < j) and keeping those where every pair has a join.
+    Works by one-point extension.  Removing a minimal element x of a
+    semilattice leaves a semilattice (a + b = x forces a = x or b = x), and
+    x + y is the least element above y of the up-set U of elements above x.
+    So each table of order n - 1 gets a new element x for every nonempty
+    up-set U in which each y has a least element of U above it; conversely,
+    that element is the join of x and y.
     """
     if not 1 <= n <= SEMILATTICE_MAX_ORDER:
         raise ValueError(f"order must be between 1 and {SEMILATTICE_MAX_ORDER}")
     if n == 1:
         return (((0,),),)
-    pairs = list(itertools.combinations(range(n), 2))
-    found: dict[Table, None] = {}
-    for bits in range(2 ** len(pairs)):
-        leq = [[i == j for j in range(n)] for i in range(n)]
-        for k, (i, j) in enumerate(pairs):
-            if bits >> k & 1:
-                leq[i][j] = True
-        ok = True
-        for i, j in pairs:
-            if leq[i][j] and not all(leq[i][k] for k in range(n) if leq[j][k]):
-                ok = False
-                break
-        if not ok:
-            continue
-        add = [[0] * n for _ in range(n)]
-        for i in range(n):
-            add[i][i] = i
-        for i, j in pairs:
-            uppers = [k for k in range(n) if leq[i][k] and leq[j][k]]
-            least = [u for u in uppers if all(leq[u][v] for v in uppers)]
-            if len(least) != 1:
-                ok = False
-                break
-            add[i][j] = add[j][i] = least[0]
-        if not ok:
-            continue
-        found[_canonical_add(tuple(map(tuple, add)))] = None
+    m = n - 1
+    found: set[Table] = set()
+    for add in enumerate_semilattices(m):
+        above = [{b for b in range(m) if add[a][b] == b} for a in range(m)]
+        for bits in range(1, 1 << m):
+            up = {a for a in range(m) if bits >> a & 1}
+            if any(not above[a] <= up for a in up):
+                continue
+            joins = []
+            for y in range(m):
+                over = up & above[y]
+                least = [u for u in over if over <= above[u]]
+                if not least:
+                    break
+                joins.append(least[0])
+            else:
+                rows = tuple(row + (j,) for row, j in zip(add, joins))
+                found.add(_canonical_add(rows + (tuple(joins) + (m,),)))
     return tuple(sorted(found))
 
 

@@ -8,6 +8,7 @@ problems.  Every subcommand emits machine-readable JSON under --json.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import os
@@ -147,12 +148,12 @@ def _cmd_enumerate(args) -> int:
         "height1_count": len(result.height1),
         "elapsed_seconds": round(result.elapsed, 3),
     }
+    key_of = dict(zip(result.semirings, result.keys))
+    keys = tuple(key_of[S] for S in chosen)
     if not args.count_only:
-        key_of = dict(zip(result.semirings, result.keys))
-        payload["keys"] = [key_of[S].hex() for S in chosen]
+        payload["keys"] = [key.hex() for key in keys]
     if args.out:
-        index = write_census(result, args.out)
-        payload["index"] = index
+        payload["index"] = write_census(dataclasses.replace(result, semirings=chosen, keys=keys), args.out)
     _emit(args, payload, str(count))
     return EXIT_OK
 
@@ -261,7 +262,8 @@ def _cmd_construct(args) -> int:
 def _parse_simple_identity(text: str) -> SimpleIdentity:
     """Read u ≈ u + q: the left side u lies inside the right side, and q is
     the one right-side summand not in u. When the sides are equal, q is the
-    last written summand of the right side."""
+    last written summand of the right side, or the last word of that summand
+    if it is a sum."""
     identity = parse_identity(text)
     u, rhs = set(identity.lhs.words), set(identity.rhs.words)
     extra = rhs - u
@@ -271,9 +273,7 @@ def _parse_simple_identity(text: str) -> SimpleIdentity:
         return SimpleIdentity(identity.lhs, extra.pop())
     sep = "≈" if "≈" in text else "="
     q_term = parse_term(split_top_level(text.split(sep, 1)[1], "+")[-1])
-    if len(q_term.words) != 1:
-        raise CliError("the final summand of the right side must be a single word")
-    return SimpleIdentity(identity.lhs, q_term.words[0])
+    return SimpleIdentity(identity.lhs, q_term.words[-1])
 
 
 def _criteria_sweep(args) -> int:
@@ -349,7 +349,7 @@ def _cmd_criteria(args) -> int:
         raise CliError(f"--lemma must be one of {', '.join(sorted(criteria.CRITERIA))}")
     si = _parse_simple_identity(args.identity)
     verdict = criteria.check(name, si)
-    payload = {"lemma": name, "identity": str(si), "holds": verdict.holds, "rule": verdict.rule}
+    payload = {"lemma": name, "identity": str(si), **verdict.to_dict()}
     text = f"{name}: {'holds' if verdict.holds else 'fails'} ({verdict.rule})"
     if args.oracle:
         S = catalog.get(name).semiring

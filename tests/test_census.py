@@ -27,7 +27,40 @@ from aisemiring.core import (
 
 
 def test_semilattice_counts():
-    assert [len(enumerate_semilattices(n)) for n in (1, 2, 3, 4, 5)] == [1, 1, 2, 5, 15]
+    # the lattices on n + 1 elements (OEIS A006966): adjoin a bottom
+    assert [len(enumerate_semilattices(n)) for n in range(1, 7)] == [1, 1, 2, 5, 15, 53]
+
+
+def _semilattices_by_relations(n):
+    """The relation scan the one-point extension replaced: every partial order
+    whose labeling is a linear extension (i below j implies i < j), kept when
+    every pair has a join."""
+    if n == 1:
+        return (((0,),),)
+    pairs = list(itertools.combinations(range(n), 2))
+    found = set()
+    for bits in range(2 ** len(pairs)):
+        leq = [[i == j for j in range(n)] for i in range(n)]
+        for k, (i, j) in enumerate(pairs):
+            if bits >> k & 1:
+                leq[i][j] = True
+        if any(leq[i][j] and not all(leq[i][k] for k in range(n) if leq[j][k]) for i, j in pairs):
+            continue
+        add = [[i if i == j else None for j in range(n)] for i in range(n)]
+        for i, j in pairs:
+            uppers = [k for k in range(n) if leq[i][k] and leq[j][k]]
+            least = [u for u in uppers if all(leq[u][v] for v in uppers)]
+            if len(least) != 1:
+                break
+            add[i][j] = add[j][i] = least[0]
+        else:
+            found.add(_canonical_add(tuple(map(tuple, add))))
+    return tuple(sorted(found))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_semilattices_against_relation_scan(n):
+    assert enumerate_semilattices(n) == _semilattices_by_relations(n)
 
 
 def test_semilattices_against_brute_force_order4():

@@ -102,6 +102,16 @@ def test_enumerate_subcommand(capsys, tmp_path):
     index = (out_dir / "index.txt").read_text().strip().splitlines()
     assert len(index) == 6
 
+    # --out writes exactly the classes reported, under their full-census names and keys
+    for flags, count in ((["--height1"], 17), ([], 61)):
+        out_dir = tmp_path / f"census3{''.join(flags)}"
+        argv = ["enumerate", "--order", "3", "--workers", "1", "--out", str(out_dir)] + flags
+        code, payload, _ = run_json(capsys, argv)
+        assert code == 0 and payload["count"] == count
+        index = [line.split() for line in (out_dir / "index.txt").read_text().splitlines()]
+        assert [key for key, _ in index] == payload["keys"]
+        assert sorted(os.listdir(out_dir)) == sorted([name for _, name in index] + ["index.txt"])
+
 
 def test_construct_subcommand(capsys, tmp_path):
     code, payload, _ = run_json(capsys, ["construct", "sc", "--words", "ab"])
@@ -122,6 +132,13 @@ def test_construct_subcommand(capsys, tmp_path):
 
     code, _, err = run(capsys, ["construct", "ne", "S_(4,38)"])
     assert code == 2 and "error" in err
+
+    z2 = {"elements": ["0", "e", "g1"], "mul": [[0, 0, 0], [0, 1, 2], [0, 2, 1]], "zero": 0, "identity": 1}
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps(z2))
+    from_table = run_json(capsys, ["construct", "flat-ext", "--table", str(path)])
+    assert from_table[0] == 0
+    assert from_table[:2] == run_json(capsys, ["construct", "flat-ext", "--group", "z2"])[:2]
 
 
 def test_criteria_subcommand(capsys):
@@ -166,6 +183,11 @@ def test_criteria_reads_q_as_the_summand_missing_on_the_left(capsys):
     for text in ("x + y ≈ x", "x ≈ y + z"):
         code, _, err = run(capsys, ["criteria", "--lemma", "M2", "--identity", text])
         assert code == 2 and err == "error: identity is not of the simple form u ≈ u + q\n"
+    # a last written summand that is a sum gives its last word
+    for text in ("x + y ≈ (x + y)", "x + y ≈ x + (x + y)"):
+        code, payload, _ = run_json(capsys, ["criteria", "--lemma", "M2", "--identity", text])
+        assert code == 0 and payload["identity"] == "x + y ≈ x + y"
+        assert cli._parse_simple_identity(text).extra.letters == ("y",)
 
 
 def test_unknown_catalog_entry_prints_without_quotes(capsys):
@@ -284,6 +306,9 @@ _BAD_INPUTS = [
     ["construct", "sc", "T2", "L2", "--words", "ab"],
     ["construct", "flat-ext", "--group", "z3", "--table", "{semigroup_out_of_range}"],
     ["construct", "dual", "T2", "--words", "ab"],
+    ["construct", "flat-ext", "--table", "{no_elements}"],
+    ["check", "--semiring", "T2", "--basis", "S7"],
+    ["criteria", "--lemma", "XX", "--identity", "x ≈ x + y"],
 ]
 
 
@@ -295,6 +320,7 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
         "bool_entries": {"elements": ["0", "1"], "add": [[0, 1], [1, 1]], "mul": [[0, 0], [True, 1]]},
         "broken_laws": {"elements": ["0", "1"], "add": [[0, 1], [1, 1]], "mul": [[1, 0], [0, 0]]},
         "semigroup_out_of_range": {"elements": ["0", "1"], "mul": [[0, 0], [0, 5]], "zero": 0},
+        "no_elements": {"mul": [[0]]},
     }
     texts = {name: json.dumps(data) for name, data in files.items()}
     texts["deep"] = "[" * 100000 + "]" * 100000  # json.dumps itself refuses this depth
