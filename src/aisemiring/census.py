@@ -32,6 +32,11 @@ table: ``validate`` keeps the laws of each addition it has checked in a small
 cache (every multiplication law is still checked on every table), and the
 additive height is measured once, on the least class, and holds for every
 class over that addition.
+
+With more than one worker, each addition is one task, and the additions are
+handed out deepest search first (most join-irreducibles, so most searched
+cells), so that no long search starts last; the results are put back in
+enumeration order, so the census is the same for any worker count.
 """
 
 from __future__ import annotations
@@ -245,43 +250,43 @@ def _multiplications(add: Table, auts: Sequence[Sequence[int]]) -> list[Table]:
             prod[own] = v  # the cells below sum to at most v
             for ef, base in bases:
                 prod[ef] = plus[base + v]
-            ok = True
             for jc, ac, bc in checks:
                 if prod[jc] != plus[prod[ac] * n + prod[bc]]:
-                    ok = False
                     break
-            if ok:
+            else:
                 for i, k in waiting:
                     if prod[i] != prod[k]:
-                        ok = False
                         break
-            deferred = []
-            if ok:
-                for pq, qr, pn, r in triples:
-                    i = val[pq] * n + r
-                    k = pn + val[qr]
-                    d = ready[i] if ready[i] > ready[k] else ready[k]
-                    if d <= t:
-                        if prod[i] != prod[k]:
-                            ok = False
-                            break
-                    else:
-                        pending[d].append((i, k))
-                        deferred.append(d)
-            if ok:  # lex-leader: no perm maps the decided prefix below itself
-                for perm, src, length in syms:
-                    for k in range(length):
-                        w = perm[val[src[k]]]
-                        if w != val[k]:
+                else:
+                    deferred = None
+                    for pq, qr, pn, r in triples:
+                        i = val[pq] * n + r
+                        k = pn + val[qr]
+                        d = ready[i] if ready[i] > ready[k] else ready[k]
+                        if d <= t:
+                            if prod[i] != prod[k]:
+                                break
+                        else:
+                            pending[d].append((i, k))
+                            if deferred is None:
+                                deferred = [d]
+                            else:
+                                deferred.append(d)
+                    else:  # lex-leader: no perm maps the decided prefix below itself
+                        for perm, src, length in syms:
+                            for k in range(length):
+                                w = perm[val[src[k]]]
+                                if w != val[k]:
+                                    break
+                            else:
+                                continue  # the prefixes are equal
                             if w < val[k]:
-                                ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
-                fill(t + 1)
-            for d in deferred:
-                pending[d].pop()
+                                break
+                        else:
+                            fill(t + 1)
+                    if deferred is not None:
+                        for d in deferred:
+                            pending[d].pop()
 
     fill(0)
     return results
@@ -334,8 +339,14 @@ def enumerate_ai_semirings(n: int, workers: int = 1) -> CensusResult:
     if workers > 1 and len(additions) > 1:
         import multiprocessing
 
+        # deepest searches first (one cell per pair of join-irreducibles), so
+        # no long search starts last; ties keep enumeration order
+        order = sorted(range(len(additions)), key=lambda i: -len(_join_irreducibles(additions[i])))
         with multiprocessing.Pool(min(workers, len(additions))) as pool:
-            chunks = pool.map(_census_for_addition, additions)
+            done = pool.map(_census_for_addition, [additions[i] for i in order], chunksize=1)
+        chunks = [None] * len(additions)
+        for i, chunk in zip(order, done):
+            chunks[i] = chunk
     else:
         chunks = [_census_for_addition(add) for add in additions]
 

@@ -78,6 +78,48 @@ def _add_violations(add: Table) -> tuple[tuple[str, tuple[int, ...]], ...]:
     return tuple(violations)
 
 
+def _mul_associativity(mul: Table) -> Optional[tuple[int, int, int]]:
+    """First (a, b, c) with (ab)c != a(bc)."""
+    rng = range(len(mul))
+    for a in rng:
+        row_a = mul[a]
+        for b in rng:
+            row_ab, row_b = mul[row_a[b]], mul[b]
+            for c in rng:
+                if row_ab[c] != row_a[row_b[c]]:
+                    return a, b, c
+    return None
+
+
+def _left_distributivity(add: Table, mul: Table, symmetric: bool) -> Optional[tuple[int, int, int]]:
+    """First (a, b, c) with a(b + c) != ab + ac; only c > b if + is ``symmetric``."""
+    n = len(add)
+    rng = range(n)
+    summands = [range(b + 1, n) for b in rng] if symmetric else [rng] * n  # the c taken with each b
+    for a in rng:
+        row_a = mul[a]
+        for b in rng:
+            sums_b, sums_ab = add[b], add[row_a[b]]
+            for c in summands[b]:
+                if row_a[sums_b[c]] != sums_ab[row_a[c]]:
+                    return a, b, c
+    return None
+
+
+def _right_distributivity(add: Table, mul: Table, symmetric: bool) -> Optional[tuple[int, int, int]]:
+    """First (a, b, c) with (a + b)c != ac + bc; only b > a if + is ``symmetric``."""
+    n = len(add)
+    rng = range(n)
+    for a in rng:
+        row_a, sums_a = mul[a], add[a]
+        for b in range(a + 1, n) if symmetric else rng:
+            row_ab, row_b = mul[sums_a[b]], mul[b]
+            for c in rng:
+                if row_ab[c] != add[row_a[c]][row_b[c]]:
+                    return a, b, c
+    return None
+
+
 def validate(add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]]) -> ValidationReport:
     """Check the ai-semiring laws, reporting the first witness per violated law.
 
@@ -86,6 +128,16 @@ def validate(add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]]) -> Vali
     laws are kept for the 64 additions seen last, so a census that validates
     many multiplications over one addition checks that addition once; every
     law that involves the multiplication is checked on every call.
+
+    Witnesses are first in ``itertools.product`` order over (a, b, c).
+    Associativity is checked on all n^3 triples.  When the addition is
+    idempotent and commutative (symmetric), left distributivity is checked
+    only for summands b < c and right distributivity only for a < b:
+    commutativity gives a(b + c) = ab + ac and a(c + b) = ac + ab equal
+    sides, so the two triples hold or fail together, and idempotence makes
+    b = c hold.  So the first failing triple has b < c (a < b on the right),
+    and the report is the one a check of all n^3 triples gives.  When the
+    addition breaks either law, every triple is checked.
     """
     add = _as_table(add, "add")
     n = len(add)
@@ -94,21 +146,14 @@ def validate(add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]]) -> Vali
     mul = _as_table(mul, "mul", n)
 
     violations = list(_add_violations(add))
-    rng = range(n)
-
-    for a, b, c in itertools.product(rng, rng, rng):
-        if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-            violations.append(("mul-associativity", (a, b, c)))
-            break
-    for a, b, c in itertools.product(rng, rng, rng):
-        if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
-            violations.append(("left-distributivity", (a, b, c)))
-            break
-    for a, b, c in itertools.product(rng, rng, rng):
-        if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]:
-            violations.append(("right-distributivity", (a, b, c)))
-            break
-
+    symmetric = not any(law in ("add-idempotence", "add-commutativity") for law, _ in violations)
+    for law, witness in (
+        ("mul-associativity", _mul_associativity(mul)),
+        ("left-distributivity", _left_distributivity(add, mul, symmetric)),
+        ("right-distributivity", _right_distributivity(add, mul, symmetric)),
+    ):
+        if witness is not None:
+            violations.append((law, witness))
     return ValidationReport(valid=not violations, violations=tuple(violations))
 
 
@@ -316,13 +361,12 @@ def least_relabeling(table: Table, perms: Iterable[Sequence[int]]) -> tuple[byte
     """(least key, the perms attaining it) over the relabelings ``perms`` of
     a table (perm renames i to perm[i]); keys are the table row by row."""
     n = len(table)
-    rng = range(n)
     best, attained = None, []
     for perm in perms:
         inv = [0] * n
         for i, p in enumerate(perm):
             inv[p] = i
-        key = bytes(perm[table[inv[a]][inv[b]]] for a in rng for b in rng)
+        key = bytes([perm[row[b]] for row in [table[a] for a in inv] for b in inv])
         if best is None or key < best:
             best, attained = key, [perm]
         elif key == best:

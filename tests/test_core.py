@@ -20,6 +20,7 @@ from aisemiring.core import (
     find_isomorphism,
     generated_subalgebra,
     is_subdirect_embedding,
+    least_relabeling,
     natural_order,
     validate,
 )
@@ -71,6 +72,16 @@ def test_validate_reports_first_witness_per_law():
     laws = [law for law, _ in report.violations]
     assert "mul-associativity" in laws
     assert len(laws) == len(set(laws))
+    # an idempotent addition that is not commutative: distributivity is
+    # checked on every summand pair, and the first witness has b > c
+    add = ((0, 0, 0), (0, 1, 0), (0, 1, 2))
+    mul = ((0, 0, 0), (0, 0, 0), (0, 1, 0))
+    assert validate(add, mul).violations == (
+        ("add-commutativity", (1, 2)),
+        ("add-associativity", (1, 2, 1)),
+        ("mul-associativity", (2, 2, 1)),
+        ("left-distributivity", (2, 2, 1)),
+    )
 
 
 def test_validate_malformed_is_distinct_from_invalid():
@@ -170,6 +181,35 @@ def test_validate_cache_never_skips_the_table_check():
         validate([[0, 1], [True, 1]], mul)
     with pytest.raises(MalformedTableError):
         validate(add, ((0, 0), (0, True)))
+
+
+def _reference_least_relabeling(table, perms):
+    # the per-cell key that least_relabeling built before it relabeled whole rows
+    n = len(table)
+    rng = range(n)
+    best, attained = None, []
+    for perm in perms:
+        inv = [0] * n
+        for i, p in enumerate(perm):
+            inv[p] = i
+        key = bytes(perm[table[inv[a]][inv[b]]] for a in rng for b in rng)
+        if best is None or key < best:
+            best, attained = key, [perm]
+        elif key == best:
+            attained.append(perm)
+    return best, attained
+
+
+def test_least_relabeling_matches_the_reference(order3_census, order4_census):
+    censuses = (enumerate_ai_semirings(1), enumerate_ai_semirings(2), order3_census, order4_census)
+    for result in censuses:
+        n = result.order
+        perms = list(itertools.permutations(range(n)))
+        auts = {add: least_relabeling(add, perms)[1] for add in enumerate_semilattices(n)}
+        assert all(auts[add] == _reference_least_relabeling(add, perms)[1] for add in auts)
+        for S in result.semirings:
+            assert least_relabeling(S.mul, perms) == _reference_least_relabeling(S.mul, perms)
+            assert least_relabeling(S.mul, auts[S.add]) == _reference_least_relabeling(S.mul, auts[S.add])
 
 
 def test_natural_order_tops():
