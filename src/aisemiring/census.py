@@ -344,9 +344,7 @@ def enumerate_ai_semirings(n: int, workers: int = 1) -> CensusResult:
         order = sorted(range(len(additions)), key=lambda i: -len(_join_irreducibles(additions[i])))
         with multiprocessing.Pool(min(workers, len(additions))) as pool:
             done = pool.map(_census_for_addition, [additions[i] for i in order], chunksize=1)
-        chunks = [None] * len(additions)
-        for i, chunk in zip(order, done):
-            chunks[i] = chunk
+        chunks = [chunk for _, chunk in sorted(zip(order, done))]
     else:
         chunks = [_census_for_addition(add) for add in additions]
 

@@ -135,9 +135,10 @@ def validate(add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]]) -> Vali
     only for summands b < c and right distributivity only for a < b:
     commutativity gives a(b + c) = ab + ac and a(c + b) = ac + ab equal
     sides, so the two triples hold or fail together, and idempotence makes
-    b = c hold.  So the first failing triple has b < c (a < b on the right),
-    and the report is the one a check of all n^3 triples gives.  When the
-    addition breaks either law, every triple is checked.
+    every triple with b = c hold.  So the first failing triple has b < c
+    (a < b on the right), and the report is the one a check of all n^3
+    triples gives.  When the addition breaks either law, every triple is
+    checked.
     """
     add = _as_table(add, "add")
     n = len(add)

@@ -205,8 +205,9 @@ def test_least_relabeling_matches_the_reference(order3_census, order4_census):
     for result in censuses:
         n = result.order
         perms = list(itertools.permutations(range(n)))
-        auts = {add: least_relabeling(add, perms)[1] for add in enumerate_semilattices(n)}
-        assert all(auts[add] == _reference_least_relabeling(add, perms)[1] for add in auts)
+        for add in enumerate_semilattices(n):
+            assert least_relabeling(add, perms) == _reference_least_relabeling(add, perms)
+        auts = {add: _reference_least_relabeling(add, perms)[1] for add in enumerate_semilattices(n)}
         for S in result.semirings:
             assert least_relabeling(S.mul, perms) == _reference_least_relabeling(S.mul, perms)
             assert least_relabeling(S.mul, auts[S.add]) == _reference_least_relabeling(S.mul, auts[S.add])
