@@ -8,6 +8,10 @@ S14, S15). Every typed table is validated when the catalog is built, and a
 build runs no census and no homomorphism search: that each of the five is
 the unique order-3 census class with its embedding and subdirect-product
 claims is proved in tests/test_catalog.py.
+
+The paper's facts are stated once, as data: the nine nonfinitely based
+order-4 entries, the structural claims (``_STRUCTURE``) and the bundled bases
+(``_BASES``), from which one loop builds every entry and its claims.
 """
 
 from __future__ import annotations
@@ -155,7 +159,42 @@ _ORDER3_MUL = {
 }
 
 # the other 49 order-4 entries are finitely based
-_NONFINITELY_BASED_ORDER4 = {11, 13, 24, 25, 26, 28, 31, 49, 50}
+_NONFINITELY_BASED_ORDER4 = {f"S_(4,{k})" for k in (11, 13, 24, 25, 26, 28, 31, 49, 50)}
+
+# structural claims of each entry, (kind, args, label) in the order checked
+_STRUCTURE: dict[str, tuple[tuple[str, tuple[str, ...], str], ...]] = {
+    "T2": (("isomorphic-to", ("@s:a",), "word semiring on a single letter"),),
+    "S7": (
+        ("isomorphic-to", ("@mc:a",), "commutative word monoid semiring on a letter"),
+        ("isomorphic-to", ("@m:a",), "word monoid semiring on a letter"),
+    ),
+    "S_(4,2)": (("contains-copy-of", ("S2",), "contains a copy of S2"),),
+    "S_(4,4)": (("isomorphic-to", ("@s:ab",), "word semiring on the factors of ab"),),
+    "S_(4,6)": (("subdirect-in", ("S6", "S6"), "subdirect product of two copies of S6"),),
+    "S_(4,8)": (("isomorphic-to", ("@sc:ab",), "commutative word semiring on ab"),),
+    "S_(4,9)": (("isomorphic-to", ("@sc:aaa",), "commutative word semiring on a cube"),),
+    "S_(4,12)": (("subdirect-in", ("S4", "S6"), "subdirect product of S4 and S6"),),
+    "S_(4,14)": (("isomorphic-to", ("S_(4,14)",), "identity smoke claim"),),
+    "S_(4,15)": (("isomorphic-to", ("@ie:S2",), "idempotent extension of S2"),),
+    "S_(4,16)": (("isomorphic-to", ("@dual:S_(4,41)",), "dual multiplication of S_(4,41)"),),
+    "S_(4,20)": (
+        ("subdirect-in", ("S10", "T2"), "subdirect product of S10 and T2"),
+        ("contains-copy-of", ("S10",), "contains a copy of S10"),
+        ("contains-copy-of", ("T2",), "contains a copy of T2"),
+    ),
+    "S_(4,21)": (("isomorphic-to", ("@dual:S_(4,47)",), "dual multiplication of S_(4,47)"),),
+    "S_(4,30)": (("subdirect-in", ("S4", "S14"), "subdirect product of S4 and S14"),),
+    "S_(4,37)": (
+        ("isomorphic-to", ("@flatext:z3",), "flat extension of the cyclic group of order 3"),
+        ("abelian-group-minus-top", (), "top removed, the product is an abelian group"),
+    ),
+    "S_(4,41)": (("subdirect-in", ("S2", "S5"), "subdirect product of S2 and S5"),),
+    "S_(4,42)": (("subdirect-in", ("S2", "S13"), "subdirect product of S2 and S13"),),
+    "S_(4,45)": (("isomorphic-to", ("@dual:S_(4,30)",), "dual multiplication of S_(4,30)"),),
+    "S_(4,46)": (("isomorphic-to", ("@dual:S_(4,48)",), "dual multiplication of S_(4,48)"),),
+    "S_(4,47)": (("subdirect-in", ("S4", "S9"), "subdirect product of S4 and S9"),),
+    "S_(4,48)": (("subdirect-in", ("S4", "S15"), "subdirect product of S4 and S15"),),
+}
 
 
 # bundled equational bases; a second tuple member lists variables that may be
@@ -308,38 +347,17 @@ def _order4(k: int) -> FiniteAiSemiring:
     return FiniteAiSemiring(f"S_(4,{k})", ("1", "2", "3", "4"), construct.flat_addition(4, 0), mul)
 
 
-def _claims_for_order4(k: int) -> tuple[Claim, ...]:
-    claims = {
-        4: [Claim("isomorphic-to", ("@s:ab",), "word semiring on the factors of ab")],
-        6: [Claim("subdirect-in", ("S6", "S6"), "subdirect product of two copies of S6")],
-        8: [Claim("isomorphic-to", ("@sc:ab",), "commutative word semiring on ab")],
-        9: [Claim("isomorphic-to", ("@sc:aaa",), "commutative word semiring on a cube")],
-        2: [Claim("contains-copy-of", ("S2",), "contains a copy of S2")],
-        12: [Claim("subdirect-in", ("S4", "S6"), "subdirect product of S4 and S6")],
-        14: [Claim("isomorphic-to", ("S_(4,14)",), "identity smoke claim")],
-        15: [Claim("isomorphic-to", ("@ie:S2",), "idempotent extension of S2")],
-        16: [Claim("isomorphic-to", ("@dual:S_(4,41)",), "dual multiplication of S_(4,41)")],
-        20: [
-            Claim("subdirect-in", ("S10", "T2"), "subdirect product of S10 and T2"),
-            Claim("contains-copy-of", ("S10",), "contains a copy of S10"),
-            Claim("contains-copy-of", ("T2",), "contains a copy of T2"),
-        ],
-        21: [Claim("isomorphic-to", ("@dual:S_(4,47)",), "dual multiplication of S_(4,47)")],
-        30: [Claim("subdirect-in", ("S4", "S14"), "subdirect product of S4 and S14")],
-        37: [
-            Claim("isomorphic-to", ("@flatext:z3",), "flat extension of the cyclic group of order 3"),
-            Claim("abelian-group-minus-top", (), "top removed, the product is an abelian group"),
-        ],
-        41: [Claim("subdirect-in", ("S2", "S5"), "subdirect product of S2 and S5")],
-        42: [Claim("subdirect-in", ("S2", "S13"), "subdirect product of S2 and S13")],
-        45: [Claim("isomorphic-to", ("@dual:S_(4,30)",), "dual multiplication of S_(4,30)")],
-        46: [Claim("isomorphic-to", ("@dual:S_(4,48)",), "dual multiplication of S_(4,48)")],
-        47: [Claim("subdirect-in", ("S4", "S9"), "subdirect product of S4 and S9")],
-        48: [Claim("subdirect-in", ("S4", "S15"), "subdirect product of S4 and S15")],
-    }.get(k, [])
-    if f"S_(4,{k})" in _BASES:
+def _status(S: FiniteAiSemiring) -> str:
+    if S.name == "S7" or S.name in _NONFINITELY_BASED_ORDER4:
+        return "nonfinitely-based"
+    return "finitely-based" if S.order == 4 else "external"
+
+
+def _claims(name: str) -> tuple[Claim, ...]:
+    claims = [Claim(*row) for row in _STRUCTURE.get(name, ())]
+    if name in _BASES:
         claims.append(Claim("basis-holds", (), "the bundled basis holds"))
-    if k in _NONFINITELY_BASED_ORDER4:
+    if name in _NONFINITELY_BASED_ORDER4:
         claims.append(Claim("contains-copy-of", ("S7",), "contains a copy of S7"))
         claims.append(Claim("nfb-witness", (), "noncyclic elements form an order ideal and S7 embeds"))
     return tuple(claims)
@@ -379,39 +397,16 @@ def _catalog() -> dict[str, CatalogEntry]:
     for name in derived:
         _check_table(semirings[name])
 
-    entries: dict[str, CatalogEntry] = {}
-
-    def put(name, status, basis=None, claims=()):
-        entries[name] = CatalogEntry(
+    return {
+        name: CatalogEntry(
             name=name,
             semiring=semirings[name],
-            status=status,
-            basis=basis,
-            claims=tuple(claims),
+            status=_status(semirings[name]),
+            basis=expand_basis(name) if name in _BASES else None,
+            claims=_claims(name),
         )
-
-    for label in _ORDER2_MUL:
-        claims = []
-        if label == "T2":
-            claims.append(Claim("isomorphic-to", ("@s:a",), "word semiring on a single letter"))
-        put(label, "external", claims=claims)
-    put(
-        "S7",
-        "nonfinitely-based",
-        claims=(
-            Claim("isomorphic-to", ("@mc:a",), "commutative word monoid semiring on a letter"),
-            Claim("isomorphic-to", ("@m:a",), "word monoid semiring on a letter"),
-        ),
-    )
-    for name in (*derived, *_ORDER3_MUL):
-        put(name, "external")
-    for k in range(1, 59):
-        name = f"S_(4,{k})"
-        status = "nonfinitely-based" if k in _NONFINITELY_BASED_ORDER4 else "finitely-based"
-        basis = expand_basis(name) if name in _BASES else None
-        put(name, status, basis=basis, claims=_claims_for_order4(k))
-
-    return entries
+        for name in (*_ORDER2_MUL, "S7", *derived, *_ORDER3_MUL, *(f"S_(4,{k})" for k in _ORDER4_MUL))
+    }
 
 
 def _normalize(name: str) -> str:
@@ -488,22 +483,10 @@ def _flat_cyclic(text: str) -> FiniteAiSemiring:
     return construct.flat_from_semigroup(construct.cyclic_group_with_zero(int(spec[1:])))
 
 
-# Bounds on what one reference may build, so that hostile text fails fast with
-# a ValueError instead of exhausting the stack or memory.
+# Bound on how deep one reference may nest, so that hostile text fails fast
+# with a ValueError instead of exhausting the stack; the builders themselves
+# hold products, word semirings and flat cyclic groups to core.MAX_BUILT_ORDER.
 MAX_REFERENCE_DEPTH = 16  # constructors nested in one reference
-MAX_PRODUCT_ORDER = construct.MAX_BUILT_ORDER  # elements of a semiring built by @prod
-
-
-def check_product_order(A: FiniteAiSemiring, B: FiniteAiSemiring) -> None:
-    """Raise ValueError if A x B would have more than MAX_PRODUCT_ORDER elements."""
-    order = A.order * B.order
-    if order > MAX_PRODUCT_ORDER:
-        raise ValueError(f"@prod would have {order} elements, more than {MAX_PRODUCT_ORDER}")
-
-
-def _product(A: FiniteAiSemiring, B: FiniteAiSemiring) -> FiniteAiSemiring:
-    check_product_order(A, B)
-    return direct_product(A, B)
 
 
 # @head -> (builder, arity): arity 0 hands the builder the argument text,
@@ -517,7 +500,7 @@ CONSTRUCTORS = {
     "dual": (dual, 1),
     "ne": (construct.null_extension, 1),
     "ie": (construct.idempotent_extension, 1),
-    "prod": (_product, 2),
+    "prod": (direct_product, 2),
 }
 
 
@@ -528,8 +511,9 @@ def resolve(ref: str) -> FiniteAiSemiring:
     generator words), @dual:REF, @prod:REF,REF, @ne:REF, @ie:REF, @flatext:zN.
     References nest; the left operand of @prod is its shortest comma-separated
     prefix that is a complete reference, and the rest is the right operand.
-    More than MAX_REFERENCE_DEPTH nested constructors, or a product of more
-    than MAX_PRODUCT_ORDER elements, raise ValueError.
+    More than MAX_REFERENCE_DEPTH nested constructors, or a product, word
+    semiring or flat cyclic group of more than core.MAX_BUILT_ORDER elements,
+    raise ValueError.
     """
     return _parse(ref, 0, 1, True)[0]
 

@@ -63,10 +63,6 @@ class CensusResult:
     elapsed: float
     keys: tuple[bytes, ...] = ()  # canonical_form of each of ``semirings``, in order
 
-    def __post_init__(self) -> None:
-        if len(self.keys) != len(self.semirings):  # built without its keys
-            object.__setattr__(self, "keys", tuple(map(canonical_form, self.semirings)))
-
     @property
     def count(self) -> int:
         return len(self.semirings)
@@ -392,7 +388,10 @@ def write_census(result: CensusResult, out_dir: str) -> str:
     renamed into its place, so ``out_dir`` holds the earlier census or all of
     this one, and no file of an earlier, larger census survives.  An existing
     ``out_dir`` is replaced only if it is empty or holds nothing but an
-    earlier census; otherwise ValueError is raised and nothing is written."""
+    earlier census; otherwise ValueError is raised and nothing is written.
+    A result without one key per semiring is refused the same way."""
+    if len(result.keys) != len(result.semirings):
+        raise ValueError(f"the census has {len(result.semirings)} semirings but {len(result.keys)} keys")
     target = os.path.realpath(out_dir)
     old_names = None
     if os.path.lexists(target):

@@ -208,7 +208,6 @@ def _cmd_embed(args) -> int:
 
 def _cmd_subdirect(args) -> int:
     S, A, B = resolve_ref(args.semiring), resolve_ref(args.first), resolve_ref(args.second)
-    catalog.check_product_order(A, B)  # the search builds A x B
     found = is_subdirect_embedding(S, A, B)
     return _report_morphism(args, found, "subdirect embedding found", "no subdirect embedding")
 

@@ -10,14 +10,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .core import FiniteAiSemiring, Morphism, Table, _as_table, find_embedding, natural_order
+from .core import (
+    MAX_BUILT_ORDER,
+    FiniteAiSemiring,
+    Morphism,
+    Table,
+    _as_table,
+    _mul_associativity,
+    find_embedding,
+    natural_order,
+)
 from .terms import word
-
-
-# Bound on the order of a semiring built from a reference (products, word
-# semirings, flat cyclic groups), so that hostile text fails fast instead of
-# exhausting memory.
-MAX_BUILT_ORDER = 64
 
 
 class NotZeroCancellativeError(ValueError):
@@ -46,10 +49,10 @@ class FiniteSemigroup:
         for what, v in (("zero", self.zero), ("identity", self.identity)):
             if v is not None and (type(v) is not int or not 0 <= v < n):
                 raise ValueError(f"{what} {v!r} is not an element index 0..{n - 1}")
+        witness = _mul_associativity(self.mul)
+        if witness is not None:
+            raise ValueError("multiplication not associative at ({},{},{})".format(*witness))
         rng = range(n)
-        for a, b, c in itertools.product(rng, repeat=3):
-            if self.mul[self.mul[a][b]][c] != self.mul[a][self.mul[b][c]]:
-                raise ValueError(f"multiplication not associative at ({a},{b},{c})")
         if self.zero is not None:
             z = self.zero
             if any(self.mul[z][a] != z or self.mul[a][z] != z for a in rng):

@@ -14,6 +14,11 @@ from typing import Iterable, Optional, Sequence
 Row = tuple[int, ...]
 Table = tuple[Row, ...]
 
+# Bound on the order of a built semiring (products, word semirings, flat
+# cyclic groups), so that hostile input fails fast instead of exhausting
+# memory.
+MAX_BUILT_ORDER = 64
+
 
 class MalformedTableError(ValueError):
     """Table has wrong shape or an out-of-range entry (not a law violation)."""
@@ -280,8 +285,13 @@ def dual(S: FiniteAiSemiring) -> FiniteAiSemiring:
 
 
 def direct_product(S: FiniteAiSemiring, T: FiniteAiSemiring) -> FiniteAiSemiring:
-    """Componentwise product on pairs, row-major pair indexing."""
+    """Componentwise product on pairs, row-major pair indexing.
+
+    A product of more than MAX_BUILT_ORDER elements raises ValueError before
+    any table is built."""
     n, m = S.order, T.order
+    if n * m > MAX_BUILT_ORDER:
+        raise ValueError(f"a product of orders {n} and {m} would have {n * m} elements, more than {MAX_BUILT_ORDER}")
 
     def pair(i: int, j: int) -> int:
         return i * m + j

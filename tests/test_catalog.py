@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import inspect
 import itertools
 
@@ -34,6 +35,19 @@ def test_order4_entries_share_the_height1_addition(cat):
         assert S.elements == ("1", "2", "3", "4")
         assert additive_height(S) == 1
         assert S.elements[natural_order(S).top] == "1"
+
+
+def test_catalog_is_pinned_by_its_digest():
+    # names in order, tables, statuses, bases and claims in order
+    digest, claims = hashlib.sha256(), 0
+    for name in catalog.names():
+        entry = catalog.get(name)
+        basis = None if entry.basis is None else [str(identity) for identity in entry.basis]
+        listed = [(c.kind, c.args, c.label) for c in entry.claims]
+        digest.update(repr((name, entry.semiring.to_dict(), entry.status, basis, listed)).encode())
+        claims += len(listed)
+    assert (len(catalog.names()), claims) == (74, 53)
+    assert digest.hexdigest() == "9e73fec1b48565a853ab1c7e34fe58a7de532009488bf16c65e6b4b43e630434"
 
 
 def test_status_partition():
@@ -190,7 +204,7 @@ def test_resolve_bounds():
         with pytest.raises(ValueError, match="nests more than"):
             catalog.resolve(ref)
     big = "@prod:S_(4,1),@prod:S_(4,1),S_(4,1)"
-    assert catalog.resolve(big).order == catalog.MAX_PRODUCT_ORDER == 64
+    assert catalog.resolve(big).order == core.MAX_BUILT_ORDER == 64
     with pytest.raises(ValueError, match="more than 64"):
         catalog.resolve(f"@prod:T2,{big}")
     # word semirings and flat cyclic groups share the bound: 63 divisors plus

@@ -405,8 +405,11 @@ def test_census_rechecks_the_least_class_of_each_addition(monkeypatch, tmp_path)
     result = enumerate_ai_semirings(4)
     write_census(result, str(tmp_path))  # the index reuses the census keys
     assert len(checked) == len(enumerate_semilattices(4))
-    # a result built without its keys computes them
-    assert census.CensusResult(4, result.semirings, result.height1, 0.0).keys == result.keys
+    # a result built without its keys is refused before anything is written
+    keyless = census.CensusResult(4, result.semirings, result.height1, 0.0)
+    with pytest.raises(ValueError, match="keys"):
+        write_census(keyless, str(tmp_path / "keyless"))
+    assert not any("keyless" in path.name for path in tmp_path.iterdir())  # nor its hidden fresh directory
     members = {(S.add, S.mul) for S in result.semirings}
     assert {S.add for S in checked} == set(enumerate_semilattices(4))
     assert all((S.add, S.mul) in members for S in checked)

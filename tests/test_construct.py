@@ -57,6 +57,9 @@ def test_zero_cancellative():
         flat_from_semigroup(bad)
     with pytest.raises(ValueError):
         is_zero_cancellative(FiniteSemigroup(elements=("x",), mul=((0,),)))
+    # the first (a, b, c) in row-major order with (ab)c != a(bc)
+    with pytest.raises(ValueError, match=r"multiplication not associative at \(0,0,1\)"):
+        FiniteSemigroup(elements=("0", "1"), mul=((1, 0), (0, 0)))
 
 
 def test_flat_from_groups():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from aisemiring import catalog
+from aisemiring import catalog, construct, core
 from aisemiring.census import _census_for_addition, enumerate_ai_semirings, enumerate_semilattices
 from aisemiring.core import (
     ValidationReport,
@@ -359,6 +359,17 @@ def test_subdirect_embedding():
     assert found is not None
     assert found.injective
     assert is_subdirect_embedding(S7, T2, T2) is None
+
+
+def test_products_past_the_built_order_are_refused():
+    T2 = catalog.get("T2").semiring
+    big = catalog.resolve("@prod:S_(4,1),@prod:S_(4,1),S_(4,1)")
+    assert big.order == core.MAX_BUILT_ORDER == construct.MAX_BUILT_ORDER == 64
+    # the bound is checked before A x B is built, so the search never starts
+    with pytest.raises(ValueError, match="more than 64"):
+        direct_product(big, T2)
+    with pytest.raises(ValueError, match="more than 64"):
+        is_subdirect_embedding(T2, T2, big)
 
 
 def test_morphism_rejects_non_homomorphisms():
