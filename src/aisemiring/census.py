@@ -350,11 +350,11 @@ def enumerate_ai_semirings(n: int, workers: int = 1) -> CensusResult:
     semirings = tuple(
         FiniteAiSemiring(f"ai{n}_{i:03d}", elements, add, mul) for i, (_, add, mul) in enumerate(triples)
     )
-    flat = {add for add, (height, _) in zip(additions, chunks) if height == 1}
+    height1_adds = {add for add, (height, _) in zip(additions, chunks) if height == 1}
     return CensusResult(
         order=n,
         semirings=semirings,
-        height1=tuple(S for S in semirings if S.add in flat),
+        height1=tuple(S for S in semirings if S.add in height1_adds),
         elapsed=time.monotonic() - start,
         keys=tuple(key for key, _, _ in triples),
     )

@@ -39,6 +39,24 @@ class CliError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that refuses by raising CliError, so that its
+    refusals take main's one exit-2 path instead of a usage dump and exit."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
+def _at_least_1(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def _read_json(path: str):
     """The JSON document in a file; every read failure is a CliError."""
     try:
@@ -103,8 +121,6 @@ def _table_text(S: FiniteAiSemiring) -> str:
 
 
 def _cmd_validate(args) -> int:
-    if bool(args.table) == bool(args.semiring):
-        raise CliError("give either a semiring reference or --table FILE")
     # a file is read as raw tables, so that broken laws are reported, not refused
     path = args.table or (args.semiring if _is_path(args.semiring) else None)
     if path:
@@ -135,8 +151,6 @@ def _available_processors() -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.workers is not None and args.workers < 1:
-        raise CliError(f"--workers must be at least 1, got {args.workers}")
     workers = _available_processors() if args.workers is None else args.workers
     result = enumerate_ai_semirings(args.order, workers=workers)
     chosen = result.height1 if args.height1 else result.semirings
@@ -159,16 +173,12 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.basis and args.identity:
-        raise CliError("give --identity or --basis, not both")
     S = resolve_ref(args.semiring)
     if args.basis:
         identities = catalog.get(args.basis).basis
         if identities is None:
             raise CliError(f"catalog entry {args.basis!r} has no bundled basis")
     else:
-        if not args.identity:
-            raise CliError("give --identity (repeatable) or --basis NAME")
         identities = tuple(parse_identity(text) for text in args.identity)
     report = check_basis(S, identities)
     payload = {
@@ -212,28 +222,12 @@ def _cmd_subdirect(args) -> int:
     return _report_morphism(args, found, "subdirect embedding found", "no subdirect embedding")
 
 
-# construct KIND -> @head of the same constructor in a semiring reference
-_CONSTRUCT_HEADS = {"flat-ext": "flatext", "product": "prod"}
-
-
 def _cmd_construct(args) -> int:
-    kind = args.kind
-    builder, arity = catalog.CONSTRUCTORS[_CONSTRUCT_HEADS.get(kind, kind)]
-    given = {"references": args.refs, "--words": args.words, "--group": args.group, "--table": args.table}
-    takes = ("references",) if arity else ("--group", "--table") if kind == "flat-ext" else ("--words",)
-    unused = [name for name, value in given.items() if value not in (None, []) and name not in takes]
-    if unused:
-        raise CliError(f"construct {kind} takes no {' or '.join(unused)}")
-    if args.group and args.table:
-        raise CliError("construct flat-ext takes --group or --table, not both")
-    text = args.group if kind == "flat-ext" else args.words
-    if arity:
-        if len(args.refs) != arity:
-            raise CliError(f"construct {kind} needs {arity} semiring reference(s)")
-        S = builder(*map(resolve_ref, args.refs))
-    elif text:
-        S = builder(text)
-    elif args.table:
+    if args.refs:
+        S = args.builder(*map(resolve_ref, args.refs))
+    elif args.text is not None:
+        S = args.builder(args.text)
+    else:
         data = _read_json(args.table)
         try:
             G = construct.FiniteSemigroup(
@@ -245,10 +239,6 @@ def _cmd_construct(args) -> int:
         except (KeyError, TypeError):
             raise CliError(f"{args.table}: expected a semigroup table with elements and mul")
         S = construct.flat_from_semigroup(G)
-    else:
-        need = "--group zN or --table FILE" if kind == "flat-ext" else "--words"
-        raise CliError(f"construct {kind} needs {need}")
-
     payload = S.to_dict()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -283,8 +273,6 @@ def _criteria_sweep(args) -> int:
     variables = tuple(dict.fromkeys(args.variables))
     if not variables or not all(x.isalpha() for x in variables):
         raise CliError(f"--variables must be letters, one per variable, got {args.variables!r}")
-    if args.max_length < 1 or args.max_summands < 1:
-        raise CliError("--max-length and --max-summands must be at least 1")
     names = sorted(criteria.CRITERIA)
     oracles = [catalog.get(name).semiring for name in names]
     # each word is held as letters and, per semiring, as n masks of n**len(variables)
@@ -343,15 +331,12 @@ def _cmd_criteria(args) -> int:
         return _criteria_sweep(args)
     if not args.lemma or not args.identity:
         raise CliError("give --lemma and --identity, or --sweep")
-    name = args.lemma.upper()
-    if name not in criteria.CRITERIA:
-        raise CliError(f"--lemma must be one of {', '.join(sorted(criteria.CRITERIA))}")
     si = _parse_simple_identity(args.identity)
-    verdict = criteria.check(name, si)
-    payload = {"lemma": name, "identity": str(si), **verdict.to_dict()}
-    text = f"{name}: {'holds' if verdict.holds else 'fails'} ({verdict.rule})"
+    verdict = criteria.check(args.lemma, si)
+    payload = {"lemma": args.lemma, "identity": str(si), **verdict.to_dict()}
+    text = f"{args.lemma}: {'holds' if verdict.holds else 'fails'} ({verdict.rule})"
     if args.oracle:
-        S = catalog.get(name).semiring
+        S = catalog.get(args.lemma).semiring
         witness = counterexample(S, si.as_identity())
         oracle_holds = witness is None
         payload["oracle"] = {
@@ -379,82 +364,80 @@ def _cmd_nfb_check(args) -> int:
     return EXIT_OK if report.conclusion else EXIT_FALSE
 
 
-def _cmd_catalog(args) -> int:
-    if args.action == "list":
-        rows = catalog.entries(
-            order=args.order,
-            height1=True if args.height1 else None,
-            status=args.status,
-            flat=True if args.flat else None,
-        )
-        payload = [
-            {
-                "name": e.name,
-                "order": e.semiring.order,
-                "status": e.status,
-                "has_basis": e.basis is not None,
-            }
-            for e in rows
-        ]
-        lines = [
-            f"{e['name']:10} order {e['order']}  {e['status']}{' basis' if e['has_basis'] else ''}"
-            for e in payload
-        ]
-        _emit(args, payload, "\n".join(lines))
-        return EXIT_OK
-    if args.action == "show":
-        if not args.name:
-            raise CliError("catalog show needs an entry name")
-        entry = catalog.get(args.name)
-        payload = {
-            "name": entry.name,
-            "status": entry.status,
-            "semiring": entry.semiring.to_dict(),
-            "basis": None if entry.basis is None else [str(i) for i in entry.basis],
-            "claims": [c.label for c in entry.claims],
-            "canonical_key": canonical_form(entry.semiring).hex(),
+def _cmd_catalog_list(args) -> int:
+    rows = catalog.entries(
+        order=args.order,
+        height1=True if args.height1 else None,
+        status=args.status,
+        flat=True if args.flat else None,
+    )
+    payload = [
+        {
+            "name": e.name,
+            "order": e.semiring.order,
+            "status": e.status,
+            "has_basis": e.basis is not None,
         }
-        text = _table_text(entry.semiring) + f"\nstatus: {entry.status}"
-        if entry.basis:
-            text += "\nbasis:\n" + "\n".join(f"  {i}" for i in entry.basis)
-        if entry.claims:
-            text += "\nclaims:\n" + "\n".join(f"  {c.label}" for c in entry.claims)
-        _emit(args, payload, text)
-        return EXIT_OK
-    if args.action == "verify":
-        results = catalog.verify_all_claims()
-        ok = all(r.ok for r in results)
-        payload = {"all_ok": ok, "results": [r.to_dict() for r in results]}
-        lines = [f"{'pass' if r.ok else 'FAIL'}  {r.entry}: {r.claim.label}" for r in results]
-        lines.append(f"{sum(r.ok for r in results)}/{len(results)} claims pass")
-        _emit(args, payload, "\n".join(lines))
-        return EXIT_OK if ok else EXIT_FALSE
-    raise CliError(f"unknown catalog action {args.action!r}")
+        for e in rows
+    ]
+    lines = [
+        f"{e['name']:10} order {e['order']}  {e['status']}{' basis' if e['has_basis'] else ''}"
+        for e in payload
+    ]
+    _emit(args, payload, "\n".join(lines))
+    return EXIT_OK
 
 
-def _cmd_cert(args) -> int:
-    if args.action == "list":
-        names = derivation.bundled_certificate_names()
-        _emit(args, {"bundled": list(names)}, "\n".join(names))
-        return EXIT_OK
-    if args.action == "verify":
-        if not args.path:
-            raise CliError("cert verify needs a certificate file or bundled name")
-        if os.path.exists(args.path):
-            cert = derivation.certificate_from_dict(_read_json(args.path))
-        else:
-            try:
-                cert = derivation.load_bundled_certificate(args.path)
-            except FileNotFoundError:
-                raise CliError(f"no certificate file or bundled name {args.path!r}")
-        verdict = derivation.verify_certificate(cert)
-        payload = {"endpoints": str(cert.endpoints), **verdict.to_dict()}
-        text = "certificate valid" if verdict.valid else (
-            f"certificate invalid at step {verdict.failed_step}: {verdict.reason}"
-        )
-        _emit(args, payload, text)
-        return EXIT_OK if verdict.valid else EXIT_FALSE
-    raise CliError(f"unknown cert action {args.action!r}")
+def _cmd_catalog_show(args) -> int:
+    entry = catalog.get(args.name)
+    payload = {
+        "name": entry.name,
+        "status": entry.status,
+        "semiring": entry.semiring.to_dict(),
+        "basis": None if entry.basis is None else [str(i) for i in entry.basis],
+        "claims": [c.label for c in entry.claims],
+        "canonical_key": canonical_form(entry.semiring).hex(),
+    }
+    text = _table_text(entry.semiring) + f"\nstatus: {entry.status}"
+    if entry.basis:
+        text += "\nbasis:\n" + "\n".join(f"  {i}" for i in entry.basis)
+    if entry.claims:
+        text += "\nclaims:\n" + "\n".join(f"  {c.label}" for c in entry.claims)
+    _emit(args, payload, text)
+    return EXIT_OK
+
+
+def _cmd_catalog_verify(args) -> int:
+    results = catalog.verify_all_claims()
+    ok = all(r.ok for r in results)
+    payload = {"all_ok": ok, "results": [r.to_dict() for r in results]}
+    lines = [f"{'pass' if r.ok else 'FAIL'}  {r.entry}: {r.claim.label}" for r in results]
+    lines.append(f"{sum(r.ok for r in results)}/{len(results)} claims pass")
+    _emit(args, payload, "\n".join(lines))
+    return EXIT_OK if ok else EXIT_FALSE
+
+
+def _cmd_cert_list(args) -> int:
+    names = derivation.bundled_certificate_names()
+    _emit(args, {"bundled": list(names)}, "\n".join(names))
+    return EXIT_OK
+
+
+def _cmd_cert_verify(args) -> int:
+    if os.path.exists(args.path):
+        cert = derivation.certificate_from_dict(_read_json(args.path))
+    else:
+        try:
+            cert = derivation.load_bundled_certificate(args.path)
+        except FileNotFoundError:
+            raise CliError(f"no certificate file or bundled name {args.path!r}")
+    verdict = derivation.verify_certificate(cert)
+    payload = {"endpoints": str(cert.endpoints), **verdict.to_dict()}
+    text = "certificate valid" if verdict.valid else (
+        f"certificate invalid at step {verdict.failed_step}: {verdict.reason}"
+    )
+    _emit(args, payload, text)
+    return EXIT_OK if verdict.valid else EXIT_FALSE
 
 
 # ---------------------------------------------------------------------------
@@ -462,67 +445,67 @@ def _cmd_cert(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aisemiring",
         description="Workbench for finite additively idempotent semirings.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    def with_json(p):
+    def command(group, name, fn, help=None):
+        """A leaf parser: it takes --json and runs fn."""
+        p = group.add_parser(name, help=help)
         p.add_argument("--json", action="store_true", help="emit JSON on stdout")
+        p.set_defaults(fn=fn)
         return p
 
-    p = with_json(sub.add_parser("validate", help="check the ai-semiring laws"))
-    p.add_argument("semiring", nargs="?", help="catalog name, @constructor, or JSON file")
-    p.add_argument("--table", help="semiring JSON file with add and mul tables")
-    p.set_defaults(fn=_cmd_validate)
+    p = command(commands, "validate", _cmd_validate, "check the ai-semiring laws")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("semiring", nargs="?", help="catalog name, @constructor, or JSON file")
+    source.add_argument("--table", help="semiring JSON file with add and mul tables")
 
-    p = with_json(sub.add_parser("enumerate", help="census of ai-semirings up to isomorphism"))
+    p = command(commands, "enumerate", _cmd_enumerate, "census of ai-semirings up to isomorphism")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--height1", action="store_true", help="only additive height 1")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--out", help="directory for semiring JSON files plus an index")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="parallel workers, at least 1 (default: the processor count)",
-    )
-    p.set_defaults(fn=_cmd_enumerate)
+    p.add_argument("--workers", type=_at_least_1, help="parallel workers, at least 1 (default: the processor count)")
 
-    p = with_json(sub.add_parser("check", help="identity or basis satisfaction"))
+    p = command(commands, "check", _cmd_check, "identity or basis satisfaction")
     p.add_argument("--semiring", required=True)
-    p.add_argument("--identity", action="append", help="identity text, repeatable")
-    p.add_argument("--basis", help="use the bundled basis of this catalog entry")
-    p.set_defaults(fn=_cmd_check)
+    identities = p.add_mutually_exclusive_group(required=True)
+    identities.add_argument("--identity", action="append", help="identity text, repeatable")
+    identities.add_argument("--basis", help="use the bundled basis of this catalog entry")
 
-    p = with_json(sub.add_parser("iso", help="search for an isomorphism"))
+    p = command(commands, "iso", _cmd_iso, "search for an isomorphism")
     p.add_argument("first")
     p.add_argument("second")
-    p.set_defaults(fn=_cmd_iso)
 
-    p = with_json(sub.add_parser("embed", help="search for an embedding"))
+    p = command(commands, "embed", _cmd_embed, "search for an embedding")
     p.add_argument("first", help="the semiring to embed")
     p.add_argument("second", help="the target")
-    p.set_defaults(fn=_cmd_embed)
 
-    p = with_json(sub.add_parser("subdirect", help="subdirect embedding into a product"))
+    p = command(commands, "subdirect", _cmd_subdirect, "subdirect embedding into a product")
     p.add_argument("semiring")
     p.add_argument("first")
     p.add_argument("second")
-    p.set_defaults(fn=_cmd_subdirect)
 
-    p = with_json(sub.add_parser("construct", help="build a derived semiring"))
-    p.add_argument("kind", choices=["sc", "s", "mc", "m", "flat-ext", "ne", "ie", "dual", "product"])
-    p.add_argument("refs", nargs="*", help="semiring references for ne/ie/dual/product")
-    p.add_argument("--words", help="comma-separated generator words for sc/s/mc/m")
-    p.add_argument("--group", help="zN for flat-ext of a cyclic group")
-    p.add_argument("--table", help="semigroup JSON file for flat-ext")
-    p.add_argument("--out", help="write semiring JSON here")
-    p.set_defaults(fn=_cmd_construct)
+    kinds = commands.add_parser("construct", help="build a derived semiring").add_subparsers(dest="kind", required=True)
+    for head, (builder, arity) in catalog.CONSTRUCTORS.items():
+        # the same constructors as the @head references, under their kind names
+        p = command(kinds, {"flatext": "flat-ext", "prod": "product"}.get(head, head), _cmd_construct)
+        if arity:
+            p.add_argument("refs", nargs=arity, metavar="REF", help="semiring reference")
+        elif head == "flatext":
+            source = p.add_mutually_exclusive_group(required=True)
+            source.add_argument("--group", dest="text", metavar="zN", help="a cyclic group")
+            source.add_argument("--table", help="semigroup JSON file")
+        else:
+            p.add_argument("--words", dest="text", required=True, help="comma-separated generator words")
+        p.add_argument("--out", help="write semiring JSON here")
+        p.set_defaults(builder=builder, refs=None, text=None, table=None)
 
-    p = with_json(sub.add_parser("criteria", help="syntactic satisfaction criteria"))
-    p.add_argument("--lemma", help="L2 R2 M2 D2 N2 T2 S2 S4 S6 S10")
+    p = command(commands, "criteria", _cmd_criteria, "syntactic satisfaction criteria")
+    p.add_argument("--lemma", type=str.upper, choices=sorted(criteria.CRITERIA))
     p.add_argument("--identity", help="a simple identity u ≈ u + q")
     p.add_argument("--oracle", action="store_true", help="also run the brute-force evaluator")
     p.add_argument(
@@ -531,35 +514,33 @@ def build_parser() -> argparse.ArgumentParser:
         help="compare all ten criteria with exhaustive evaluation on every u ≈ u + q over the pool",
     )
     p.add_argument("--variables", default="xyz", help="sweep variable pool, one letter each")
-    p.add_argument("--max-length", type=int, default=3, help="longest sweep word")
-    p.add_argument("--max-summands", type=int, default=3, help="most summands in a sweep u")
-    p.set_defaults(fn=_cmd_criteria)
+    p.add_argument("--max-length", type=_at_least_1, default=3, help="longest sweep word")
+    p.add_argument("--max-summands", type=_at_least_1, default=3, help="most summands in a sweep u")
 
-    p = with_json(sub.add_parser("nfb-check", help="nonfinite-basis witness"))
+    p = command(commands, "nfb-check", _cmd_nfb_check, "nonfinite-basis witness")
     p.add_argument("semiring")
-    p.set_defaults(fn=_cmd_nfb_check)
 
-    p = with_json(sub.add_parser("catalog", help="named semirings, bases, claims"))
-    p.add_argument("action", choices=["list", "show", "verify"])
-    p.add_argument("name", nargs="?", help="entry name for show")
+    actions = commands.add_parser("catalog", help="named semirings, bases, claims").add_subparsers(
+        dest="action", required=True
+    )
+    p = command(actions, "list", _cmd_catalog_list)
     p.add_argument("--order", type=int)
     p.add_argument("--height1", action="store_true")
     p.add_argument("--status", choices=["finitely-based", "nonfinitely-based", "external"])
     p.add_argument("--flat", action="store_true")
-    p.set_defaults(fn=_cmd_catalog)
+    command(actions, "show", _cmd_catalog_show).add_argument("name", help="entry name")
+    command(actions, "verify", _cmd_catalog_verify)
 
-    p = with_json(sub.add_parser("cert", help="derivation certificates"))
-    p.add_argument("action", choices=["verify", "list"])
-    p.add_argument("path", nargs="?", help="certificate file or bundled name")
-    p.set_defaults(fn=_cmd_cert)
+    actions = commands.add_parser("cert", help="derivation certificates").add_subparsers(dest="action", required=True)
+    command(actions, "list", _cmd_cert_list)
+    command(actions, "verify", _cmd_cert_verify).add_argument("path", help="certificate file or bundled name")
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (CliError, catalog.CatalogError, BudgetExceededError, ValueError, OSError) as exc:
         # MalformedTableError, InvalidSemiringError, TermSyntaxError and

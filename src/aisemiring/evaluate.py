@@ -55,7 +55,7 @@ class BudgetExceededError(RuntimeError):
 
 
 class UnassignedVariableError(KeyError):
-    pass
+    __str__ = Exception.__str__  # the message, not KeyError's repr of it
 
 
 def eval_word(S: FiniteAiSemiring, w: Word, assignment: Mapping[str, int]) -> int:

@@ -20,7 +20,7 @@ class TermSyntaxError(ValueError):
 
 
 class UnboundVariableError(KeyError):
-    pass
+    __str__ = Exception.__str__  # the message, not KeyError's repr of it
 
 
 @dataclass(frozen=True, order=True)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import shlex
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -309,6 +310,11 @@ _BAD_INPUTS = [
     ["construct", "flat-ext", "--table", "{no_elements}"],
     ["check", "--semiring", "T2", "--basis", "S7"],
     ["criteria", "--lemma", "XX", "--identity", "x ≈ x + y"],
+    ["enumerate"],
+    ["enumerate", "--order", "x"],
+    ["catalog", "show", "T2", "--order", "4"],
+    ["catalog", "verify", "--status", "external"],
+    ["cert", "list", "extra"],
 ]
 
 
@@ -334,6 +340,16 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     if given_dir:  # the message names the directory, not the OS error number
         assert err.startswith(f"error: {tmp_path}")
     assert all(os.path.isfile(path) for path in paths.values())
+
+
+def test_readme_command_lines_parse():
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8").read()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert lines and all(argv[0] == "aisemiring" for argv in lines)
+    parser = cli.build_parser()
+    for argv in lines:
+        assert callable(parser.parse_args(argv[1:]).fn), argv
 
 
 def test_enumerate_workers_default_to_the_processor_count(capsys, monkeypatch):
@@ -490,7 +506,10 @@ def test_main_never_raises(tmp_path, monkeypatch, case):
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse rejected the arguments
-            code = exc.code
+        except SystemExit as exc:  # only -h or --help leaves main this way
+            assert exc.code == 0, (argv, exc.code)
+            code = 0
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err.getvalue()
+    if code == 2:  # main's error line, never a usage dump
+        assert err.getvalue().startswith("error:"), (argv, err.getvalue())

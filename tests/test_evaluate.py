@@ -37,6 +37,12 @@ def test_eval_term_examples():
         eval_term(s44, t, {"x": 0})
 
 
+def test_unassigned_variable_error_prints_the_plain_message():
+    with pytest.raises(UnassignedVariableError) as caught:
+        eval_term(S("S_(4,4)"), parse_term("xy"), {"x": 0})
+    assert str(caught.value) == "variable 'y' has no value"
+
+
 def test_satisfies_examples():
     assert satisfies(S("S_(4,20)"), parse_identity("x^4 ≈ x^2"))
     assert satisfies(S("S_(4,1)"), parse_identity("x ≈ x"))

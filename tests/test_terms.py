@@ -9,6 +9,7 @@ from aisemiring.terms import (
     Identity,
     Term,
     TermSyntaxError,
+    UnboundVariableError,
     Word,
     _check_bounds,
     _tokenize,
@@ -92,6 +93,9 @@ def test_substitute():
     assert substitute(parse_term("x^2"), {"x": parse_term("y + z")}) == parse_term("yy + yz + zy + zz")
     with pytest.raises(KeyError):
         substitute(t, {"x": parse_term("a")})
+    with pytest.raises(UnboundVariableError) as caught:
+        substitute(t, {})
+    assert str(caught.value) == "no image for ['x', 'y']"  # the message, not KeyError's repr of it
     # images are held to the parse bounds
     with pytest.raises(ValueError, match="more than 4096 summands"):
         substitute(parse_term("x^13"), {"x": parse_term("a + b")})
