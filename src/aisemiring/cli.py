@@ -44,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
     refusals take main's one exit-2 path instead of a usage dump and exit."""
 
     def error(self, message):
-        raise CliError(message)
+        raise CliError(f"{self.prog}: {message}")
 
 
 def _at_least_1(text: str) -> int:
@@ -541,7 +541,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away (``... | head``): point stdout at
+        # devnull, so that flushing what is left at exit raises nothing more
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (OSError, ValueError):  # a stdout without a file descriptor
+            pass
+        print("error: standard output was closed before the output was written", file=sys.stderr)
+        return EXIT_USAGE
     except (CliError, catalog.CatalogError, BudgetExceededError, ValueError, OSError) as exc:
         # MalformedTableError, InvalidSemiringError, TermSyntaxError and
         # MalformedCertificateError are ValueErrors

@@ -13,23 +13,27 @@ trying values in ascending order, so the first failure it meets is the
 lexicographically first one.  Assigning a variable puts its value into every
 word and multiplies out each run of assigned letters; a side is then the set
 of its reduced words, since addition is idempotent.  A subtree whose two sides
-reduce to the same set cannot fail and is skipped.  The last variable is
-decided for all n values at once: each side is a column of n values, the sum
-of the columns of its words.
+reduce to the same set cannot fail and is skipped.  The last ``tail``
+variables, the most whose n**tail assignments fit in BLOCK_BITS (at least
+one), are decided as one block: each side becomes n bitmasks in
+``BulkEvaluator``'s layout over those assignments, built from the masks of
+its words, and the lowest set bit of the OR over e of L[e] ^ R[e] is the
+first failing assignment, read in base n.
 
-At every depth below the first, the last included, a state whose subtree held
-(at the last depth: whose two columns agree) is remembered by its depth and
-its two sides, so an identical state under another prefix is skipped.  Only
-states that held are skipped, so the first failure met is still the first.
-The memo lives for one call and keeps at most MEMO_LETTERS letters: a state
-never has more letters than the identity, so the memo stops taking entries
-after MEMO_LETTERS // (letters of the identity) of them.  Without that bound
-an identity whose assigned letters stay apart, such as
+At every depth below the first, the block depth included, a state whose
+subtree held is remembered by its depth and its two sides, so an identical
+state under another prefix is skipped.  Only states that held are skipped, so
+the first failure met is still the first.  The memo lives for one call and
+keeps at most MEMO_LETTERS letters: a state never has more letters than the
+identity, so the memo stops taking entries after
+MEMO_LETTERS // (letters of the identity) of them.  Without that bound an
+identity whose assigned letters stay apart, such as
 ``x01 x09 x02 x09 ... x08 x09`` against its reverse, leaves nearly every node
-of the search in the memo.  The column of each word at the last depth is kept
-for the call as well, keyed by the word alone, since the letter put in there
-is always the last variable; that cache takes at most
-MEMO_LETTERS // (n + the longest word) words, each with its n values.
+of the search in the memo.  The masks of each word at the block depth are kept
+for the call as well, keyed by the word alone, since the letters left there
+are always the block's; that cache counts each stored word at its size, its
+letters plus n masks of n**tail bits each, and takes at most MEMO_LETTERS
+such letters.
 
 ``BulkEvaluator`` decides many identities ``u ≈ u + q`` over one variable
 pool.  It holds a word or term as n bitmasks over the assignment space, one
@@ -40,7 +44,9 @@ the absorption test are then a few integer ANDs and ORs per pair of elements.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import FiniteAiSemiring, Table
@@ -48,6 +54,7 @@ from .terms import Identity, Term, Word
 
 DEFAULT_BUDGET = 10_000_000
 MEMO_LETTERS = 1 << 16  # letters of word states one call may keep in its memo
+BLOCK_BITS = 1 << 10  # most assignments of the last variables decided as one block
 
 
 class BudgetExceededError(RuntimeError):
@@ -114,27 +121,72 @@ def _reduce(term: frozenset, var: int, value: int, add: Table, mul: Table, n: in
     return frozenset(out)
 
 
+@lru_cache(maxsize=32)
+def _variable_masks(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The masks of k variables over their n**k assignments in lexicographic
+    order (the first variable varies slowest): entry i holds, for each value
+    v, the mask of the assignments that give variable i the value v.
+
+    Variable i is v in a run of ``period`` = n**(k-i-1) assignments at
+    v * period in each of the n**i blocks of n * period assignments.
+    ``spread`` has one bit at the start of each block, so the runs are
+    (2**period - 1) * spread, shifted by v * period.
+    """
+    masks = []
+    spread = 1
+    for i in range(k):
+        period = n ** (k - i - 1)
+        if i:
+            spread = sum(spread << (t * n * period) for t in range(n))
+        runs = (spread << period) - spread
+        masks.append(tuple(runs << (v * period) for v in range(n)))
+    return tuple(masks)
+
+
+def _sparse_combine(table: Table, A: Sequence[int], B: Sequence[int], n: int) -> list[int]:
+    """The masks of A*B (or A+B) for ``table`` the multiplication (or the
+    addition), looping only over the pairs of nonzero masks."""
+    out = [0] * n
+    nonzero = [(b, mb) for b, mb in enumerate(B) if mb]
+    for a, m in enumerate(A):
+        if m:
+            row = table[a]
+            for b, mb in nonzero:
+                out[row[b]] |= m & mb
+    return out
+
+
 def _column(
-    term: frozenset, var: int, add: Table, mul: Table, n: int, words: dict, room: int
+    term: frozenset, block: dict, full: int, add: Table, mul: Table, n: int, words: dict, room: int
 ) -> list[int]:
-    """The values of ``term`` for each element put in for ``var``, its only
-    letter.  The column of each word is looked up in ``words`` and, while it
-    holds fewer than ``room`` words, stored there."""
-    elements = range(n)
+    """The n masks of ``term``, whose letters are all in ``block``, over the
+    assignments to those letters: bit i of entry e is set iff the term is e
+    at the i-th assignment.  ``block`` maps each letter to its masks and
+    ``full`` has a bit for every assignment.  The masks of each word are
+    looked up in ``words`` and, while it holds fewer than ``room`` words,
+    stored there."""
     col = None
     for w in term:
-        values = words.get(w)
-        if values is None:
+        vec = words.get(w)
+        if vec is None:
             first = w[0]
-            values = list(elements) if first == var else [first] * n
+            if first < n:
+                vec = [0] * n
+                vec[first] = full
+            else:
+                vec = block[first]
             for x in w[1:]:
-                if x == var:
-                    values = [mul[a][b] for a, b in zip(values, elements)]
+                if x < n:
+                    out = [0] * n
+                    for a, m in enumerate(vec):
+                        if m:
+                            out[mul[a][x]] |= m
+                    vec = out
                 else:
-                    values = [mul[a][x] for a in values]
+                    vec = _sparse_combine(mul, vec, block[x], n)
             if len(words) < room:
-                words[w] = values
-        col = values if col is None else [add[a][b] for a, b in zip(col, values)]
+                words[w] = vec
+        col = vec if col is None else _sparse_combine(add, col, vec, n)
     return col
 
 
@@ -147,27 +199,43 @@ def _first_failure(
     The search keeps its path on an explicit stack, so the number of
     variables is not limited by the interpreter's recursion limit.
     """
-    last = k - 1
+    tail = 1
+    while n ** (tail + 1) <= BLOCK_BITS:
+        tail += 1
+    top = max(k - tail, 0)  # the depth where the letters left are decided as one block
+    block = dict(zip(range(n + top, n + k), _variable_masks(n, k - top)))
+    full = (1 << n ** (k - top)) - 1  # a bit for each assignment in the block
     room = MEMO_LETTERS // (sum(map(len, lhs)) + sum(map(len, rhs)))  # memo entries allowed
-    word_room = MEMO_LETTERS // (n + max(map(len, lhs | rhs)))  # word columns allowed
+    # a stored word costs its letters and n masks, each a pointer and an int
+    # of at most ``full``'s size, counted in letters of 8 bytes
+    vector_letters = n * (1 + (sys.getsizeof(full) + 7) // 8)
+    word_room = MEMO_LETTERS // (vector_letters + max(map(len, lhs | rhs)))  # word masks allowed
     states = [(lhs, rhs)]
     values = [-1]  # the value tried at each depth of the current path
     held = set()  # (depth, lhs, rhs) of subtrees below the root without a failure
-    words = {}  # the column of each word at the last depth
+    words = {}  # the masks of each word at the block depth
     while states:
         d = len(states) - 1
         left, right = states[-1]
-        var = n + d
-        if d == last:
-            lcol = _column(left, var, add, mul, n, words, word_room)
-            rcol = _column(right, var, add, mul, n, words, word_room)
-            if lcol != rcol:
-                values[-1] = next(v for v in range(n) if lcol[v] != rcol[v])
+        if d == top:
+            lcol = _column(left, block, full, add, mul, n, words, word_room)
+            rcol = _column(right, block, full, add, mul, n, words, word_room)
+            diff = 0
+            for a, b in zip(lcol, rcol):
+                diff |= a ^ b
+            if diff:
+                index = (diff & -diff).bit_length() - 1  # the first failing assignment
+                digits = []
+                for _ in range(k - top):
+                    index, v = divmod(index, n)
+                    digits.append(v)
+                values[top:] = reversed(digits)
                 return values
         else:
             v = values[-1] + 1
             if v < n:
                 values[-1] = v
+                var = n + d
                 nleft = _reduce(left, var, v, add, mul, n)
                 nright = _reduce(right, var, v, add, mul, n)
                 if nleft != nright and (d + 1, nleft, nright) not in held:
@@ -282,18 +350,7 @@ class BulkEvaluator:
         self._add_pairs = _pairs_by_value(S.add, n)
         # u ≈ u + q fails exactly where u is a and q is b for one of these pairs
         self._breaking = [(a, b) for a in range(n) for b in range(n) if S.add[a][b] != a]
-        # The mask of variable i at value v: a run of `period` ones at
-        # v * period in each of the n**i blocks of n * period assignments.
-        # `spread` has one bit at the start of each block, so the runs are
-        # (2**period - 1) * spread, shifted by v * period.
-        self._columns: dict[str, tuple[int, ...]] = {}
-        spread = 1
-        for i, x in enumerate(self.variables):
-            period = n ** (k - i - 1)
-            if i:
-                spread = sum(spread << (t * n * period) for t in range(n))
-            runs = (spread << period) - spread
-            self._columns[x] = tuple(runs << (v * period) for v in range(n))
+        self._columns = dict(zip(self.variables, _variable_masks(n, k)))
         self._cache: dict[tuple[str, ...], tuple[int, ...]] = {}
 
     def word_vector(self, w: Word) -> tuple[int, ...]:

@@ -2,6 +2,8 @@ import io
 import json
 import os
 import shlex
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -340,6 +342,29 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     if given_dir:  # the message names the directory, not the OS error number
         assert err.startswith(f"error: {tmp_path}")
     assert all(os.path.isfile(path) for path in paths.values())
+
+
+def test_argparse_refusals_name_the_sub_command(capsys):
+    code, out, err = run(capsys, ["construct", "product", "T2"])
+    assert (code, out) == (2, "")
+    assert err == "error: aisemiring construct product: the following arguments are required: REF\n"
+
+
+def test_closed_stdout_is_one_error_line():
+    # stdout is a pipe whose read end is closed before the command writes
+    read, write = os.pipe()
+    os.close(read)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "aisemiring", "catalog", "list", "--json"],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: standard output was closed before the output was written\n"
 
 
 def test_readme_command_lines_parse():

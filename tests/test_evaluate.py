@@ -368,3 +368,84 @@ def test_word_columns_are_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _tail_length(n):
+    """The number of last variables decided as one block on n elements."""
+    tail = 1
+    while n ** (tail + 1) <= evaluate.BLOCK_BITS:
+        tail += 1
+    return tail
+
+
+def _block_identity(rng, names):
+    word = rng.sample(names, len(names))  # every variable once, so all n**k assignments count
+    kind = rng.randrange(3)
+    if kind == 0:  # holds exactly where the product commutes enough
+        return parse_identity("".join(word) + " ≈ " + "".join(reversed(word)))
+    if kind == 1:
+        cut = rng.randrange(1, len(word))
+        return parse_identity("".join(word) + " ≈ " + "".join(word[cut:] + word[:cut]))
+    extra = "".join(rng.choice(names) for _ in range(rng.randint(1, 3)))
+    return parse_identity(f"{''.join(word)} + {word[-1]} ≈ {''.join(word)} + {word[-1]} + {extra}")
+
+
+def test_blocks_match_brute_force_below_at_and_above_the_block_size():
+    # k is the block length and one less or more, so the whole space is one
+    # block, exactly BLOCK_BITS assignments, or blocks under a prefix
+    rng = random.Random(9)
+    algebras = [S(name) for name in catalog.names() if S(name).order <= 4][::3] + [_square("S_(4,4)")]
+    assert sorted({A.order for A in algebras}) == [2, 3, 4, 16]
+    sizes = set()
+    held = failed = 0
+    for algebra in algebras:
+        n = algebra.order
+        tail = _tail_length(n)
+        for k in (tail - 1, tail, tail + 1):
+            if k < 2:  # one variable gives only trivial identities here
+                continue
+            names = [f"x{i:02d}" for i in range(1, k + 1)]
+            sizes.add((n ** k > evaluate.BLOCK_BITS) - (n ** k < evaluate.BLOCK_BITS))
+            for _ in range(2):
+                identity = _block_identity(rng, names)
+                expected = _reference_counterexample(algebra, identity)
+                assert counterexample(algebra, identity) == expected, (algebra.name, str(identity))
+                held += expected is None
+                failed += expected is not None
+    assert sizes == {-1, 0, 1}
+    assert held and failed
+
+
+def test_failures_at_the_first_and_last_assignment_of_a_block():
+    n = 2
+    k = _tail_length(n) + 2  # the block lies under a prefix of two variables
+    names = [f"x{i:02d}" for i in range(1, k + 1)]
+    # in L2 a word is its first letter: the sides differ iff x01 != x02, first
+    # at x02 = 1 with every variable of the block 0
+    swapped = parse_identity("".join(names) + " ≈ " + "".join([names[1], names[0]] + names[2:]))
+    assert counterexample(S("L2"), swapped) == {**dict.fromkeys(names, 0), names[1]: 1}
+    # in D2 a word is the meet of its letters: the sides differ iff x01 = 0 and
+    # every other variable is 1, the last assignment of the block under 0, 1
+    dropped = parse_identity("".join(names) + " ≈ " + "".join(names[1:]))
+    assert counterexample(S("D2"), dropped) == {**dict.fromkeys(names, 1), names[0]: 0}
+    for algebra, identity in ((S("L2"), swapped), (S("D2"), dropped)):
+        assert counterexample(algebra, identity) == _reference_counterexample(algebra, identity)
+
+
+def test_block_word_masks_are_bounded(monkeypatch):
+    # x01..x18 stay apart in both words, so each of the 2**(19 - block length)
+    # prefixes above the block gives its own words there, each stored with n
+    # masks of BLOCK_BITS bits; a cache keeping them all would take about 0.7 MB
+    names = [f"x{i:02d}" for i in range(1, 20)]
+    assert 2 ** (len(names) - _tail_length(2)) >= 512
+    left = [x for a in names[:-1] for x in (a, names[-1])]
+    rotated = parse_identity("".join(left) + " ≈ " + "".join(left[-1:] + left[:-1]))
+    monkeypatch.setattr(evaluate, "MEMO_LETTERS", 64 * 2 * len(left))
+    m2 = S("M2")  # built before the measurement
+    tracemalloc.start()
+    try:
+        assert counterexample(m2, rotated) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 18
