@@ -35,8 +35,9 @@ class over that addition.
 
 With more than one worker, each addition is one task, and the additions are
 handed out deepest search first (most join-irreducibles, so most searched
-cells), so that no long search starts last; the results are put back in
-enumeration order, so the census is the same for any worker count.
+cells), so that no long search starts last.  The classes are ordered by one
+sort of their canonical keys, which are unique, so the census is the same
+for any worker count and for any order in which the additions are searched.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ import os
 import shutil
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .core import FiniteAiSemiring, Table, additive_height, canonical_form, least_relabeling, validate
@@ -75,7 +75,6 @@ def _canonical_add(add: Table) -> Table:
     return tuple(tuple(key[a * n : (a + 1) * n]) for a in range(n))
 
 
-@lru_cache(maxsize=None)
 def enumerate_semilattices(n: int) -> tuple[Table, ...]:
     """All commutative idempotent associative tables on n elements, one per
     isomorphism class, each in canonical relabeling.
@@ -314,14 +313,13 @@ def _census_for_addition(add: Table) -> tuple[int, list[tuple[bytes, Table, Tabl
         if key in seen:
             raise RuntimeError("search listed two tables of one class; symmetry bug")
         seen[key] = mul
-    triples = [(key, add, mul) for key, mul in sorted(seen.items())]
     # the least class (there is one: the constant product onto the top is a
     # multiplication): one n! scan per addition
-    key, _, mul = triples[0]
-    least = FiniteAiSemiring("", _elements(len(add)), add, mul)
-    if canonical_form(least) != key:
+    least_key = min(seen)
+    least = FiniteAiSemiring("", _elements(len(add)), add, seen[least_key])
+    if canonical_form(least) != least_key:
         raise RuntimeError("census key differs from canonical_form; dedup bug")
-    return additive_height(least), triples
+    return additive_height(least), [(key, add, mul) for key, mul in seen.items()]
 
 
 def enumerate_ai_semirings(n: int, workers: int = 1) -> CensusResult:
@@ -336,11 +334,10 @@ def enumerate_ai_semirings(n: int, workers: int = 1) -> CensusResult:
         import multiprocessing
 
         # deepest searches first (one cell per pair of join-irreducibles), so
-        # no long search starts last; ties keep enumeration order
-        order = sorted(range(len(additions)), key=lambda i: -len(_join_irreducibles(additions[i])))
+        # no long search starts last
+        additions = sorted(additions, key=lambda add: -len(_join_irreducibles(add)))
         with multiprocessing.Pool(min(workers, len(additions))) as pool:
-            done = pool.map(_census_for_addition, [additions[i] for i in order], chunksize=1)
-        chunks = [chunk for _, chunk in sorted(zip(order, done))]
+            chunks = pool.map(_census_for_addition, additions, chunksize=1)
     else:
         chunks = [_census_for_addition(add) for add in additions]
 

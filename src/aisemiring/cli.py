@@ -151,7 +151,9 @@ def _available_processors() -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    workers = _available_processors() if args.workers is None else args.workers
+    workers = args.workers
+    if workers is None:  # up to order 4, starting a pool takes longer than the census
+        workers = 1 if args.order <= 4 else _available_processors()
     result = enumerate_ai_semirings(args.order, workers=workers)
     chosen = result.height1 if args.height1 else result.semirings
     count = len(chosen)
@@ -265,6 +267,10 @@ def _parse_simple_identity(text: str) -> SimpleIdentity:
     return SimpleIdentity(identity.lhs, q_term.words[-1])
 
 
+# the sweep's variable pool, longest word and most summands in u, when not given
+_SWEEP_DEFAULTS = {"variables": "xyz", "max_length": 3, "max_summands": 3}
+
+
 def _criteria_sweep(args) -> int:
     """Every u ≈ u + q over the variable pool, judged by each of the ten
     criteria and by the bulk evaluator on the criterion's semiring."""
@@ -327,10 +333,15 @@ def _criteria_sweep(args) -> int:
 
 
 def _cmd_criteria(args) -> int:
+    given = [name for name in _SWEEP_DEFAULTS if getattr(args, name) is not None]
     if args.sweep:
+        for name in _SWEEP_DEFAULTS.keys() - given:
+            setattr(args, name, _SWEEP_DEFAULTS[name])
         return _criteria_sweep(args)
     if not args.lemma or not args.identity:
         raise CliError("give --lemma and --identity, or --sweep")
+    if given:
+        raise CliError(f"only --sweep takes {', '.join('--' + name.replace('_', '-') for name in given)}")
     si = _parse_simple_identity(args.identity)
     verdict = criteria.check(args.lemma, si)
     payload = {"lemma": args.lemma, "identity": str(si), **verdict.to_dict()}
@@ -455,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
         """A leaf parser: it takes --json and runs fn."""
         p = group.add_parser(name, help=help)
         p.add_argument("--json", action="store_true", help="emit JSON on stdout")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, parser=p)
         return p
 
     p = command(commands, "validate", _cmd_validate, "check the ai-semiring laws")
@@ -468,7 +479,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height1", action="store_true", help="only additive height 1")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--out", help="directory for semiring JSON files plus an index")
-    p.add_argument("--workers", type=_at_least_1, help="parallel workers, at least 1 (default: the processor count)")
+    p.add_argument(
+        "--workers",
+        type=_at_least_1,
+        help="parallel workers, at least 1 (default: 1 up to order 4, else the processor count)",
+    )
 
     p = command(commands, "check", _cmd_check, "identity or basis satisfaction")
     p.add_argument("--semiring", required=True)
@@ -513,9 +528,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="compare all ten criteria with exhaustive evaluation on every u ≈ u + q over the pool",
     )
-    p.add_argument("--variables", default="xyz", help="sweep variable pool, one letter each")
-    p.add_argument("--max-length", type=_at_least_1, default=3, help="longest sweep word")
-    p.add_argument("--max-summands", type=_at_least_1, default=3, help="most summands in a sweep u")
+    p.add_argument("--variables", help="sweep variable pool, one letter each (default: xyz)")
+    p.add_argument("--max-length", type=_at_least_1, help="longest sweep word (default: 3)")
+    p.add_argument("--max-summands", type=_at_least_1, help="most summands in a sweep u (default: 3)")
 
     p = command(commands, "nfb-check", _cmd_nfb_check, "nonfinite-basis witness")
     p.add_argument("semiring")
@@ -540,7 +555,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        # leftover arguments are refused by the leaf parser, so the message names the command
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
         code = args.fn(args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code

@@ -247,6 +247,18 @@ def test_order4_parallel_census_is_bit_identical(order4_census):
     ]
 
 
+def test_census_does_not_depend_on_the_order_of_its_additions(monkeypatch, order3_census, order4_census):
+    # the classes take their order from one sort of their unique keys
+    real = census.enumerate_semilattices
+    monkeypatch.setattr(census, "enumerate_semilattices", lambda n: real(n)[::-1])
+    for result in (order3_census, order4_census):
+        reversed_order = enumerate_ai_semirings(result.order)
+        assert [S.name for S in reversed_order.semirings] == [S.name for S in result.semirings]
+        assert [(S.add, S.mul) for S in reversed_order.semirings] == [(S.add, S.mul) for S in result.semirings]
+        assert reversed_order.keys == result.keys
+        assert reversed_order.height1 == result.height1
+
+
 def test_height1_is_the_classes_of_additive_height_one(monkeypatch, order3_census, order4_census):
     results = [enumerate_ai_semirings(1), enumerate_ai_semirings(2), order3_census, order4_census]
     for result in results:

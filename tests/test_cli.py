@@ -317,6 +317,8 @@ _BAD_INPUTS = [
     ["catalog", "show", "T2", "--order", "4"],
     ["catalog", "verify", "--status", "external"],
     ["cert", "list", "extra"],
+    ["criteria", "--lemma", "M2", "--identity", "x + y ≈ yx + x + y", "--max-length", "5", "--variables", "ab"],
+    ["criteria", "--lemma", "M2", "--identity", "x + y ≈ yx + x + y", "--max-summands", "9"],
 ]
 
 
@@ -348,6 +350,11 @@ def test_argparse_refusals_name_the_sub_command(capsys):
     code, out, err = run(capsys, ["construct", "product", "T2"])
     assert (code, out) == (2, "")
     assert err == "error: aisemiring construct product: the following arguments are required: REF\n"
+    # arguments left over are refused by the leaf command, which the message names
+    code, out, err = run(capsys, ["catalog", "show", "T2", "--order", "4"])
+    assert (code, out) == (2, "")
+    assert err == "error: aisemiring catalog show: unrecognized arguments: --order 4\n"
+    assert run(capsys, ["iso", "T2", "T2", "L2"])[2] == "error: aisemiring iso: unrecognized arguments: L2\n"
 
 
 def test_closed_stdout_is_one_error_line():
@@ -378,21 +385,28 @@ def test_readme_command_lines_parse():
 
 
 def test_enumerate_workers_default_to_the_processor_count(capsys, monkeypatch):
+    # above order 4; up to order 4 a serial run is faster than starting a pool
     handed = []
+    order1 = enumerate_ai_semirings(1)
 
     def record(n, workers=1):
         handed.append(workers)
-        return enumerate_ai_semirings(n)
+        return order1
 
     monkeypatch.setattr(cli, "enumerate_ai_semirings", record)
-    assert run(capsys, ["enumerate", "--order", "2", "--workers", "1"])[0] == 0
-    assert run(capsys, ["enumerate", "--order", "2"])[0] == 0
+    assert run(capsys, ["enumerate", "--order", "5", "--workers", "1"])[0] == 0
+    assert run(capsys, ["enumerate", "--order", "5"])[0] == 0
     available = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     assert handed == [1, available]
     # the processors this process may use, not every processor of the machine
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
-    assert run(capsys, ["enumerate", "--order", "2"])[0] == 0
+    assert run(capsys, ["enumerate", "--order", "5"])[0] == 0
     assert handed[-1] == 3
+    for order in ("1", "4"):
+        assert run(capsys, ["enumerate", "--order", order])[0] == 0
+        assert handed[-1] == 1
+    assert run(capsys, ["enumerate", "--order", "4", "--workers", "2"])[0] == 0
+    assert handed[-1] == 2
 
 
 
