@@ -46,6 +46,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(f"{self.prog}: {message}")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # a sub-command is parsed by its own parser's parse_known_args, so
+        # each parser refuses what is left over at its level, and the message
+        # names the command that was given it
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args, extra
+
 
 def _at_least_1(text: str) -> int:
     try:
@@ -466,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
         """A leaf parser: it takes --json and runs fn."""
         p = group.add_parser(name, help=help)
         p.add_argument("--json", action="store_true", help="emit JSON on stdout")
-        p.set_defaults(fn=fn, parser=p)
+        p.set_defaults(fn=fn)
         return p
 
     p = command(commands, "validate", _cmd_validate, "check the ai-semiring laws")
@@ -555,10 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        # leftover arguments are refused by the leaf parser, so the message names the command
-        args, extra = build_parser().parse_known_args(argv)
-        if extra:
-            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args = build_parser().parse_args(argv)
         code = args.fn(args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code

@@ -15,10 +15,15 @@ word and multiplies out each run of assigned letters; a side is then the set
 of its reduced words, since addition is idempotent.  A subtree whose two sides
 reduce to the same set cannot fail and is skipped.  The last ``tail``
 variables, the most whose n**tail assignments fit in BLOCK_BITS (at least
-one), are decided as one block: each side becomes n bitmasks in
-``BulkEvaluator``'s layout over those assignments, built from the masks of
-its words, and the lowest set bit of the OR over e of L[e] ^ R[e] is the
-first failing assignment, read in base n.
+one), are decided as one block.  Each side becomes one lane int over those
+assignments: lane i, one byte wide (two or four above 16 elements), holds the
+side's value at the i-th assignment in lexicographic order.  A product or a
+sum of two lane ints is one table lookup per lane: for n <= 16 the lanes a, b
+become the byte 16 * a + b of (A << 4) | B, and one ``bytes.translate``
+through a 256-byte table maps every byte at once; wider lanes hold a * n + b
+and look it up in the flat table.  An element c in a word is c times the
+lane int with 1 in every lane.  The lowest set bit of L ^ R lies in the first
+failing lane, whose index read in base n is the first failing assignment.
 
 At every depth below the first, the block depth included, a state whose
 subtree held is remembered by its depth and its two sides, so an identical
@@ -29,10 +34,10 @@ identity, so the memo stops taking entries after
 MEMO_LETTERS // (letters of the identity) of them.  Without that bound an
 identity whose assigned letters stay apart, such as
 ``x01 x09 x02 x09 ... x08 x09`` against its reverse, leaves nearly every node
-of the search in the memo.  The masks of each word at the block depth are kept
-for the call as well, keyed by the word alone, since the letters left there
-are always the block's; that cache counts each stored word at its size, its
-letters plus n masks of n**tail bits each, and takes at most MEMO_LETTERS
+of the search in the memo.  The lane int of each word at the block depth is
+kept for the call as well, keyed by the word alone, since the letters left
+there are always the block's; that cache counts each stored word at its size,
+its letters plus a pointer and the lane int, and takes at most MEMO_LETTERS
 such letters.
 
 ``BulkEvaluator`` decides many identities ``u ≈ u + q`` over one variable
@@ -44,10 +49,12 @@ the absorption test are then a few integer ANDs and ORs per pair of elements.
 
 from __future__ import annotations
 
+import struct
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .core import FiniteAiSemiring, Table
 from .terms import Identity, Term, Word
@@ -143,50 +150,67 @@ def _variable_masks(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(masks)
 
 
-def _sparse_combine(table: Table, A: Sequence[int], B: Sequence[int], n: int) -> list[int]:
-    """The masks of A*B (or A+B) for ``table`` the multiplication (or the
-    addition), looping only over the pairs of nonzero masks."""
-    out = [0] * n
-    nonzero = [(b, mb) for b, mb in enumerate(B) if mb]
-    for a, m in enumerate(A):
-        if m:
-            row = table[a]
-            for b, mb in nonzero:
-                out[row[b]] |= m & mb
-    return out
+@lru_cache(maxsize=32)
+def _variable_lanes(n: int, t: int, width: int) -> tuple[int, ...]:
+    """The lane ints of t variables over their n**t assignments in
+    lexicographic order (the first variable varies slowest): lane i of
+    entry j, its ``width`` bytes from byte width * i on, holds the value of
+    variable j at the i-th assignment."""
+    lanes = []
+    for j in range(t):
+        period = n ** (t - j - 1)  # variable j is v in runs of this many assignments
+        run = b"".join(v.to_bytes(width, "little") * period for v in range(n))
+        lanes.append(int.from_bytes(run * n ** j, "little"))
+    return tuple(lanes)
+
+
+def _lane_op(table: Table, n: int, width: int, size: int) -> Callable[[int, int], int]:
+    """The function that combines two lane ints of ``size`` bytes lane by
+    lane through ``table``, the multiplication or the addition.
+
+    With ``width`` 1 (n <= 16) the pair of lanes a, b becomes the byte
+    16 * a + b, and one ``bytes.translate`` through a 256-byte table looks
+    up every product at once.  Wider lanes hold the pair a * n + b, which is
+    looked up in the flat table lane by lane.
+    """
+    if width == 1:
+        T = bytes(16 - n).join(map(bytes, table)).ljust(256, b"\0")  # row a from byte 16 * a
+
+        def op(A: int, B: int) -> int:
+            return int.from_bytes(((A << 4) | B).to_bytes(size, "little").translate(T), "little")
+
+    else:
+        # the lanes as little-endian unsigned ints of standard size
+        lanes = struct.Struct(f"<{size // width}{'H' if width == 2 else 'I'}")
+        flat = list(chain.from_iterable(table))
+
+        def op(A: int, B: int) -> int:
+            pairs = lanes.unpack((A * n + B).to_bytes(size, "little"))
+            return int.from_bytes(lanes.pack(*map(flat.__getitem__, pairs)), "little")
+
+    return op
 
 
 def _column(
-    term: frozenset, block: dict, full: int, add: Table, mul: Table, n: int, words: dict, room: int
-) -> list[int]:
-    """The n masks of ``term``, whose letters are all in ``block``, over the
-    assignments to those letters: bit i of entry e is set iff the term is e
-    at the i-th assignment.  ``block`` maps each letter to its masks and
-    ``full`` has a bit for every assignment.  The masks of each word are
-    looked up in ``words`` and, while it holds fewer than ``room`` words,
-    stored there."""
+    term: frozenset, block: dict, mul: Callable, add: Callable, words: dict, room: int
+) -> int:
+    """The lane int of ``term``, whose letters are all in ``block``, over
+    the assignments to those letters: lane i holds the term's value at the
+    i-th assignment.  ``block`` maps each letter to its lane int and each
+    element to the lane int that holds it in every lane; ``mul`` and ``add``
+    combine two lane ints lane by lane.  The lane int of each word is looked
+    up in ``words`` and, while it holds fewer than ``room`` words, stored
+    there."""
     col = None
     for w in term:
-        vec = words.get(w)
-        if vec is None:
-            first = w[0]
-            if first < n:
-                vec = [0] * n
-                vec[first] = full
-            else:
-                vec = block[first]
+        lane = words.get(w)
+        if lane is None:
+            lane = block[w[0]]
             for x in w[1:]:
-                if x < n:
-                    out = [0] * n
-                    for a, m in enumerate(vec):
-                        if m:
-                            out[mul[a][x]] |= m
-                    vec = out
-                else:
-                    vec = _sparse_combine(mul, vec, block[x], n)
+                lane = mul(lane, block[x])
             if len(words) < room:
-                words[w] = vec
-        col = vec if col is None else _sparse_combine(add, col, vec, n)
+                words[w] = lane
+        col = lane if col is None else add(col, lane)
     return col
 
 
@@ -203,28 +227,31 @@ def _first_failure(
     while n ** (tail + 1) <= BLOCK_BITS:
         tail += 1
     top = max(k - tail, 0)  # the depth where the letters left are decided as one block
-    block = dict(zip(range(n + top, n + k), _variable_masks(n, k - top)))
-    full = (1 << n ** (k - top)) - 1  # a bit for each assignment in the block
+    count = n ** (k - top)  # assignments in the block, a lane each
+    width = 1 if n <= 16 else 2 if n <= 256 else 4  # bytes per lane, enough for a pair
+    size = width * count  # bytes per lane int
+    ones = int.from_bytes((1).to_bytes(width, "little") * count, "little")
+    block = {c: c * ones for c in range(n)}
+    block.update(zip(range(n + top, n + k), _variable_lanes(n, k - top, width)))
+    lane_mul, lane_add = _lane_op(mul, n, width, size), _lane_op(add, n, width, size)
     room = MEMO_LETTERS // (sum(map(len, lhs)) + sum(map(len, rhs)))  # memo entries allowed
-    # a stored word costs its letters and n masks, each a pointer and an int
-    # of at most ``full``'s size, counted in letters of 8 bytes
-    vector_letters = n * (1 + (sys.getsizeof(full) + 7) // 8)
-    word_room = MEMO_LETTERS // (vector_letters + max(map(len, lhs | rhs)))  # word masks allowed
+    # a stored word costs its letters, a pointer and its lane int, counted in
+    # letters of 8 bytes
+    lane_letters = 1 + (sys.getsizeof((1 << 8 * size) - 1) + 7) // 8
+    word_room = MEMO_LETTERS // (lane_letters + max(map(len, lhs | rhs)))  # word lanes allowed
     states = [(lhs, rhs)]
     values = [-1]  # the value tried at each depth of the current path
     held = set()  # (depth, lhs, rhs) of subtrees below the root without a failure
-    words = {}  # the masks of each word at the block depth
+    words = {}  # the lane int of each word at the block depth
     while states:
         d = len(states) - 1
         left, right = states[-1]
         if d == top:
-            lcol = _column(left, block, full, add, mul, n, words, word_room)
-            rcol = _column(right, block, full, add, mul, n, words, word_room)
-            diff = 0
-            for a, b in zip(lcol, rcol):
-                diff |= a ^ b
+            diff = _column(left, block, lane_mul, lane_add, words, word_room) ^ _column(
+                right, block, lane_mul, lane_add, words, word_room
+            )
             if diff:
-                index = (diff & -diff).bit_length() - 1  # the first failing assignment
+                index = ((diff & -diff).bit_length() - 1) // (8 * width)  # the first failing lane
                 digits = []
                 for _ in range(k - top):
                     index, v = divmod(index, n)

@@ -355,6 +355,12 @@ def test_argparse_refusals_name_the_sub_command(capsys):
     assert (code, out) == (2, "")
     assert err == "error: aisemiring catalog show: unrecognized arguments: --order 4\n"
     assert run(capsys, ["iso", "T2", "T2", "L2"])[2] == "error: aisemiring iso: unrecognized arguments: L2\n"
+    # an option before the sub-command was given to no sub-command
+    assert run(capsys, ["--foo", "enumerate", "--order", "2"]) == (
+        2, "", "error: aisemiring: unrecognized arguments: --foo\n"
+    )
+    err = run(capsys, ["enumerate", "--order", "2", "--foo"])[2]
+    assert err == "error: aisemiring enumerate: unrecognized arguments: --foo\n"
 
 
 def test_closed_stdout_is_one_error_line():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aisemiring import catalog, criteria, evaluate
+from aisemiring import catalog, construct, criteria, evaluate
 from aisemiring.core import FiniteAiSemiring, direct_product, dual, find_embedding
 from aisemiring.evaluate import (
     BudgetExceededError,
@@ -434,8 +434,8 @@ def test_failures_at_the_first_and_last_assignment_of_a_block():
 
 def test_block_word_masks_are_bounded(monkeypatch):
     # x01..x18 stay apart in both words, so each of the 2**(19 - block length)
-    # prefixes above the block gives its own words there, each stored with n
-    # masks of BLOCK_BITS bits; a cache keeping them all would take about 0.7 MB
+    # prefixes above the block gives its own words there, each stored with a
+    # lane int of BLOCK_BITS bytes; a cache keeping them all would take about 0.6 MB
     names = [f"x{i:02d}" for i in range(1, 20)]
     assert 2 ** (len(names) - _tail_length(2)) >= 512
     left = [x for a in names[:-1] for x in (a, names[-1])]
@@ -449,3 +449,71 @@ def test_block_word_masks_are_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 18
+
+
+def _flat_cyclic(k):
+    """The cyclic group of order k with a zero at index 0, made flat: a + a = a
+    and a + b = 0 otherwise.  Built unchecked, so k + 1 may exceed the order
+    that ``@flatext:zN`` builds."""
+    n = k + 1
+    mul = tuple(tuple((a + b - 2) % k + 1 if a and b else 0 for b in range(n)) for a in range(n))
+    elements = ("0",) + tuple(f"g{i}" for i in range(k))
+    return FiniteAiSemiring(name=f"flat Z{k}", elements=elements, add=construct.flat_addition(n, 0), mul=mul)
+
+
+def test_wide_lanes_match_brute_force():
+    # above 16 elements a byte cannot hold a pair of values, so the block has
+    # wider lanes; on 24 elements it is the last two of three variables, on 64
+    # the last of two
+    rng = random.Random(10)
+    product24 = catalog.resolve("@prod:S_(4,4),@prod:T2,S7")
+    product64 = catalog.resolve("@prod:S_(4,4),@prod:S_(4,4),S_(4,20)")
+    assert (product24.order, product64.order) == (24, 64)
+    for algebra, letters in ((product24, "xyz"), (product64, "xy")):
+        held = failed = 0
+        for _ in range(30):
+            identity = _random_wide_identity(rng, letters[: rng.randint(1, len(letters))])
+            expected = _reference_counterexample(algebra, identity)
+            assert counterexample(algebra, identity) == expected, (algebra.order, str(identity))
+            held += expected is None
+            failed += expected is not None
+        assert held and failed
+
+
+def test_wide_lanes_fail_at_the_first_and_last_assignment_of_a_block():
+    product24 = catalog.resolve("@prod:S_(4,4),@prod:T2,S7")
+    product64 = catalog.resolve("@prod:S_(4,4),@prod:S_(4,4),S_(4,20)")
+    flat24, flat64 = catalog.resolve("@flatext:z23"), catalog.resolve("@flatext:z63")
+    flat257 = _flat_cyclic(256)
+    # in a flat cyclic group with a zero, xy + xyxy is e where xy = e and 0
+    # elsewhere, and adding x changes it unless x = e, so the first failure is
+    # x = g1 with its inverse, the last element, in every letter of the block
+    inverse = "xy + xyxy ≈ xy + xyxy + x"
+    cases = [
+        (product24, "x^2yz ≈ xyz", {"x": 1, "y": 0, "z": 0}),
+        (flat24, "xy + xz + xyxy ≈ xy + xz + xyxy + x", {"x": 2, "y": 23, "z": 23}),
+        (product64, "x ≈ x + y", {"x": 1, "y": 0}),
+        (flat64, inverse, {"x": 2, "y": 63}),
+        (flat257, "x ≈ x + y", {"x": 1, "y": 0}),  # lanes of four bytes
+        (flat257, inverse, {"x": 2, "y": 256}),
+    ]
+    for algebra, text, witness in cases:
+        identity = parse_identity(text)
+        assert counterexample(algebra, identity) == witness, (algebra.order, text)
+        assert _reference_counterexample(algebra, identity) == witness
+
+
+def test_lane_ops_look_up_every_pair():
+    # one lane for each pair (a, b): the result lane must hold table[a][b],
+    # for lanes of one byte (n <= 16), two bytes and four bytes (n > 256)
+    rng = random.Random(11)
+    for n, width in ((2, 1), (16, 1), (17, 2), (256, 2), (257, 4)):
+        table = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+
+        def lanes(values):
+            return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+
+        op = evaluate._lane_op(table, n, width, width * len(pairs))
+        out = op(lanes(a for a, _ in pairs), lanes(b for _, b in pairs))
+        assert out == lanes(table[a][b] for a, b in pairs), n
