@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 Row = tuple[int, ...]
 Table = tuple[Row, ...]
@@ -399,63 +399,61 @@ def canonical_form(S: FiniteAiSemiring) -> bytes:
     return add_key + least_relabeling(S.mul, perms)[0]
 
 
-def _search_hom(S: FiniteAiSemiring, T: FiniteAiSemiring, accept=None) -> Optional[Morphism]:
-    """First injective homomorphism S -> T in lexicographic image order whose
-    mapping passes ``accept``, or None.
+def _search_hom(S: FiniteAiSemiring, T: FiniteAiSemiring) -> Iterator[tuple[int, ...]]:
+    """The injective homomorphisms S -> T as image tuples, in lexicographic order.
 
-    Backtracking assigns images in source-index order; partial images are
-    pruned as soon as an operation constraint is decided.
+    Backtracking assigns images in source-index order.  Each constraint
+    f(a op b) = f(a) op f(b) is checked once, at the index where the last of
+    a, b and a op b gets its image.
     """
     n, m = S.order, T.order
-    img = [-1] * n
+    checks: list[list[tuple[Table, int, int, int]]] = [[] for _ in range(n)]
+    for sop, top in ((S.add, T.add), (S.mul, T.mul)):
+        for a in range(n):
+            for b, k in enumerate(sop[a]):
+                checks[max(a, b, k)].append((top, a, b, k))
+    img = [0] * n
     used = [False] * m
 
-    def consistent(upto: int) -> bool:
-        for a in range(upto + 1):
-            for b in range(upto + 1):
-                for sop, top in ((S.add, T.add), (S.mul, T.mul)):
-                    k = sop[a][b]
-                    if k <= upto and top[img[a]][img[b]] != img[k]:
-                        return False
-        return True
-
-    def extend(i: int) -> Optional[tuple[int, ...]]:
+    def extend(i: int) -> Iterator[tuple[int, ...]]:
         if i == n:
-            result = tuple(img)
-            if accept is None or accept(result):
-                return result
-            return None
+            yield tuple(img)
+            return
         for t in range(m):
             if used[t]:
                 continue
             img[i] = t
-            used[t] = True
-            if consistent(i):
-                found = extend(i + 1)
-                if found is not None:
-                    return found
-            img[i] = -1
-            used[t] = False
-        return None
+            for top, a, b, k in checks[i]:
+                if top[img[a]][img[b]] != img[k]:
+                    break
+            else:
+                used[t] = True
+                yield from extend(i + 1)
+                used[t] = False
 
-    found = extend(0)
-    return None if found is None else Morphism(source=S, target=T, mapping=found)
+    return extend(0)
+
+
+def _first(S: FiniteAiSemiring, T: FiniteAiSemiring, maps: Iterator[tuple[int, ...]]) -> Optional[Morphism]:
+    """The first of ``maps`` as a checked Morphism S -> T, or None."""
+    mapping = next(maps, None)
+    return None if mapping is None else Morphism(source=S, target=T, mapping=mapping)
 
 
 def find_isomorphism(S: FiniteAiSemiring, T: FiniteAiSemiring) -> Optional[Morphism]:
     """A bijective homomorphism if one exists; first in lexicographic order."""
-    return _search_hom(S, T) if S.order == T.order else None
+    return _first(S, T, _search_hom(S, T)) if S.order == T.order else None
 
 
 def find_embedding(S: FiniteAiSemiring, T: FiniteAiSemiring) -> Optional[Morphism]:
-    """An injective homomorphism S -> T if one exists; deterministic."""
-    return _search_hom(S, T) if S.order <= T.order else None
+    """An injective homomorphism S -> T if one exists; first in lexicographic order."""
+    return _first(S, T, _search_hom(S, T)) if S.order <= T.order else None
 
 
 def is_subdirect_embedding(
     S: FiniteAiSemiring, A: FiniteAiSemiring, B: FiniteAiSemiring
 ) -> Optional[Morphism]:
-    """An injective hom S -> A x B with both coordinate projections onto."""
+    """An injective hom S -> A x B with both projections onto; first in lexicographic order."""
     P = direct_product(A, B)
     if S.order > P.order:
         return None
@@ -464,4 +462,4 @@ def is_subdirect_embedding(
     def surjective(mapping: tuple[int, ...]) -> bool:
         return len({p // m for p in mapping}) == A.order and len({p % m for p in mapping}) == B.order
 
-    return _search_hom(S, P, accept=surjective)
+    return _first(S, P, filter(surjective, _search_hom(S, P)))

@@ -128,7 +128,6 @@ def _reduce(term: frozenset, var: int, value: int, add: Table, mul: Table, n: in
     return frozenset(out)
 
 
-@lru_cache(maxsize=32)
 def _variable_masks(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     """The masks of k variables over their n**k assignments in lexicographic
     order (the first variable varies slowest): entry i holds, for each value

@@ -95,14 +95,6 @@ class Term:
     def __mul__(self, other: "Term") -> "Term":
         return Term(tuple(a * b for a in self.words for b in other.words))
 
-    def __pow__(self, k: int) -> "Term":
-        if k < 1:
-            raise ValueError("exponent must be >= 1")
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
-
     def __contains__(self, w: Word) -> bool:
         return w in self.words
 

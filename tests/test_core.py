@@ -383,3 +383,32 @@ def test_deterministic_morphism_output():
     found1 = find_embedding(catalog.get("S7").semiring, s4k(11))
     found2 = find_embedding(catalog.get("S7").semiring, s4k(11))
     assert found1.mapping == found2.mapping
+
+
+def _brute_force_homs(S, T):
+    """Every injective map S -> T, in lexicographic image order, kept if it
+    preserves both tables."""
+    pairs = list(itertools.product(range(S.order), repeat=2))
+    return [
+        f
+        for f in itertools.permutations(range(T.order), S.order)
+        if all(
+            T.add[f[a]][f[b]] == f[S.add[a][b]] and T.mul[f[a]][f[b]] == f[S.mul[a][b]] for a, b in pairs
+        )
+    ]
+
+
+def test_search_hom_lists_every_injective_hom_in_order():
+    entries = [catalog.get(name).semiring for name in catalog.names()]
+    small = [S for S in entries if S.order <= 3]
+    pairs = list(itertools.product(small, repeat=2))
+    rng = random.Random(24)
+    order4 = [T for T in entries if T.order == 4]
+    pairs += [(rng.choice(entries), rng.choice(order4)) for _ in range(150)]
+    pairs += [(S, S) for S in rng.sample(order4, 10)] + [(dual(s4k(41)), s4k(16)), (dual(s4k(47)), s4k(21))]
+    found = []
+    for S, T in pairs:
+        expected = _brute_force_homs(S, T)
+        assert list(core._search_hom(S, T)) == expected, (S.name, T.name)
+        found += expected
+    assert len(found) >= 60 and any(len(f) == 4 for f in found)  # not a comparison of empty lists

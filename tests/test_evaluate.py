@@ -211,6 +211,20 @@ def test_bulk_evaluator_refuses_a_pool_over_the_budget():
     assert peak < 1 << 20  # refused before any column is built
 
 
+def test_deleted_bulk_evaluator_frees_its_columns():
+    variables = [f"x{i}" for i in range(10)]  # 4**10 assignments
+    tracemalloc.start()
+    try:
+        bulk = BulkEvaluator(S("S_(4,4)"), variables)
+        held = tracemalloc.get_traced_memory()[0]
+        del bulk
+        left = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held > 4 << 20  # 4 masks of 4**10 bits for each of the 10 variables
+    assert left < 1 << 20  # no cache keeps the masks of a deleted evaluator
+
+
 def _reference_counterexample(S, identity):
     """Brute force: every assignment in lexicographic order, one dict each."""
     variables = sorted(identity.variables)

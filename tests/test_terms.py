@@ -224,7 +224,10 @@ class _ReferenceParser:
                 if k < 1:
                     raise TermSyntaxError("exponent would make an empty word", pos)
                 _reference_check_size(len(base.words) ** k, length * k, pos)
-                base, length = base ** k, length * k
+                power = base
+                for _ in range(k - 1):
+                    power = power * base
+                base, length = power, length * k
             else:
                 return base, length
 
