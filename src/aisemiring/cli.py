@@ -282,7 +282,9 @@ _SWEEP_DEFAULTS = {"variables": "xyz", "max_length": 3, "max_summands": 3}
 
 def _criteria_sweep(args) -> int:
     """Every u ≈ u + q over the variable pool, judged by each of the ten
-    criteria and by the bulk evaluator on the criterion's semiring."""
+    criteria and by the bulk evaluator on the criterion's semiring.  The
+    payload's ``holds`` counts, per criterion, the identities its oracle
+    says hold."""
     if args.lemma or args.identity or args.oracle:
         raise CliError("--sweep judges every criterion; it takes no --lemma, --identity or --oracle")
     variables = tuple(dict.fromkeys(args.variables))
@@ -305,7 +307,8 @@ def _criteria_sweep(args) -> int:
     qvecs = [[bulk.word_vector(w) for w in words] for bulk in bulks]
 
     start = time.monotonic()
-    checked = identities = 0
+    identities = 0
+    holds = dict.fromkeys(names, 0)  # identities the oracle says hold, per criterion
     disagreements = []
     for r in range(1, args.max_summands + 1):
         for u_words in itertools.combinations(words, r):
@@ -317,15 +320,17 @@ def _criteria_sweep(args) -> int:
                 for name, bulk, uvec, qvec in zip(names, bulks, uvecs, qvecs):
                     claim = criteria.CRITERIA[name](si).holds
                     truth = bulk.absorbs(uvec, qvec[qi])
-                    checked += 1
+                    holds[name] += truth
                     if claim != truth:
                         disagreements.append(
                             {"lemma": name, "identity": str(si), "criterion": claim, "oracle": truth}
                         )
     elapsed = time.monotonic() - start
+    checked = identities * len(names)
     payload = {
         "comparisons": checked,
         "identities": identities,
+        "holds": holds,
         "disagreements": disagreements,
         "elapsed_seconds": round(elapsed, 3),
     }

@@ -84,7 +84,10 @@ class Term:
     words: tuple[Word, ...]
 
     def __post_init__(self):
-        normal = tuple(sorted(set(self.words)))
+        # a Word orders and hashes as its letters, so keying by the letters
+        # gives the same normal form through tuples' own hash and compare
+        by_letters = {w.letters: w for w in self.words}
+        normal = tuple(map(by_letters.__getitem__, sorted(by_letters)))
         if not normal:
             raise ValueError("terms must have at least one summand")
         object.__setattr__(self, "words", normal)

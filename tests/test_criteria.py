@@ -290,3 +290,5 @@ def test_criteria_sweep_reports_a_disagreement(capsys, monkeypatch):
     # 2 words for u and 2 for q, ten criteria each; every L2 verdict is flipped
     assert (payload["identities"], payload["comparisons"]) == (4, 40)
     assert [d["lemma"] for d in payload["disagreements"]] == ["L2"] * 4
+    # holds counts the oracle's verdicts, not the criterion's: x ≈ x + x and y ≈ y + y
+    assert payload["holds"]["L2"] == 2

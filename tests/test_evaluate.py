@@ -296,20 +296,25 @@ def test_many_variables_do_not_recurse():
 
 
 def test_memo_is_bounded(monkeypatch):
-    # x01..x12 stay apart in both words, so the 2**12 - 2 internal subtrees of
-    # this commutative identity have distinct states, and all of them hold;
-    # a memo keeping them all would take about 4 MB
-    names = [f"x{i:02d}" for i in range(1, 14)]
-    word = [x for a in names[:-1] for x in (a, names[-1])]
-    apart = parse_identity("".join(word) + " ≈ " + "".join(reversed(word)))
-    monkeypatch.setattr(evaluate, "MEMO_LETTERS", 64 * 2 * len(word))  # 64 entries
+    # x01..x10 stay apart on both sides until the separator x11 is assigned,
+    # so the 2**11 - 2 subtrees above it have distinct states, and all of them
+    # hold; then each side is one element plus the block's word, the same on
+    # both sides, so no block is decided and the word cache stays empty; a memo
+    # keeping every state would take about 1.8 MB
+    names = [f"x{i:02d}" for i in range(1, 11)]
+    apart = [x for a in names for x in (a, "x11")][:-1]
+    block = "".join(f"x{i}" for i in range(12, 22))
+    commuted = parse_identity(f"{''.join(apart)} + {block} ≈ {''.join(reversed(apart))} + {block}")
+    assert len(commuted.variables) - _tail_length(2) == 11
+    monkeypatch.setattr(evaluate, "MEMO_LETTERS", 64 * 2 * (len(apart) + 10))  # 64 entries
+    m2 = S("M2")  # built before the measurement
     tracemalloc.start()
     try:
-        assert counterexample(S("M2"), apart) is None
+        assert counterexample(m2, commuted) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20
+    assert peak < 1 << 18
 
 
 def _square(name):
@@ -336,13 +341,19 @@ def test_four_variable_squares_match_brute_force():
 
 
 def test_repeated_last_states_match_brute_force(monkeypatch):
-    # in S_(4,4) the prefix xyz takes few values, so the states at the last
-    # variable w repeat under many prefixes; their columns are computed once
+    # on the 4 elements of S_(4,4) the block is the last five of eight
+    # variables; the prefix x1x2x3 takes few values, so the states at the block
+    # repeat under many of the 4**3 prefixes, and the held memo decides each
+    # state's block once
+    assert _tail_length(4) == 5
     calls = []
     column = evaluate._column
     monkeypatch.setattr(evaluate, "_column", lambda *args: calls.append(1) or column(*args))
     s44 = S("S_(4,4)")
-    for text in ("xyzw ≈ xyzw + w", "xyz + w ≈ xyz + w + wx"):
+    for text in (
+        "x1x2x3x4x5x6x7x8 ≈ x1x2x3x4x5x6x7x8 + x8",
+        "x1x2x3x4x5x6x7 + x8 ≈ x1x2x3x4x5x6x7 + x8 + x8x1",
+    ):
         calls.clear()
         assert counterexample(s44, parse_identity(text)) is None
         assert len(calls) < 4 ** 3  # fewer than one column pair per prefix
@@ -368,16 +379,22 @@ def test_repeated_last_states_match_brute_force(monkeypatch):
 
 
 def test_word_columns_are_bounded(monkeypatch):
-    # x01..x12 stay apart in both words, so the 2**12 prefixes of this
-    # commutative identity give 2**13 distinct words at the last variable x13;
-    # a cache keeping all of their columns would take about 3 MB
-    names = [f"x{i:02d}" for i in range(1, 14)]
-    left = [x for a in names[:-1] for x in (a, names[-1])]
-    rotated = parse_identity("".join(left) + " ≈ " + "".join(left[-1:] + left[:-1]))
-    monkeypatch.setattr(evaluate, "MEMO_LETTERS", 64 * 2 * len(left))
+    # each side is ten words, one per block letter, and each word keeps
+    # x01..x06 apart with its block letter, so each of the 2**6 prefixes above
+    # the block gives 20 words of its own there, each stored with a lane int of
+    # BLOCK_BITS bytes: a cache keeping them all would take about 1.7 MB, while
+    # a memo keeping every state, not only 16, would take about 0.6 MB
+    names = [f"x{i:02d}" for i in range(1, 17)]
+    words = [[x for a in names[:6] for x in (a, b)] for b in names[6:]]
+    commuted = parse_identity(
+        " + ".join("".join(w) for w in words) + " ≈ " + " + ".join("".join(reversed(w)) for w in words)
+    )
+    assert len(commuted.variables) - _tail_length(2) == 6
+    monkeypatch.setattr(evaluate, "MEMO_LETTERS", 16 * 2 * sum(map(len, words)))  # 16 entries
+    m2 = S("M2")  # built before the measurement
     tracemalloc.start()
     try:
-        assert counterexample(S("M2"), rotated) is None
+        assert counterexample(m2, commuted) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -449,7 +466,7 @@ def test_failures_at_the_first_and_last_assignment_of_a_block():
 def test_block_word_masks_are_bounded(monkeypatch):
     # x01..x18 stay apart in both words, so each of the 2**(19 - block length)
     # prefixes above the block gives its own words there, each stored with a
-    # lane int of BLOCK_BITS bytes; a cache keeping them all would take about 0.6 MB
+    # lane int of BLOCK_BITS bytes; a cache keeping them all would take about 1.6 MB
     names = [f"x{i:02d}" for i in range(1, 20)]
     assert 2 ** (len(names) - _tail_length(2)) >= 512
     left = [x for a in names[:-1] for x in (a, names[-1])]

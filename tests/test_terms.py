@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +111,19 @@ def test_empty_rejections():
         Word(())
     with pytest.raises(ValueError):
         Term(())
+
+
+def test_term_normal_form_is_the_sorted_set_of_its_words():
+    rng = random.Random(7)
+    names = ["x", "y", "x1", "x10", "x2", "xy"]
+    repeated = 0
+    for _ in range(500):
+        pool = [Word(tuple(rng.choices(names, k=rng.randint(1, 4)))) for _ in range(rng.randint(1, 6))]
+        # draws from a small pool repeat words; rebuilt copies are equal but not the same objects
+        words = [Word(tuple(list(w.letters))) for w in rng.choices(pool, k=rng.randint(1, 12))]
+        repeated += len(set(words)) < len(words)
+        assert Term(tuple(words)).words == tuple(sorted(set(words)))
+    assert repeated > 250
 
 
 @given(terms, terms, terms)
