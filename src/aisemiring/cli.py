@@ -291,6 +291,7 @@ def _criteria_sweep(args) -> int:
     if not variables or not all(x.isalpha() for x in variables):
         raise CliError(f"--variables must be letters, one per variable, got {args.variables!r}")
     names = sorted(criteria.CRITERIA)
+    judges = [criteria.CRITERIA[name] for name in names]
     oracles = [catalog.get(name).semiring for name in names]
     # each word is held as letters and, per semiring, as n masks of n**len(variables)
     # bits; bounding letters times bits bounds both
@@ -317,8 +318,8 @@ def _criteria_sweep(args) -> int:
             for qi, q in enumerate(words):
                 si = SimpleIdentity(u, q)
                 identities += 1
-                for name, bulk, uvec, qvec in zip(names, bulks, uvecs, qvecs):
-                    claim = criteria.CRITERIA[name](si).holds
+                for name, judge, bulk, uvec, qvec in zip(names, judges, bulks, uvecs, qvecs):
+                    claim = judge(si).holds
                     truth = bulk.absorbs(uvec, qvec[qi])
                     holds[name] += truth
                     if claim != truth:

@@ -10,6 +10,9 @@ S10's reduced odd-letter vectors) is a prepared base, computed once per term
 object and kept on it, so judging many q against one u derives nothing about
 u twice.
 
+Verdicts are shared immutable constants, built once when the module is
+imported: a criterion returns one of them and builds nothing per call.
+
 Verdicts carry the name of the clause that fired:
 
     L2   head-match | no-head-match
@@ -23,7 +26,8 @@ Verdicts carry the name of the clause that fired:
          extra-outside-pair-letters | extra-too-long
     S4   trivial | fresh-letter | no-long-summand | tail-pattern-preserved |
          tail-pattern-broken | tail-pattern-absent
-    S6   as S4 with head-pattern-* rules
+    S6   trivial | fresh-letter | no-long-summand | head-pattern-preserved |
+         head-pattern-broken | head-pattern-absent
     S10  fresh-letter | odd-set-match | no-odd-set-match
 """
 
@@ -43,6 +47,36 @@ class CriterionVerdict:
 
     def to_dict(self) -> dict:
         return {"holds": self.holds, "rule": self.rule}
+
+
+def _by_end(holds: bool, rule: str) -> tuple[CriterionVerdict, CriterionVerdict]:
+    """One verdict per end, indexed as _Base's pairs: 0 the head, -1 the tail."""
+    return CriterionVerdict(holds, rule.format("head")), CriterionVerdict(holds, rule.format("tail"))
+
+
+_MATCH = _by_end(True, "{}-match")
+_NO_MATCH = _by_end(False, "no-{}-match")
+_LETTERS_COVERED = CriterionVerdict(True, "letters-covered")
+_FRESH_LETTER = CriterionVerdict(False, "fresh-letter")
+_SUMMAND_INSIDE_EXTRA = CriterionVerdict(True, "summand-letters-inside-extra")
+_NO_SUMMAND_INSIDE_EXTRA = CriterionVerdict(False, "no-summand-inside-extra")
+_EXTRA_LENGTH_2_PLUS = CriterionVerdict(True, "extra-length-2-plus")
+_EXTRA_IS_SUMMAND = CriterionVerdict(True, "extra-is-summand")
+_EXTRA_SHORT_AND_NEW = CriterionVerdict(False, "extra-short-and-new")
+_LONG_SUMMAND = CriterionVerdict(True, "long-summand")
+_ALL_SHORT_AND_EXTRA_NEW = CriterionVerdict(False, "all-short-and-extra-new")
+_LENGTH_MIX_OVERLAP = CriterionVerdict(True, "length-mix-overlap")
+_EXTRA_NOT_A_SUMMAND = CriterionVerdict(False, "extra-not-a-summand")
+_EXTRA_IN_PAIR_LETTERS = CriterionVerdict(True, "extra-in-pair-letters")
+_EXTRA_OUTSIDE_PAIR_LETTERS = CriterionVerdict(False, "extra-outside-pair-letters")
+_EXTRA_TOO_LONG = CriterionVerdict(False, "extra-too-long")
+_TRIVIAL = CriterionVerdict(True, "trivial")
+_NO_LONG_SUMMAND = CriterionVerdict(False, "no-long-summand")
+_PATTERN_PRESERVED = _by_end(True, "{}-pattern-preserved")
+_PATTERN_BROKEN = _by_end(False, "{}-pattern-broken")
+_PATTERN_ABSENT = _by_end(True, "{}-pattern-absent")
+_ODD_SET_MATCH = CriterionVerdict(True, "odd-set-match")
+_NO_ODD_SET_MATCH = CriterionVerdict(False, "no-odd-set-match")
 
 
 def _odd_letters(letters: tuple[str, ...]) -> frozenset[str]:
@@ -100,72 +134,73 @@ def _base(u: Term) -> _Base:
     """u's prepared base, kept in the term's instance dict the way
     functools.cached_property keeps a value; Term's eq, hash and repr read
     only its words."""
-    base = u.__dict__.get("_criteria_base")
-    if base is None:
+    try:
+        return u._criteria_base
+    except AttributeError:
         base = u.__dict__["_criteria_base"] = _Base(u)
-    return base
+        return base
 
 
-def _end_match(si: SimpleIdentity, end: int, kind: str) -> CriterionVerdict:
+def _end_match(si: SimpleIdentity, end: int) -> CriterionVerdict:
     if si.extra.letters[end] in _base(si.base).ends[end]:
-        return CriterionVerdict(True, f"{kind}-match")
-    return CriterionVerdict(False, f"no-{kind}-match")
+        return _MATCH[end]
+    return _NO_MATCH[end]
 
 
 def _two_element_L2(si: SimpleIdentity) -> CriterionVerdict:
-    return _end_match(si, 0, "head")
+    return _end_match(si, 0)
 
 
 def _two_element_R2(si: SimpleIdentity) -> CriterionVerdict:
-    return _end_match(si, -1, "tail")
+    return _end_match(si, -1)
 
 
 def _two_element_M2(si: SimpleIdentity) -> CriterionVerdict:
     if _base(si.base).variables.issuperset(si.extra.letters):
-        return CriterionVerdict(True, "letters-covered")
-    return CriterionVerdict(False, "fresh-letter")
+        return _LETTERS_COVERED
+    return _FRESH_LETTER
 
 
 def _two_element_D2(si: SimpleIdentity) -> CriterionVerdict:
     extra_letters = si.extra.letter_set
     if any(s <= extra_letters for s in _base(si.base).letter_sets):
-        return CriterionVerdict(True, "summand-letters-inside-extra")
-    return CriterionVerdict(False, "no-summand-inside-extra")
+        return _SUMMAND_INSIDE_EXTRA
+    return _NO_SUMMAND_INSIDE_EXTRA
 
 
 def _two_element_N2(si: SimpleIdentity) -> CriterionVerdict:
     if len(si.extra) >= 2:
-        return CriterionVerdict(True, "extra-length-2-plus")
+        return _EXTRA_LENGTH_2_PLUS
     if si.extra.letters in _base(si.base).summands:
-        return CriterionVerdict(True, "extra-is-summand")
-    return CriterionVerdict(False, "extra-short-and-new")
+        return _EXTRA_IS_SUMMAND
+    return _EXTRA_SHORT_AND_NEW
 
 
 def _two_element_T2(si: SimpleIdentity) -> CriterionVerdict:
     base = _base(si.base)
     if base.longest >= 2:
-        return CriterionVerdict(True, "long-summand")
+        return _LONG_SUMMAND
     if si.extra.letters in base.summands:
-        return CriterionVerdict(True, "extra-is-summand")
-    return CriterionVerdict(False, "all-short-and-extra-new")
+        return _EXTRA_IS_SUMMAND
+    return _ALL_SHORT_AND_EXTRA_NEW
 
 
 def holds_s2(si: SimpleIdentity) -> CriterionVerdict:
     """Decide u ≈ u + q in S2 from summand lengths and letter overlaps."""
     base, q = _base(si.base), si.extra
     if base.longest >= 3:
-        return CriterionVerdict(True, "long-summand")
+        return _LONG_SUMMAND
     if base.mixed:
-        return CriterionVerdict(True, "length-mix-overlap")
+        return _LENGTH_MIX_OVERLAP
     if len(q) == 1:
         if q.letters in base.summands:
-            return CriterionVerdict(True, "extra-is-summand")
-        return CriterionVerdict(False, "extra-not-a-summand")
+            return _EXTRA_IS_SUMMAND
+        return _EXTRA_NOT_A_SUMMAND
     if len(q) == 2:
         if base.pair_letters.issuperset(q.letters):
-            return CriterionVerdict(True, "extra-in-pair-letters")
-        return CriterionVerdict(False, "extra-outside-pair-letters")
-    return CriterionVerdict(False, "extra-too-long")
+            return _EXTRA_IN_PAIR_LETTERS
+        return _EXTRA_OUTSIDE_PAIR_LETTERS
+    return _EXTRA_TOO_LONG
 
 
 def property_t(u: Term) -> bool:
@@ -197,33 +232,33 @@ def delta(v: Term) -> frozenset[frozenset[str]]:
     return frozenset(found)
 
 
-def _holds_pattern(si: SimpleIdentity, end: int, kind: str) -> CriterionVerdict:
+def _holds_pattern(si: SimpleIdentity, end: int) -> CriterionVerdict:
     base, q = _base(si.base), si.extra.letters
     if q in base.summands:
-        return CriterionVerdict(True, "trivial")
+        return _TRIVIAL
     if not base.variables.issuperset(q):
-        return CriterionVerdict(False, "fresh-letter")
+        return _FRESH_LETTER
     if base.longest == 1:
-        return CriterionVerdict(False, "no-long-summand")
+        return _NO_LONG_SUMMAND
     ends = base.end_letters[end]
     if ends is None:
-        return CriterionVerdict(True, f"{kind}-pattern-absent")
+        return _PATTERN_ABSENT[end]
     # q's letters all occur in u, so an end letter of q that is not one of u's
     # occurs inside a summand of u: u + q keeps the pattern exactly when q ends
     # in one of u's end letters and holds none of them elsewhere
     if q[end] in ends and ends.isdisjoint(_inner(q, end)):
-        return CriterionVerdict(True, f"{kind}-pattern-preserved")
-    return CriterionVerdict(False, f"{kind}-pattern-broken")
+        return _PATTERN_PRESERVED[end]
+    return _PATTERN_BROKEN[end]
 
 
 def holds_s4(si: SimpleIdentity) -> CriterionVerdict:
     """Decide a nontrivial u ≈ u + q in S4; trivial inputs hold outright."""
-    return _holds_pattern(si, -1, "tail")
+    return _holds_pattern(si, -1)
 
 
 def holds_s6(si: SimpleIdentity) -> CriterionVerdict:
     """Head-side mirror of holds_s4, deciding satisfaction in S6."""
-    return _holds_pattern(si, 0, "head")
+    return _holds_pattern(si, 0)
 
 
 def holds_s10(si: SimpleIdentity) -> CriterionVerdict:
@@ -238,10 +273,10 @@ def holds_s10(si: SimpleIdentity) -> CriterionVerdict:
     """
     base, q = _base(si.base), si.extra.letters
     if not base.variables.issuperset(q):
-        return CriterionVerdict(False, "fresh-letter")
+        return _FRESH_LETTER
     if not _reduce(base.odd_rows, base.odd_first ^ _odd_letters(q)):
-        return CriterionVerdict(True, "odd-set-match")
-    return CriterionVerdict(False, "no-odd-set-match")
+        return _ODD_SET_MATCH
+    return _NO_ODD_SET_MATCH
 
 
 CRITERIA: dict[str, Callable[[SimpleIdentity], CriterionVerdict]] = {
@@ -260,8 +295,7 @@ CRITERIA: dict[str, Callable[[SimpleIdentity], CriterionVerdict]] = {
 
 def check(which: str, si: SimpleIdentity) -> CriterionVerdict:
     """Dispatch to one of the ten criteria by semiring name."""
-    try:
-        fn = CRITERIA[which.upper()]
-    except KeyError:
-        raise ValueError(f"no criterion named {which!r}; choose from {sorted(CRITERIA)}") from None
+    fn = CRITERIA.get(which.upper()) if isinstance(which, str) else None
+    if fn is None:
+        raise ValueError(f"no criterion named {which!r}; choose from {sorted(CRITERIA)}")
     return fn(si)

@@ -253,6 +253,108 @@ def test_dispatch():
         criteria.check("nope", si("x", "x"))
 
 
+@pytest.mark.parametrize("which", [None, 3, b"L2", ("L2",)], ids=["None", "int", "bytes", "tuple"])
+def test_dispatch_refuses_a_name_that_is_not_a_string(which):
+    with pytest.raises(ValueError, match="no criterion named"):
+        criteria.check(which, si("x", "x"))
+
+
+# (criterion, holds, rule) over every u ≈ u + q of the xy pool with words of
+# length <= 2 and <= 2 summands, counted when every verdict was built per call
+_XY_VERDICT_COUNTS = {
+    ("D2", False, "no-summand-inside-extra"): 40,
+    ("D2", True, "summand-letters-inside-extra"): 86,
+    ("L2", False, "no-head-match"): 36,
+    ("L2", True, "head-match"): 90,
+    ("M2", False, "fresh-letter"): 24,
+    ("M2", True, "letters-covered"): 102,
+    ("N2", False, "extra-short-and-new"): 30,
+    ("N2", True, "extra-is-summand"): 12,
+    ("N2", True, "extra-length-2-plus"): 84,
+    ("R2", False, "no-tail-match"): 36,
+    ("R2", True, "tail-match"): 90,
+    ("S10", False, "fresh-letter"): 24,
+    ("S10", False, "no-odd-set-match"): 50,
+    ("S10", True, "odd-set-match"): 52,
+    ("S2", False, "extra-not-a-summand"): 24,
+    ("S2", False, "extra-outside-pair-letters"): 24,
+    ("S2", True, "extra-in-pair-letters"): 36,
+    ("S2", True, "extra-is-summand"): 6,
+    ("S2", True, "length-mix-overlap"): 36,
+    ("S4", False, "fresh-letter"): 24,
+    ("S4", False, "no-long-summand"): 6,
+    ("S4", False, "tail-pattern-broken"): 16,
+    ("S4", True, "tail-pattern-absent"): 42,
+    ("S4", True, "tail-pattern-preserved"): 2,
+    ("S4", True, "trivial"): 36,
+    ("S6", False, "fresh-letter"): 24,
+    ("S6", False, "head-pattern-broken"): 16,
+    ("S6", False, "no-long-summand"): 6,
+    ("S6", True, "head-pattern-absent"): 42,
+    ("S6", True, "head-pattern-preserved"): 2,
+    ("S6", True, "trivial"): 36,
+    ("T2", False, "all-short-and-extra-new"): 14,
+    ("T2", True, "extra-is-summand"): 4,
+    ("T2", True, "long-summand"): 108,
+}
+
+
+def _xy_verdicts():
+    words = [Word(t) for k in (1, 2) for t in itertools.product("xy", repeat=k)]
+    for r in (1, 2):
+        for combo in itertools.combinations(words, r):
+            u = Term(combo)
+            for q in words:
+                s = SimpleIdentity(u, q)
+                for name, judge in criteria.CRITERIA.items():
+                    yield name, judge(s)
+
+
+def _docstring_rules():
+    # the clause table of the module docstring: a criterion's name starts a
+    # row, and a more deeply indented line continues it
+    table = criteria.__doc__.split("Verdicts carry", 1)[1].split("\n")[1:]
+    rules, name = {}, None
+    for line in table:
+        fields = line.split()
+        if not fields:
+            continue
+        if line.startswith("    ") and not line.startswith("     "):
+            name, fields = fields[0], fields[1:]
+            rules[name] = set()
+        rules[name].update(f for f in fields if f != "|")
+    return rules
+
+
+def test_verdict_counts_are_pinned():
+    counts = collections.Counter((name, v.holds, v.rule) for name, v in _xy_verdicts())
+    assert counts == _XY_VERDICT_COUNTS
+
+
+def test_verdicts_are_the_prebuilt_constants():
+    prebuilt = {}
+    for value in vars(criteria).values():
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, criteria.CriterionVerdict):
+                prebuilt[id(v)] = v
+    for name, verdict in _xy_verdicts():
+        assert id(verdict) in prebuilt, (name, verdict)
+    # one constant per (holds, rule), and each one is a clause of the table
+    assert len({(v.holds, v.rule) for v in prebuilt.values()}) == len(prebuilt)
+    table = _docstring_rules()
+    assert {v.rule for v in prebuilt.values()} <= set().union(*table.values())
+
+
+def test_rules_are_the_docstring_clauses():
+    table = _docstring_rules()
+    assert sorted(table) == sorted(criteria.CRITERIA)
+    seen = collections.defaultdict(set)
+    for name, verdict in _xy_verdicts():
+        seen[name].add(verdict.rule)
+    for name, rules in seen.items():
+        assert rules <= table[name], (name, rules - table[name])
+
+
 def test_random_oracle_agreement():
     rng = random.Random(99)
     pool = ["x", "y", "z"]
