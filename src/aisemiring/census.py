@@ -33,11 +33,14 @@ cache (every multiplication law is still checked on every table), and the
 additive height is measured once, on the least class, and holds for every
 class over that addition.
 
-With more than one worker, each addition is one task, and the additions are
-handed out deepest search first (most join-irreducibles, so most searched
-cells), so that no long search starts last.  The classes are ordered by one
-sort of their canonical keys, which are unique, so the census is the same
-for any worker count and for any order in which the additions are searched.
+With more than one worker, each addition is one task.  The worker count
+includes the calling process, so two workers start one process beside it.
+Each process takes the next addition from one shared counter, deepest search
+first (most join-irreducibles, so most searched cells), so that no long
+search starts last, and the started ones send their classes back once, at
+the end.  The classes are ordered by one sort of their canonical keys, which
+are unique, so the census is the same for any worker count and for any order
+in which the additions are searched.
 """
 
 from __future__ import annotations
@@ -322,22 +325,82 @@ def _census_for_addition(add: Table) -> tuple[int, list[tuple[bytes, Table, Tabl
     return additive_height(least), [(key, add, mul) for key, mul in seen.items()]
 
 
+def _take_additions(additions: Sequence[Table], counter) -> dict[int, tuple]:
+    """Search the next addition not yet taken, by the shared ``counter``,
+    until none is left; returns the chunk of each one searched by its index."""
+    chunks = {}
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= len(additions):
+            return chunks
+        chunks[i] = _census_for_addition(additions[i])
+
+
+def _census_worker(additions: Sequence[Table], counter, conn) -> None:
+    """A worker process: send the chunks it searched, or the exception that
+    stopped it, through ``conn`` once."""
+    try:
+        result = _take_additions(additions, counter)
+    except Exception as exc:  # the caller re-raises it
+        result = exc
+    with conn:
+        conn.send(result)
+
+
+def _parallel_chunks(additions: Sequence[Table], workers: int) -> list:
+    """The chunk of each addition, searched by the calling process and
+    ``workers - 1`` worker processes that take additions from one shared
+    counter."""
+    import multiprocessing
+
+    counter = multiprocessing.Value("i", 0)
+    started = []  # (process, receiving end of its pipe)
+    try:
+        for _ in range(workers - 1):
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            process = multiprocessing.Process(target=_census_worker, args=(additions, counter, sender), daemon=True)
+            process.start()
+            started.append((process, receiver))
+            sender.close()  # so a worker that dies leaves its pipe at EOF
+        chunks = _take_additions(additions, counter)
+        for process, receiver in started:
+            try:
+                received = receiver.recv()
+            except EOFError:
+                process.join()
+                raise RuntimeError(
+                    f"census worker exited with code {process.exitcode} before sending its classes"
+                ) from None
+            if isinstance(received, Exception):
+                raise received
+            chunks.update(received)
+            process.join()
+    finally:
+        for process, receiver in started:
+            receiver.close()
+            if process.is_alive():
+                process.terminate()
+            process.join()
+    return [chunks[i] for i in range(len(additions))]
+
+
 def enumerate_ai_semirings(n: int, workers: int = 1) -> CensusResult:
     """Census of all ai-semirings of order n up to isomorphism.
 
-    Results are sorted by canonical key and named ai{n}_{i}; the outcome is
-    identical for any worker count.
+    ``workers`` counts the processes that search, the calling process
+    included, so ``workers=2`` starts one process beside it.  Results are
+    sorted by canonical key and named ai{n}_{i}; the outcome is identical
+    for any worker count.
     """
     start = time.monotonic()
     additions = enumerate_semilattices(n)
     if workers > 1 and len(additions) > 1:
-        import multiprocessing
-
         # deepest searches first (one cell per pair of join-irreducibles), so
         # no long search starts last
         additions = sorted(additions, key=lambda add: -len(_join_irreducibles(add)))
-        with multiprocessing.Pool(min(workers, len(additions))) as pool:
-            chunks = pool.map(_census_for_addition, additions, chunksize=1)
+        chunks = _parallel_chunks(additions, min(workers, len(additions)))
     else:
         chunks = [_census_for_addition(add) for add in additions]
 

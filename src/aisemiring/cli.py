@@ -161,7 +161,10 @@ def _available_processors() -> int:
 
 def _cmd_enumerate(args) -> int:
     workers = args.workers
-    if workers is None:  # up to order 4, starting a pool takes longer than the census
+    if workers is None:
+        # up to order 4 a census takes under 0.1 s serially: about 3 ms at order
+        # 3, against 7 ms on 2 workers, and about 60 ms at order 4, against
+        # 40 ms on 2 workers with a free second processor and 70 ms without
         workers = 1 if args.order <= 4 else _available_processors()
     result = enumerate_ai_semirings(args.order, workers=workers)
     chosen = result.height1 if args.height1 else result.semirings
@@ -305,33 +308,34 @@ def _criteria_sweep(args) -> int:
             )
     words = [Word(t) for k in range(1, args.max_length + 1) for t in itertools.product(variables, repeat=k)]
     bulks = [BulkEvaluator(S, variables) for S in oracles]
-    qvecs = [[bulk.word_vector(w) for w in words] for bulk in bulks]
+    # per word q, its vector under each criterion's oracle
+    qvecs = list(zip(*([bulk.word_vector(w) for w in words] for bulk in bulks)))
 
     start = time.monotonic()
     identities = 0
-    holds = dict.fromkeys(names, 0)  # identities the oracle says hold, per criterion
+    counts = [0] * len(names)  # identities the oracle says hold, per criterion
     disagreements = []
     for r in range(1, args.max_summands + 1):
         for u_words in itertools.combinations(words, r):
             u = Term(u_words)
-            uvecs = [bulk.term_vector(u) for bulk in bulks]
-            for qi, q in enumerate(words):
+            lanes = [(c, judges[c], bulk.absorbs, bulk.term_vector(u)) for c, bulk in enumerate(bulks)]
+            identities += len(words)
+            for q, qvec in zip(words, qvecs):
                 si = SimpleIdentity(u, q)
-                identities += 1
-                for name, judge, bulk, uvec, qvec in zip(names, judges, bulks, uvecs, qvecs):
+                for c, judge, absorbs, uvec in lanes:
                     claim = judge(si).holds
-                    truth = bulk.absorbs(uvec, qvec[qi])
-                    holds[name] += truth
+                    truth = absorbs(uvec, qvec[c])
+                    counts[c] += truth
                     if claim != truth:
                         disagreements.append(
-                            {"lemma": name, "identity": str(si), "criterion": claim, "oracle": truth}
+                            {"lemma": names[c], "identity": str(si), "criterion": claim, "oracle": truth}
                         )
     elapsed = time.monotonic() - start
     checked = identities * len(names)
     payload = {
         "comparisons": checked,
         "identities": identities,
-        "holds": holds,
+        "holds": dict(zip(names, counts)),
         "disagreements": disagreements,
         "elapsed_seconds": round(elapsed, 3),
     }
@@ -497,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=_at_least_1,
-        help="parallel workers, at least 1 (default: 1 up to order 4, else the processor count)",
+        help="processes that search, this one included, so 2 starts one more; at least 1 "
+        "(default: 1 up to order 4, else the processor count)",
     )
 
     p = command(commands, "check", _cmd_check, "identity or basis satisfaction")

@@ -1,7 +1,12 @@
+import contextlib
 import hashlib
 import itertools
 import json
+import multiprocessing
+import os
 import random
+import signal
+import time
 
 import pytest
 
@@ -245,6 +250,74 @@ def test_order4_parallel_census_is_bit_identical(order4_census):
     assert [(S.add, S.mul) for S in par.semirings] == [
         (S.add, S.mul) for S in order4_census.semirings
     ]
+
+
+@pytest.mark.parametrize("order, workers", [(3, 8), (4, 3)])
+def test_census_is_bit_identical_for_more_workers(order, workers, order3_census, order4_census):
+    # 8 workers for the 2 additions of order 3; 2 worker processes beside the caller at order 4
+    serial = {3: order3_census, 4: order4_census}[order]
+    par = enumerate_ai_semirings(order, workers=workers)
+    assert [(S.name, S.add, S.mul) for S in par.semirings] == [(S.name, S.add, S.mul) for S in serial.semirings]
+    assert par.keys == serial.keys
+    assert par.height1 == serial.height1
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Fail a test that would otherwise hang.  Not by TimeoutError: it is an
+    OSError, which multiprocessing swallows while it waits for a process."""
+    def expire(signum, frame):
+        pytest.fail(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_worker_error_reaches_the_caller_and_no_process_is_left(monkeypatch, workers):
+    # whichever process takes the chosen addition raises, so the outcome
+    # does not depend on who takes what
+    chosen = enumerate_semilattices(4)[2]
+    real = census._census_for_addition
+
+    def failing(add):
+        if add == chosen:
+            raise RuntimeError("search listed two tables of one class; symmetry bug")
+        return real(add)
+
+    monkeypatch.setattr(census, "_census_for_addition", failing)
+    with _within(30), pytest.raises(RuntimeError, match=r"^search listed two tables of one class; symmetry bug$"):
+        enumerate_ai_semirings(4, workers=workers)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_exits_without_sending_is_an_error(monkeypatch):
+    # the worker takes no addition, so the caller searches them all first
+    monkeypatch.setattr(census, "_census_worker", lambda additions, counter, conn: os._exit(3))
+    with _within(30), pytest.raises(RuntimeError, match="exited with code 3"):
+        enumerate_ai_semirings(4, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_an_interrupted_caller_stops_its_workers(monkeypatch):
+    caller = os.getpid()
+    real = census._census_for_addition
+
+    def interrupted(add):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(60)  # a worker that would outlive the caller's wait
+        return real(add)
+
+    monkeypatch.setattr(census, "_census_for_addition", interrupted)
+    with _within(30), pytest.raises(KeyboardInterrupt):
+        enumerate_ai_semirings(4, workers=3)
+    assert multiprocessing.active_children() == []
 
 
 def test_census_does_not_depend_on_the_order_of_its_additions(monkeypatch, order3_census, order4_census):
