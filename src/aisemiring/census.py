@@ -38,9 +38,12 @@ includes the calling process, so two workers start one process beside it.
 Each process takes the next addition from one shared counter, deepest search
 first (most join-irreducibles, so most searched cells), so that no long
 search starts last, and the started ones send their classes back once, at
-the end.  The classes are ordered by one sort of their canonical keys, which
-are unique, so the census is the same for any worker count and for any order
-in which the additions are searched.
+the end, as a plain list of chunks in any order; no process tracks which
+addition a chunk came from.  An exception in a worker is re-raised in the
+caller with its type and message, chained from the worker's traceback.  The
+classes and their heights are ordered by one sort of their canonical keys,
+which are unique, so the census is the same for any worker count and for any
+order in which the additions are searched or their chunks arrive.
 """
 
 from __future__ import annotations
@@ -325,34 +328,43 @@ def _census_for_addition(add: Table) -> tuple[int, list[tuple[bytes, Table, Tabl
     return additive_height(least), [(key, add, mul) for key, mul in seen.items()]
 
 
-def _take_additions(additions: Sequence[Table], counter) -> dict[int, tuple]:
+def _take_additions(additions: Sequence[Table], counter) -> list[tuple]:
     """Search the next addition not yet taken, by the shared ``counter``,
-    until none is left; returns the chunk of each one searched by its index."""
-    chunks = {}
+    until none is left; returns the chunks of those searched."""
+    chunks = []
     while True:
         with counter.get_lock():
             i = counter.value
             counter.value = i + 1
         if i >= len(additions):
             return chunks
-        chunks[i] = _census_for_addition(additions[i])
+        chunks.append(_census_for_addition(additions[i]))
 
 
 def _census_worker(additions: Sequence[Table], counter, conn) -> None:
     """A worker process: send the chunks it searched, or the exception that
-    stopped it, through ``conn`` once."""
+    stopped it with its traceback text, through ``conn`` once.  An exception
+    that does not survive pickling is sent as a RuntimeError naming it."""
     try:
         result = _take_additions(additions, counter)
     except Exception as exc:  # the caller re-raises it
-        result = exc
+        import pickle
+        import traceback
+
+        text = traceback.format_exc()
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = RuntimeError(f"census worker raised {type(exc).__name__}: {exc}")
+        result = (exc, text)
     with conn:
         conn.send(result)
 
 
 def _parallel_chunks(additions: Sequence[Table], workers: int) -> list:
-    """The chunk of each addition, searched by the calling process and
-    ``workers - 1`` worker processes that take additions from one shared
-    counter."""
+    """The chunk of each addition, in no fixed order, searched by the calling
+    process and ``workers - 1`` worker processes that take additions from one
+    shared counter."""
     import multiprocessing
 
     counter = multiprocessing.Value("i", 0)
@@ -373,9 +385,12 @@ def _parallel_chunks(additions: Sequence[Table], workers: int) -> list:
                 raise RuntimeError(
                     f"census worker exited with code {process.exitcode} before sending its classes"
                 ) from None
-            if isinstance(received, Exception):
-                raise received
-            chunks.update(received)
+            if isinstance(received, tuple):
+                from multiprocessing.pool import RemoteTraceback
+
+                exc, text = received
+                raise exc from RemoteTraceback(f'\n"""\n{text}"""')
+            chunks += received
             process.join()
     finally:
         for process, receiver in started:
@@ -383,7 +398,7 @@ def _parallel_chunks(additions: Sequence[Table], workers: int) -> list:
             if process.is_alive():
                 process.terminate()
             process.join()
-    return [chunks[i] for i in range(len(additions))]
+    return chunks
 
 
 def enumerate_ai_semirings(n: int, workers: int = 1) -> CensusResult:
@@ -392,31 +407,32 @@ def enumerate_ai_semirings(n: int, workers: int = 1) -> CensusResult:
     ``workers`` counts the processes that search, the calling process
     included, so ``workers=2`` starts one process beside it.  Results are
     sorted by canonical key and named ai{n}_{i}; the outcome is identical
-    for any worker count.
+    for any worker count.  ``workers`` must be an int of at least 1.
     """
+    if type(workers) is not int or workers < 1:  # bool is an int subclass; refuse it
+        raise ValueError(f"workers must be an int of at least 1, got {workers!r}")
     start = time.monotonic()
     additions = enumerate_semilattices(n)
     if workers > 1 and len(additions) > 1:
         # deepest searches first (one cell per pair of join-irreducibles), so
         # no long search starts last
-        additions = sorted(additions, key=lambda add: -len(_join_irreducibles(add)))
-        chunks = _parallel_chunks(additions, min(workers, len(additions)))
+        deepest = sorted(additions, key=lambda add: -len(_join_irreducibles(add)))
+        chunks = _parallel_chunks(deepest, min(workers, len(additions)))
     else:
         chunks = [_census_for_addition(add) for add in additions]
 
-    triples = sorted(item for _, chunk in chunks for item in chunk)
+    rows = sorted((triple, height) for height, chunk in chunks for triple in chunk)
     # every table passed validate at its leaf of the search
     elements = _elements(n)
     semirings = tuple(
-        FiniteAiSemiring(f"ai{n}_{i:03d}", elements, add, mul) for i, (_, add, mul) in enumerate(triples)
+        FiniteAiSemiring(f"ai{n}_{i:03d}", elements, add, mul) for i, ((_, add, mul), _) in enumerate(rows)
     )
-    height1_adds = {add for add, (height, _) in zip(additions, chunks) if height == 1}
     return CensusResult(
         order=n,
         semirings=semirings,
-        height1=tuple(S for S in semirings if S.add in height1_adds),
+        height1=tuple(S for S, (_, height) in zip(semirings, rows) if height == 1),
         elapsed=time.monotonic() - start,
-        keys=tuple(key for key, _, _ in triples),
+        keys=tuple(key for (key, _, _), _ in rows),
     )
 
 

@@ -304,6 +304,54 @@ def test_a_worker_that_exits_without_sending_is_an_error(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+class _Unpicklable(Exception):
+    def __init__(self):
+        super().__init__("holds a lambda")
+        self.callback = lambda: None
+
+
+def _raise_in_workers_only(monkeypatch, exc):
+    """Make every worker process raise ``exc`` from ``raising_in_a_worker``,
+    and let the calling process take no addition, so a worker meets it."""
+    caller = os.getpid()
+    real = census._take_additions
+
+    def raising_in_a_worker(add):
+        if os.getpid() != caller:
+            raise exc
+        return _census_for_addition(add)
+
+    monkeypatch.setattr(census, "_census_for_addition", raising_in_a_worker)
+    monkeypatch.setattr(
+        census, "_take_additions", lambda additions, counter: [] if os.getpid() == caller else real(additions, counter)
+    )
+
+
+def test_a_worker_error_carries_the_worker_traceback(monkeypatch):
+    _raise_in_workers_only(monkeypatch, ValueError("planted in a worker"))
+    with _within(30):
+        with pytest.raises(ValueError, match=r"^planted in a worker$") as info:
+            enumerate_ai_semirings(4, workers=2)
+        cause = str(info.value.__cause__)
+        assert "Traceback (most recent call last)" in cause and "in raising_in_a_worker" in cause
+        assert multiprocessing.active_children() == []
+
+
+def test_an_unpicklable_worker_error_is_named_in_a_runtime_error(monkeypatch):
+    _raise_in_workers_only(monkeypatch, _Unpicklable())
+    with _within(30):
+        with pytest.raises(RuntimeError, match=r"^census worker raised _Unpicklable: holds a lambda$") as info:
+            enumerate_ai_semirings(4, workers=2)
+        assert "in raising_in_a_worker" in str(info.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [0, -3, True, 2.0, "2"])
+def test_census_refuses_a_worker_count_that_is_not_an_int_of_at_least_1(workers):
+    with pytest.raises(ValueError, match=r"^workers must be an int of at least 1"):
+        enumerate_ai_semirings(2, workers=workers)
+
+
 def test_an_interrupted_caller_stops_its_workers(monkeypatch):
     caller = os.getpid()
     real = census._census_for_addition
@@ -330,6 +378,20 @@ def test_census_does_not_depend_on_the_order_of_its_additions(monkeypatch, order
         assert [(S.add, S.mul) for S in reversed_order.semirings] == [(S.add, S.mul) for S in result.semirings]
         assert reversed_order.keys == result.keys
         assert reversed_order.height1 == result.height1
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_census_does_not_depend_on_the_order_of_its_chunks(monkeypatch, workers, order3_census, order4_census):
+    # each process returns its chunks reversed; the classes and their heights
+    # still come from one sort of their unique keys
+    real = census._take_additions
+    monkeypatch.setattr(census, "_take_additions", lambda additions, counter: real(additions, counter)[::-1])
+    for result in (order3_census, order4_census):
+        par = enumerate_ai_semirings(result.order, workers=workers)
+        assert [S.name for S in par.semirings] == [S.name for S in result.semirings]
+        assert [(S.add, S.mul) for S in par.semirings] == [(S.add, S.mul) for S in result.semirings]
+        assert par.keys == result.keys
+        assert par.height1 == result.height1
 
 
 def test_height1_is_the_classes_of_additive_height_one(monkeypatch, order3_census, order4_census):
