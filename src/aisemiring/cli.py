@@ -291,8 +291,8 @@ def _criteria_sweep(args) -> int:
     if args.lemma or args.identity or args.oracle:
         raise CliError("--sweep judges every criterion; it takes no --lemma, --identity or --oracle")
     variables = tuple(dict.fromkeys(args.variables))
-    if not variables or not all(x.isalpha() for x in variables):
-        raise CliError(f"--variables must be letters, one per variable, got {args.variables!r}")
+    if not variables or not all(x.isascii() and x.isalpha() for x in variables):  # the identity grammar's letters
+        raise CliError(f"--variables must be ASCII letters, one per variable, got {args.variables!r}")
     names = sorted(criteria.CRITERIA)
     judges = [criteria.CRITERIA[name] for name in names]
     oracles = [catalog.get(name).semiring for name in names]

@@ -3,6 +3,12 @@
 A term is a nonempty finite set of nonempty words; sum is union, product is
 pairwise concatenation.  Every identity between terms reduces to a family of
 "simple" identities u = u + q with q a single word.
+
+Parsing reads a flat side, a sum of products of variables each with at most
+one exponent and no parentheses, with regular expressions alone; the
+identities a basis check reads are almost all flat.  Every other text, and
+flat text past a bound, goes to the recursive-descent ``_Parser``, which
+gives every syntax error and its position.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 
 class TermSyntaxError(ValueError):
@@ -190,6 +196,15 @@ MAX_WORD_LENGTH = 1024  # letters in one word
 
 _TOKEN = re.compile(r"(?P<var>[A-Za-z][0-9]*)|(?P<num>[0-9]+)|(?P<op>[+*^()=])|(?P<approx>≈)")
 
+# A flat side: variables, each with at most one exponent of 1-9999 written
+# without a leading zero, joined by juxtaposition or one '*' or '+'.  A
+# separator is a whitespace run, then an optional operator with the run after
+# it, so a failed match tries each run once; '\s*[*+]?\s*' would try every
+# split of every run, exponentially many over a long text.
+_FLAT_FACTOR = r"[A-Za-z][0-9]*(?:\s*\^\s*[1-9][0-9]{0,3})?"
+_FLAT_SIDE = re.compile(rf"\s*{_FLAT_FACTOR}(?:\s*(?:[*+]\s*)?{_FLAT_FACTOR})*\s*")
+_FLAT_TOKENS = re.compile(r"[A-Za-z][0-9]*|[0-9]+")  # a variable, or its exponent's digits
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     if not isinstance(text, str):
@@ -311,7 +326,42 @@ def _times(a: tuple[tuple[str, ...], ...], b: tuple[tuple[str, ...], ...]) -> tu
     return tuple(dict.fromkeys(x + y for x in a for y in b))
 
 
-def _side(words: tuple[tuple[str, ...], ...]) -> Term:
+def _flat_side(text: str) -> Optional[list[tuple[str, ...]]]:
+    """The words of a flat side, or None for any text ``_Parser`` must read.
+
+    That is every text with parentheses, a repeated or trailing operator, a
+    second exponent, an exponent that is zero or has a leading zero, and
+    every text past a bound, so that ``_Parser`` raises each error.
+    """
+    if not _FLAT_SIDE.fullmatch(text):
+        return None
+    summands = text.split("+")
+    if len(summands) > MAX_TERM_WORDS:
+        return None
+    words = []
+    for summand in summands:
+        letters = _FLAT_TOKENS.findall(summand)
+        if "^" in summand:
+            letters = _powers(letters)
+        if len(letters) > MAX_WORD_LENGTH:  # an exponent above it makes a longer word
+            return None
+        words.append(tuple(letters))
+    return words
+
+
+def _powers(tokens: list[str]) -> list[str]:
+    """The letters of a flat word's tokens, each exponent's digits repeating
+    the variable before them."""
+    letters = []
+    for token in tokens:
+        if token[0].isalpha():
+            letters.append(token)
+        else:
+            letters += letters[-1:] * (int(token) - 1)
+    return letters
+
+
+def _side(words: Iterable[tuple[str, ...]]) -> Term:
     return Term(tuple(map(Word, words)))
 
 
@@ -345,6 +395,10 @@ def split_top_level(text: str, sep: str) -> list[str]:
 
 
 def parse_term(text: str) -> Term:
+    if isinstance(text, str):
+        words = _flat_side(text)
+        if words is not None:
+            return _side(words)
     p = _Parser(text)
     t = p.term()
     kind, _, pos = p.peek()
@@ -354,6 +408,12 @@ def parse_term(text: str) -> Term:
 
 
 def parse_identity(text: str) -> Identity:
+    if isinstance(text, str):
+        sides = text.replace("≈", "=").split("=")
+        if len(sides) == 2:
+            lhs, rhs = map(_flat_side, sides)
+            if lhs is not None and rhs is not None:
+                return Identity(_side(lhs), _side(rhs))
     p = _Parser(text)
     lhs = p.term()
     kind, value, pos = p.take()

@@ -171,6 +171,16 @@ def test_criteria_subcommand(capsys):
     assert code == 1 and payload["rule"] == "no-odd-set-match"
 
 
+def test_criteria_sweep_takes_only_the_grammar_letters(capsys):
+    # the identity grammar reads ASCII letters only, so a sweep over 'é' would judge identities no one can write
+    code, _, err = run(capsys, ["criteria", "--lemma", "S6", "--identity", "xé = xé + y"])
+    assert code == 2 and "unexpected character 'é'" in err
+    for pool in ("xé", "x²"):
+        argv = ["criteria", "--sweep", "--variables", pool, "--max-length", "2", "--max-summands", "1"]
+        expected = f"error: --variables must be ASCII letters, one per variable, got {pool!r}\n"
+        assert run(capsys, argv) == (2, "", expected)
+
+
 def test_criteria_reads_q_as_the_summand_missing_on_the_left(capsys):
     code, expected, _ = run_json(capsys, ["criteria", "--lemma", "M2", "--identity", "x + y ≈ x + y + yx"])
     assert code == 0 and expected["identity"] == "x + y ≈ x + y + yx"

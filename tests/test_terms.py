@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aisemiring import terms as terms_module
 from aisemiring.terms import (
     MAX_TERM_DEPTH,
     MAX_TERM_WORDS,
@@ -307,6 +308,35 @@ _texts = st.one_of(
     _term_texts,
     st.builds("{}{}{}".format, _term_texts, st.sampled_from([" = ", "≈"]), _term_texts),
 )
+# parenthesis-free text: plain text the regular-expression path reads, and
+# text at every edge where that path must leave the text to the parser
+_SPACE = st.text(" \t\xa0\x1c", max_size=2)
+
+
+def _flat_texts(names, exponents, powers, ops, ends):
+    factor = st.builds(
+        lambda name, ks: name + "".join(f"{a}^{b}{k}" for a, b, k in ks),
+        st.sampled_from(names),
+        st.lists(st.tuples(_SPACE, _SPACE, st.sampled_from(exponents)), max_size=powers),
+    )
+    side = st.builds(
+        lambda first, rest, end: first + "".join(a + op + b + f for a, op, b, f in rest) + end,
+        factor,
+        st.lists(st.tuples(_SPACE, st.sampled_from(ops), _SPACE, factor), max_size=6),
+        st.sampled_from(ends),
+    )
+    return st.one_of(side, st.builds("{}{}{}{}{}".format, side, _SPACE, st.sampled_from(["=", "≈"]), _SPACE, side))
+
+
+_NAMES = ["x", "y", "z", "x1", "x12"]
+_plain_flat_texts = _flat_texts(_NAMES, ["1", "2", "3", "13", "1024"], 1, ["", "*", "+"], ["", " "])
+_edge_flat_texts = _flat_texts(
+    _NAMES + ["2"],  # a bare "2" after "x1 " writes "x1 2"
+    ["2", "0", "01", "1024", "1025", "00001"],
+    2,  # x^2^3
+    ["", "*", "+", "**", "*+", "+*"],
+    ["", "*", "\t*", "**", "+"],
+)
 _HOSTILE = [
     "x^1024 x",
     "x^1025",
@@ -322,6 +352,8 @@ _HOSTILE = [
     "(x + xx)^12 (x + y)",  # so does a product
     5,
     None,
+    " + ".join(f"x{i}" for i in range(4096)),  # flat text at the bounds
+    "x" * 1024,
 ]
 
 
@@ -329,6 +361,33 @@ _HOSTILE = [
 @settings(max_examples=500, deadline=None)
 def test_parser_matches_reference(text):
     _assert_parsers_agree(text)
+
+
+@given(st.one_of(_plain_flat_texts, _edge_flat_texts))
+@settings(max_examples=500, deadline=None)
+def test_parser_matches_reference_on_flat_text(text):
+    _assert_parsers_agree(text)
+
+
+def test_flat_text_never_reaches_the_parser(monkeypatch):
+    class Refused(Exception):
+        pass
+
+    def refuse(text):
+        raise Refused(text)
+
+    monkeypatch.setattr(terms_module, "_Parser", refuse)
+    bqx6 = Word(("b", "q", "x6"))
+    assert parse_identity("bqx6 ≈\tb * q*x6^2 + e") == Identity(
+        Term((bqx6,)), Term((Word(("b", "q", "x6", "x6")), Word(("e",))))
+    )
+    assert parse_term(" x^3 y + x1 ") == Term((Word(("x", "x", "x", "y")), Word(("x1",))))
+    assert word("xy^2") == Word(("x", "y", "y"))
+    for text in ("(b)q x6 = bqx6 + e", "x^2^3 = x", "x = y = z", "x^01 = x", "x +"):
+        with pytest.raises(Refused):
+            parse_identity(text)
+    with pytest.raises(Refused):
+        parse_term("(x + y)z")
 
 
 @pytest.mark.parametrize("text", _HOSTILE, ids=range(len(_HOSTILE)))
