@@ -203,7 +203,7 @@ _TOKEN = re.compile(r"(?P<var>[A-Za-z][0-9]*)|(?P<num>[0-9]+)|(?P<op>[+*^()=])|(
 # split of every run, exponentially many over a long text.
 _FLAT_FACTOR = r"[A-Za-z][0-9]*(?:\s*\^\s*[1-9][0-9]{0,3})?"
 _FLAT_SIDE = re.compile(rf"\s*{_FLAT_FACTOR}(?:\s*(?:[*+]\s*)?{_FLAT_FACTOR})*\s*")
-_FLAT_TOKENS = re.compile(r"[A-Za-z][0-9]*|[0-9]+")  # a variable, or its exponent's digits
+_FLAT_POWERS = re.compile(r"([A-Za-z][0-9]*)(?:\s*\^\s*([0-9]+))?")  # (variable, exponent) pairs
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -340,25 +340,18 @@ def _flat_side(text: str) -> Optional[list[tuple[str, ...]]]:
         return None
     words = []
     for summand in summands:
-        letters = _FLAT_TOKENS.findall(summand)
-        if "^" in summand:
-            letters = _powers(letters)
-        if len(letters) > MAX_WORD_LENGTH:  # an exponent above it makes a longer word
+        letters = []
+        for variable, exponent in _FLAT_POWERS.findall(summand):
+            if exponent:  # checked before the repeat: only letters written out pass the bound
+                if len(letters) + int(exponent) > MAX_WORD_LENGTH:
+                    return None
+                letters += [variable] * int(exponent)
+            else:
+                letters.append(variable)
+        if len(letters) > MAX_WORD_LENGTH:
             return None
         words.append(tuple(letters))
     return words
-
-
-def _powers(tokens: list[str]) -> list[str]:
-    """The letters of a flat word's tokens, each exponent's digits repeating
-    the variable before them."""
-    letters = []
-    for token in tokens:
-        if token[0].isalpha():
-            letters.append(token)
-        else:
-            letters += letters[-1:] * (int(token) - 1)
-    return letters
 
 
 def _side(words: Iterable[tuple[str, ...]]) -> Term:

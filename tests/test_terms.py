@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -354,6 +355,8 @@ _HOSTILE = [
     None,
     " + ".join(f"x{i}" for i in range(4096)),  # flat text at the bounds
     "x" * 1024,
+    "x^1000" * 2000,  # flat text whose word would pass the bound by 2e6 letters
+    "x^9999" * 2000,  # or by 2e7
 ]
 
 
@@ -388,6 +391,19 @@ def test_flat_text_never_reaches_the_parser(monkeypatch):
             parse_identity(text)
     with pytest.raises(Refused):
         parse_term("(x + y)z")
+
+
+@pytest.mark.parametrize("power", ["x^1000", "x^9999"])
+def test_flat_text_past_the_word_bound_builds_no_long_word(power):
+    # the word would hold millions of letters, tens of MB of references
+    tracemalloc.start()
+    try:
+        with pytest.raises(TermSyntaxError):
+            parse_term(power * 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("text", _HOSTILE, ids=range(len(_HOSTILE)))
