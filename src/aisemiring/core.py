@@ -41,6 +41,9 @@ class ValidationReport:
     violations: tuple[tuple[str, tuple[int, ...]], ...]
 
 
+_VALID = ValidationReport(True, ())  # the one report of every valid input
+
+
 def _as_table(rows: Sequence[Sequence[int]], what: str, n: Optional[int] = None) -> Table:
     """The rows as a tuple table; ``n`` defaults to the number of rows."""
     try:
@@ -160,7 +163,7 @@ def validate(add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]]) -> Vali
     ):
         if witness is not None:
             violations.append((law, witness))
-    return ValidationReport(valid=not violations, violations=tuple(violations))
+    return ValidationReport(False, tuple(violations)) if violations else _VALID
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,14 @@ sum of two lane ints is one table lookup per lane: for n <= 16 the lanes a, b
 become the byte 16 * a + b of (A << 4) | B, and one ``bytes.translate``
 through a 256-byte table maps every byte at once; wider lanes hold a * n + b
 and look it up in the flat table.  An element c in a word is c times the
-lane int with 1 in every lane.  The lowest set bit of L ^ R lies in the first
-failing lane, whose index read in base n is the first failing assignment.
+lane int with 1 in every lane.  The words both sides share are laned and
+summed once, and each side adds only its own words (+ is a semilattice, so a
+side is the sum of the two parts); in ``u ≈ u + q`` that is every word of u.
+The lowest set bit of L ^ R lies in the first failing lane, whose index read
+in base n is the first failing assignment.  What a block needs that depends
+only on n and k (its depth, lane width and size, its letters' lane ints) is
+built once per (n, k) and kept in a bounded cache.  When every variable fits
+in the block, the block is decided at once, with no search, memo or stack.
 
 At every depth below the first, the block depth included, a state whose
 subtree held is remembered by its depth and its two sides, so an identical
@@ -149,18 +155,44 @@ def _variable_masks(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(masks)
 
 
-@lru_cache(maxsize=32)
-def _variable_lanes(n: int, t: int, width: int) -> tuple[int, ...]:
-    """The lane ints of t variables over their n**t assignments in
-    lexicographic order (the first variable varies slowest): lane i of
-    entry j, its ``width`` bytes from byte width * i on, holds the value of
-    variable j at the i-th assignment."""
-    lanes = []
-    for j in range(t):
-        period = n ** (t - j - 1)  # variable j is v in runs of this many assignments
+@lru_cache(maxsize=128)
+def _block_context(n: int, k: int) -> tuple[int, int, int, int, dict, int]:
+    """What a search over the letters n..n+k-1 on n elements needs of its
+    block, the same for every identity: ``(top, width, size, ones, block,
+    lane_letters)``.
+
+    ``top`` is the depth where the letters left are decided as one block:
+    they are the last ``tail``, the most whose n**tail assignments fit in
+    BLOCK_BITS (at least one), or all k if there are fewer.  A lane int has
+    a lane of ``width`` bytes for each of those assignments in lexicographic
+    order (the first letter varies slowest), ``size`` bytes in all, and
+    ``ones`` holds 1 in every lane.  ``block`` maps each block letter to its
+    lane int: lane i holds the letter's value at the i-th assignment.  Calls
+    share ``block`` and only read it.  A stored word lane costs its letters
+    plus ``lane_letters`` letters of 8 bytes: a pointer and the lane int.
+
+    An entry holds at most tail + 1 lane ints: 11 of 1 KB up to 16
+    elements, 3 of 2 KB up to 32, two of 2n bytes up to 256, so the cache
+    keeps at most 128 * 11 KB, about 1.4 MB, for orders up to 256.  Above
+    256 elements an entry holds two lane ints of 4n bytes, far less than the
+    n**2 cells of one table.  The element lanes c * ones are not kept: at 257
+    elements they take 264 KB.
+    """
+    tail = 1
+    while n ** (tail + 1) <= BLOCK_BITS:
+        tail += 1
+    top = max(k - tail, 0)
+    count = n ** (k - top)  # assignments in the block, a lane each
+    width = 1 if n <= 16 else 2 if n <= 256 else 4  # bytes per lane, enough for a pair
+    size = width * count
+    ones = int.from_bytes((1).to_bytes(width, "little") * count, "little")
+    block = {}
+    for j in range(k - top):
+        period = n ** (k - top - j - 1)  # letter n + top + j is v in runs of this many assignments
         run = b"".join(v.to_bytes(width, "little") * period for v in range(n))
-        lanes.append(int.from_bytes(run * n ** j, "little"))
-    return tuple(lanes)
+        block[n + top + j] = int.from_bytes(run * n ** j, "little")
+    lane_letters = 1 + (sys.getsizeof((1 << 8 * size) - 1) + 7) // 8
+    return top, width, size, ones, block, lane_letters
 
 
 def _lane_op(table: Table, n: int, width: int, size: int) -> Callable[[int, int], int]:
@@ -191,16 +223,15 @@ def _lane_op(table: Table, n: int, width: int, size: int) -> Callable[[int, int]
 
 
 def _column(
-    term: frozenset, block: dict, mul: Callable, add: Callable, words: dict, room: int
-) -> int:
-    """The lane int of ``term``, whose letters are all in ``block``, over
-    the assignments to those letters: lane i holds the term's value at the
-    i-th assignment.  ``block`` maps each letter to its lane int and each
-    element to the lane int that holds it in every lane; ``mul`` and ``add``
-    combine two lane ints lane by lane.  The lane int of each word is looked
-    up in ``words`` and, while it holds fewer than ``room`` words, stored
-    there."""
-    col = None
+    term: frozenset, block: dict, mul: Callable, add: Callable, words: dict, room: int, col: Optional[int] = None
+) -> Optional[int]:
+    """The lane int of ``term`` plus ``col``, if given, where the letters of
+    ``term`` are all in ``block``: lane i holds the value at the i-th
+    assignment to those letters.  ``block`` maps each letter to its lane int
+    and each element to the lane int that holds it in every lane; ``mul``
+    and ``add`` combine two lane ints lane by lane.  The lane int of each
+    word is looked up in ``words`` and, while it holds fewer than ``room``
+    words, stored there."""
     for w in term:
         lane = words.get(w)
         if lane is None:
@@ -213,6 +244,33 @@ def _column(
     return col
 
 
+def _block_diff(
+    left: frozenset, right: frozenset, block: dict, mul: Callable, add: Callable, words: dict, room: int
+) -> int:
+    """L ^ R for the lane ints L and R of two different sides over the block,
+    so a lane is nonzero exactly where the sides differ.  The words the sides
+    share are laned and summed once, and each side adds its own words: since
+    + is a semilattice, a side is the sum of its shared and its own words.
+    Sides that share no word are laned whole, without the three sets."""
+    if left.isdisjoint(right):
+        return _column(left, block, mul, add, words, room) ^ _column(right, block, mul, add, words, room)
+    shared = _column(left & right, block, mul, add, words, room)
+    return _column(left - right, block, mul, add, words, room, shared) ^ _column(
+        right - left, block, mul, add, words, room, shared
+    )
+
+
+def _lane_values(diff: int, width: int, n: int, t: int) -> list[int]:
+    """The values of the t block letters at the first lane where ``diff``,
+    a lane int, is nonzero: its index read in base n."""
+    index = ((diff & -diff).bit_length() - 1) // (8 * width)
+    digits = []
+    for _ in range(t):
+        index, v = divmod(index, n)
+        digits.append(v)
+    return digits[::-1]
+
+
 def _first_failure(
     lhs: frozenset, rhs: frozenset, k: int, add: Table, mul: Table, n: int
 ) -> Optional[list[int]]:
@@ -222,21 +280,13 @@ def _first_failure(
     The search keeps its path on an explicit stack, so the number of
     variables is not limited by the interpreter's recursion limit.
     """
-    tail = 1
-    while n ** (tail + 1) <= BLOCK_BITS:
-        tail += 1
-    top = max(k - tail, 0)  # the depth where the letters left are decided as one block
-    count = n ** (k - top)  # assignments in the block, a lane each
-    width = 1 if n <= 16 else 2 if n <= 256 else 4  # bytes per lane, enough for a pair
-    size = width * count  # bytes per lane int
-    ones = int.from_bytes((1).to_bytes(width, "little") * count, "little")
-    block = {c: c * ones for c in range(n)}
-    block.update(zip(range(n + top, n + k), _variable_lanes(n, k - top, width)))
+    top, width, size, ones, block, lane_letters = _block_context(n, k)
     lane_mul, lane_add = _lane_op(mul, n, width, size), _lane_op(add, n, width, size)
+    if not top:  # every letter is in the block
+        diff = _block_diff(lhs, rhs, block, lane_mul, lane_add, {}, 0)
+        return _lane_values(diff, width, n, k) if diff else None
+    block = {c: c * ones for c in range(n)} | block  # reduced words hold elements
     room = MEMO_LETTERS // (sum(map(len, lhs)) + sum(map(len, rhs)))  # memo entries allowed
-    # a stored word costs its letters, a pointer and its lane int, counted in
-    # letters of 8 bytes
-    lane_letters = 1 + (sys.getsizeof((1 << 8 * size) - 1) + 7) // 8
     word_room = MEMO_LETTERS // (lane_letters + max(map(len, lhs | rhs)))  # word lanes allowed
     states = [(lhs, rhs)]
     values = [-1]  # the value tried at each depth of the current path
@@ -246,16 +296,9 @@ def _first_failure(
         d = len(states) - 1
         left, right = states[-1]
         if d == top:
-            diff = _column(left, block, lane_mul, lane_add, words, word_room) ^ _column(
-                right, block, lane_mul, lane_add, words, word_room
-            )
+            diff = _block_diff(left, right, block, lane_mul, lane_add, words, word_room)
             if diff:
-                index = ((diff & -diff).bit_length() - 1) // (8 * width)  # the first failing lane
-                digits = []
-                for _ in range(k - top):
-                    index, v = divmod(index, n)
-                    digits.append(v)
-                values[top:] = reversed(digits)
+                values[top:] = _lane_values(diff, width, n, k - top)
                 return values
         else:
             v = values[-1] + 1
@@ -288,9 +331,9 @@ def counterexample(
         )
     if n == 1:  # one element satisfies every identity, however many variables
         return None
-    letter = {x: n + i for i, x in enumerate(variables)}
-    lhs = frozenset([tuple([letter[x] for x in w.letters]) for w in lhs_words])
-    rhs = frozenset([tuple([letter[x] for x in w.letters]) for w in rhs_words])
+    letter = dict(zip(variables, range(n, n + k))).__getitem__
+    lhs = frozenset([tuple(map(letter, w.letters)) for w in lhs_words])
+    rhs = frozenset([tuple(map(letter, w.letters)) for w in rhs_words])
     if lhs == rhs:
         return None
     values = _first_failure(lhs, rhs, k, S.add, S.mul, n)

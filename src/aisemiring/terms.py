@@ -98,6 +98,22 @@ class Term:
             raise ValueError("terms must have at least one summand")
         object.__setattr__(self, "words", normal)
 
+    @classmethod
+    def _of_letters(cls, words: Iterable[tuple[str, ...]]) -> "Term":
+        """The term of nonempty letter tuples, built in the normal form of
+        ``__post_init__`` (the distinct tuples sorted, each made a ``Word``)
+        without the dataclass ``__init__`` and ``__post_init__`` of every
+        ``Word`` and the ``Term``.  A change to that normal form is made in
+        both places; the parser's words are never empty, nor its terms."""
+        normal = []
+        for letters in sorted(set(words)):
+            w = object.__new__(Word)
+            object.__setattr__(w, "letters", letters)
+            normal.append(w)
+        term = object.__new__(cls)
+        object.__setattr__(term, "words", tuple(normal))
+        return term
+
     def __add__(self, other: "Term") -> "Term":
         return Term(self.words + other.words)
 
@@ -229,9 +245,10 @@ class _Parser:
     """Recursive descent over the tokens of one text.
 
     Every (sub)term it holds is a tuple of distinct letter tuples; the
-    ``Word``s and the ``Term`` are built once per side, by ``_side``.  Repeats
-    merge where ``Term`` would merge them, so every count ``_check_size``
-    sees is the summand count of the ``Term`` that (sub)term stands for.
+    ``Word``s and the ``Term`` are built once per side, by
+    ``Term._of_letters``.  Repeats merge where ``Term`` would merge them, so
+    every count ``_check_size`` sees is the summand count of the ``Term``
+    that (sub)term stands for.
     """
 
     def __init__(self, text: str):
@@ -354,10 +371,6 @@ def _flat_side(text: str) -> Optional[list[tuple[str, ...]]]:
     return words
 
 
-def _side(words: Iterable[tuple[str, ...]]) -> Term:
-    return Term(tuple(map(Word, words)))
-
-
 def _check_size(words: int, length: int, pos: int) -> None:
     try:
         _check_bounds(words, length)
@@ -391,13 +404,13 @@ def parse_term(text: str) -> Term:
     if isinstance(text, str):
         words = _flat_side(text)
         if words is not None:
-            return _side(words)
+            return Term._of_letters(words)
     p = _Parser(text)
     t = p.term()
     kind, _, pos = p.peek()
     if kind != "end":
         raise TermSyntaxError("trailing input after term", pos)
-    return _side(t)
+    return Term._of_letters(t)
 
 
 def parse_identity(text: str) -> Identity:
@@ -406,7 +419,7 @@ def parse_identity(text: str) -> Identity:
         if len(sides) == 2:
             lhs, rhs = map(_flat_side, sides)
             if lhs is not None and rhs is not None:
-                return Identity(_side(lhs), _side(rhs))
+                return Identity(Term._of_letters(lhs), Term._of_letters(rhs))
     p = _Parser(text)
     lhs = p.term()
     kind, value, pos = p.take()
@@ -416,4 +429,4 @@ def parse_identity(text: str) -> Identity:
     kind, _, pos = p.peek()
     if kind != "end":
         raise TermSyntaxError("trailing input after identity", pos)
-    return Identity(_side(lhs), _side(rhs))
+    return Identity(Term._of_letters(lhs), Term._of_letters(rhs))

@@ -37,6 +37,12 @@ def test_validate_height1_tables():
     assert validate(FLAT4_ADD, s4k(4).mul).valid
 
 
+def test_valid_inputs_give_equal_reports():
+    first, second = validate(FLAT4_ADD, s4k(1).mul), validate([[0, 1], [1, 1]], [[0, 0], [0, 1]])
+    assert first == second == ValidationReport(True, ())
+    assert hash(first) == hash(second)
+
+
 def test_bool_entries_are_malformed():
     with pytest.raises(MalformedTableError):
         validate([[False, True], [True, True]], [[0, 0], [0, 0]])

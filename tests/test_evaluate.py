@@ -347,8 +347,8 @@ def test_repeated_last_states_match_brute_force(monkeypatch):
     # state's block once
     assert _tail_length(4) == 5
     calls = []
-    column = evaluate._column
-    monkeypatch.setattr(evaluate, "_column", lambda *args: calls.append(1) or column(*args))
+    block_diff = evaluate._block_diff
+    monkeypatch.setattr(evaluate, "_block_diff", lambda *args: calls.append(1) or block_diff(*args))
     s44 = S("S_(4,4)")
     for text in (
         "x1x2x3x4x5x6x7x8 ≈ x1x2x3x4x5x6x7x8 + x8",
@@ -356,7 +356,7 @@ def test_repeated_last_states_match_brute_force(monkeypatch):
     ):
         calls.clear()
         assert counterexample(s44, parse_identity(text)) is None
-        assert len(calls) < 4 ** 3  # fewer than one column pair per prefix
+        assert len(calls) < 4 ** 3 // 2  # fewer blocks than half the prefixes
     identities = [
         parse_identity(text)
         for text in (
@@ -548,3 +548,30 @@ def test_lane_ops_look_up_every_pair():
         op = evaluate._lane_op(table, n, width, width * len(pairs))
         out = op(lanes(a for a, _ in pairs), lanes(b for _, b in pairs))
         assert out == lanes(table[a][b] for a, b in pairs), n
+
+
+def test_block_contexts_keep_under_their_stated_bound():
+    # a cached block context keeps no element lanes, which take 264 KB at 257
+    # elements, only its letters' lanes and ``ones``: under 12 KB an entry up
+    # to 256 elements and 8n bytes above; the block lies under a prefix in the
+    # last check on each algebra, where the element lanes are used
+    algebras = [
+        catalog.resolve("@prod:S_(4,4),@prod:T2,S7"),
+        catalog.resolve("@prod:S_(4,4),@prod:S_(4,4),S_(4,20)"),
+        _flat_cyclic(256),
+    ]
+    texts = ["x ≈ x + x^2", "xy + xyxy ≈ xy + xyxy + x", "xyz ≈ xyz + zx"]
+    cases = [(algebras[0], texts), (algebras[1], texts), (algebras[2], texts[:2])]
+    identities = {text: parse_identity(text) for text in texts}
+    evaluate._block_context.cache_clear()
+    tracemalloc.start()
+    try:
+        for algebra, checked in cases:
+            for text in checked:
+                counterexample(algebra, identities[text])
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    entries = evaluate._block_context.cache_info().currsize
+    assert entries == 8
+    assert kept < entries * 12 * 1024

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aisemiring import criteria
 from aisemiring import terms as terms_module
 from aisemiring.terms import (
     MAX_TERM_DEPTH,
     MAX_TERM_WORDS,
     MAX_WORD_LENGTH,
     Identity,
+    SimpleIdentity,
     Term,
     TermSyntaxError,
     UnboundVariableError,
@@ -125,6 +127,27 @@ def test_term_normal_form_is_the_sorted_set_of_its_words():
         words = [Word(tuple(list(w.letters))) for w in rng.choices(pool, k=rng.randint(1, 12))]
         repeated += len(set(words)) < len(words)
         assert Term(tuple(words)).words == tuple(sorted(set(words)))
+    assert repeated > 250
+
+
+def test_of_letters_builds_the_term_the_constructors_build():
+    # Term._of_letters skips the dataclass methods of Word and Term; what it
+    # builds from letter tuples must be the Term built through them, to the
+    # order of its words
+    rng = random.Random(12)
+    names = ["x", "y", "x1", "x10", "x2", "xy"]
+    repeated = 0
+    for _ in range(500):
+        pool = [tuple(rng.choices(names, k=rng.randint(1, 4))) for _ in range(rng.randint(1, 6))]
+        words = [tuple(list(w)) for w in rng.choices(pool, k=rng.randint(1, 12))]
+        repeated += len(set(words)) < len(words)
+        built, reference = Term._of_letters(words), Term(tuple(map(Word, words)))
+        assert type(built) is Term and all(type(w) is Word for w in built.words)
+        assert built == reference and hash(built) == hash(reference)
+        assert repr(built) == repr(reference) and built.words == reference.words
+        extra = Word(rng.choice([*pool, tuple(rng.choices(names, k=rng.randint(1, 4)))]))
+        for name, judge in criteria.CRITERIA.items():
+            assert judge(SimpleIdentity(built, extra)) == judge(SimpleIdentity(reference, extra)), name
     assert repeated > 250
 
 
