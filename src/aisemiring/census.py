@@ -22,28 +22,29 @@ its decided cells to a smaller prefix (the least-number heuristic of Mace4;
 Crawford, Ginsberg, Luks & Roy, KR 1996).  Each class is so built once.  The
 unpruned search lists the labeled tables in increasing order of their cell
 values, so the lex-leader of a class is the first of its tables the unpruned
-search lists.  Finished tables are validated and keyed by
-``core.canonical_form`` in its two stages; two tables with one key are a
-symmetry bug, and the least class of each addition is rechecked against
-``canonical_form`` itself.
+search lists.  Finished tables are validated (``validate`` caches the laws of
+the addition alone, so only the multiplication laws are checked per table)
+and keyed by ``core.canonical_form`` in its two stages.
 
-Facts about the addition alone are found once per addition, not once per
-table: ``validate`` keeps the laws of each addition it has checked in a small
-cache (every multiplication law is still checked on every table), and the
-additive height is measured once, on the least class, and holds for every
-class over that addition.
+The search of an addition returns only its (key, add, mul) triples; every
+check that spans classes is made once, in one pass over the sorted list of
+all triples.  Each key starts with its addition's n^2 bytes, so the classes
+of one addition sit next to each other, least first.  The pass refuses a key
+equal to the one before it (two tables of one class: a symmetry bug),
+rechecks the least class of each addition against ``canonical_form`` itself,
+and measures that class's additive height, which holds for every class over
+its addition.
 
 With more than one worker, each addition is one task.  The worker count
 includes the calling process, so two workers start one process beside it.
 Each process takes the next addition from one shared counter, deepest search
 first (most join-irreducibles, so most searched cells), so that no long
-search starts last, and the started ones send their classes back once, at
-the end, as a plain list of chunks in any order; no process tracks which
-addition a chunk came from.  An exception in a worker is re-raised in the
+search starts last, and the started ones send their triples back once, at
+the end, as one flat list.  An exception in a worker is re-raised in the
 caller with its type and message, chained from the worker's traceback.  The
-classes and their heights are ordered by one sort of their canonical keys,
-which are unique, so the census is the same for any worker count and for any
-order in which the additions are searched or their chunks arrive.
+sort orders the classes by their keys, so the census is the same for any
+worker count and for any order in which the additions are searched or their
+triples arrive.
 """
 
 from __future__ import annotations
@@ -298,51 +299,34 @@ def _elements(n: int) -> tuple[str, ...]:
     return tuple(str(i + 1) for i in range(n))
 
 
-def _census_for_addition(add: Table) -> tuple[int, list[tuple[bytes, Table, Table]]]:
-    """The additive height of ``add`` and one (key, add, mul) triple per
-    class over it; each key is ``canonical_form`` of its class, by the same
-    two stages, since the perms attaining the least relabeling of a canonical
-    ``add`` are Aut(+).  ``add`` must be in canonical relabeling, else those
-    perms are a coset of Aut(+) and the search would drop classes.
-
-    The height depends on the addition alone, so it is measured once, on the
-    least class.  The order checks ``natural_order`` makes for it on the other
-    classes are implied by the ``validate`` each table passed at its leaf:
-    distributivity makes multiplication monotone, and a finite semilattice has
-    a top (the sum of all its elements)."""
+def _census_for_addition(add: Table) -> list[tuple[bytes, Table, Table]]:
+    """One (key, add, mul) triple per class over ``add``; each key is
+    ``canonical_form`` of its class, by the same two stages, since the perms
+    attaining the least relabeling of a canonical ``add`` are Aut(+).  ``add``
+    must be in canonical relabeling, else those perms are a coset of Aut(+)
+    and the search would drop classes.  ``enumerate_ai_semirings`` checks
+    the triples against each other and measures the height."""
     add_part, auts = least_relabeling(add, itertools.permutations(range(len(add))))
     if add_part != bytes(v for row in add for v in row):
         raise ValueError("addition is not in canonical relabeling")
-    seen: dict[bytes, Table] = {}
-    for mul in _multiplications(add, auts):
-        key = add_part + least_relabeling(mul, auts)[0]
-        if key in seen:
-            raise RuntimeError("search listed two tables of one class; symmetry bug")
-        seen[key] = mul
-    # the least class (there is one: the constant product onto the top is a
-    # multiplication): one n! scan per addition
-    least_key = min(seen)
-    least = FiniteAiSemiring("", _elements(len(add)), add, seen[least_key])
-    if canonical_form(least) != least_key:
-        raise RuntimeError("census key differs from canonical_form; dedup bug")
-    return additive_height(least), [(key, add, mul) for key, mul in seen.items()]
+    return [(add_part + least_relabeling(mul, auts)[0], add, mul) for mul in _multiplications(add, auts)]
 
 
-def _take_additions(additions: Sequence[Table], counter) -> list[tuple]:
+def _take_additions(additions: Sequence[Table], counter) -> list[tuple[bytes, Table, Table]]:
     """Search the next addition not yet taken, by the shared ``counter``,
-    until none is left; returns the chunks of those searched."""
-    chunks = []
+    until none is left; returns the triples of those searched in one list."""
+    triples = []
     while True:
         with counter.get_lock():
             i = counter.value
             counter.value = i + 1
         if i >= len(additions):
-            return chunks
-        chunks.append(_census_for_addition(additions[i]))
+            return triples
+        triples += _census_for_addition(additions[i])
 
 
 def _census_worker(additions: Sequence[Table], counter, conn) -> None:
-    """A worker process: send the chunks it searched, or the exception that
+    """A worker process: send the triples it found, or the exception that
     stopped it with its traceback text, through ``conn`` once.  An exception
     that does not survive pickling is sent as a RuntimeError naming it."""
     try:
@@ -361,10 +345,10 @@ def _census_worker(additions: Sequence[Table], counter, conn) -> None:
         conn.send(result)
 
 
-def _parallel_chunks(additions: Sequence[Table], workers: int) -> list:
-    """The chunk of each addition, in no fixed order, searched by the calling
-    process and ``workers - 1`` worker processes that take additions from one
-    shared counter."""
+def _parallel_chunks(additions: Sequence[Table], workers: int) -> list[tuple[bytes, Table, Table]]:
+    """The triples of every addition in one list, in no fixed order: the
+    chunks of the calling process and of ``workers - 1`` worker processes
+    that take additions from one shared counter, joined."""
     import multiprocessing
 
     counter = multiprocessing.Value("i", 0)
@@ -376,7 +360,7 @@ def _parallel_chunks(additions: Sequence[Table], workers: int) -> list:
             process.start()
             started.append((process, receiver))
             sender.close()  # so a worker that dies leaves its pipe at EOF
-        chunks = _take_additions(additions, counter)
+        triples = _take_additions(additions, counter)
         for process, receiver in started:
             try:
                 received = receiver.recv()
@@ -390,7 +374,7 @@ def _parallel_chunks(additions: Sequence[Table], workers: int) -> list:
 
                 exc, text = received
                 raise exc from RemoteTraceback(f'\n"""\n{text}"""')
-            chunks += received
+            triples += received
             process.join()
     finally:
         for process, receiver in started:
@@ -398,7 +382,7 @@ def _parallel_chunks(additions: Sequence[Table], workers: int) -> list:
             if process.is_alive():
                 process.terminate()
             process.join()
-    return chunks
+    return triples
 
 
 def enumerate_ai_semirings(n: int, workers: int = 1) -> CensusResult:
@@ -417,22 +401,36 @@ def enumerate_ai_semirings(n: int, workers: int = 1) -> CensusResult:
         # deepest searches first (one cell per pair of join-irreducibles), so
         # no long search starts last
         deepest = sorted(additions, key=lambda add: -len(_join_irreducibles(add)))
-        chunks = _parallel_chunks(deepest, min(workers, len(additions)))
+        rows = _parallel_chunks(deepest, min(workers, len(additions)))
     else:
-        chunks = [_census_for_addition(add) for add in additions]
+        rows = [row for add in additions for row in _census_for_addition(add)]
 
-    rows = sorted((triple, height) for height, chunk in chunks for triple in chunk)
+    rows.sort()
     # every table passed validate at its leaf of the search
     elements = _elements(n)
-    semirings = tuple(
-        FiniteAiSemiring(f"ai{n}_{i:03d}", elements, add, mul) for i, ((_, add, mul), _) in enumerate(rows)
-    )
+    semirings, height1 = [], []
+    last_key = last_add = height = None
+    for i, (key, add, mul) in enumerate(rows):
+        if key == last_key:
+            raise RuntimeError("search listed two tables of one class; symmetry bug")
+        S = FiniteAiSemiring(f"ai{n}_{i:03d}", elements, add, mul)
+        if add != last_add:  # the least class over a new addition: one n! scan each
+            if canonical_form(S) != key:
+                raise RuntimeError("census key differs from canonical_form; dedup bug")
+            # the height depends on the addition alone; the order laws
+            # ``natural_order`` checks for it follow from each class's validate
+            height = additive_height(S)
+            last_add = add
+        last_key = key
+        semirings.append(S)
+        if height == 1:
+            height1.append(S)
     return CensusResult(
         order=n,
-        semirings=semirings,
-        height1=tuple(S for S, (_, height) in zip(semirings, rows) if height == 1),
+        semirings=tuple(semirings),
+        height1=tuple(height1),
         elapsed=time.monotonic() - start,
-        keys=tuple(key for (key, _, _), _ in rows),
+        keys=tuple(key for key, _, _ in rows),
     )
 
 

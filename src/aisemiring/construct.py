@@ -16,7 +16,7 @@ from .core import (
     Morphism,
     Table,
     _as_table,
-    _mul_associativity,
+    _associativity,
     find_embedding,
     natural_order,
 )
@@ -49,7 +49,7 @@ class FiniteSemigroup:
         for what, v in (("zero", self.zero), ("identity", self.identity)):
             if v is not None and (type(v) is not int or not 0 <= v < n):
                 raise ValueError(f"{what} {v!r} is not an element index 0..{n - 1}")
-        witness = _mul_associativity(self.mul)
+        witness = _associativity(self.mul)
         if witness is not None:
             raise ValueError("multiplication not associative at ({},{},{})".format(*witness))
         rng = range(n)

@@ -79,20 +79,19 @@ def _add_violations(add: Table) -> tuple[tuple[str, tuple[int, ...]], ...]:
         if add[a][b] != add[b][a]:
             violations.append(("add-commutativity", (a, b)))
             break
-    for a, b, c in itertools.product(rng, rng, rng):
-        if add[add[a][b]][c] != add[a][add[b][c]]:
-            violations.append(("add-associativity", (a, b, c)))
-            break
+    witness = _associativity(add)
+    if witness is not None:
+        violations.append(("add-associativity", witness))
     return tuple(violations)
 
 
-def _mul_associativity(mul: Table) -> Optional[tuple[int, int, int]]:
-    """First (a, b, c) with (ab)c != a(bc)."""
-    rng = range(len(mul))
+def _associativity(op: Table) -> Optional[tuple[int, int, int]]:
+    """First (a, b, c) with (ab)c != a(bc) under the operation ``op``."""
+    rng = range(len(op))
     for a in rng:
-        row_a = mul[a]
+        row_a = op[a]
         for b in rng:
-            row_ab, row_b = mul[row_a[b]], mul[b]
+            row_ab, row_b = op[row_a[b]], op[b]
             for c in rng:
                 if row_ab[c] != row_a[row_b[c]]:
                     return a, b, c
@@ -157,7 +156,7 @@ def validate(add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]]) -> Vali
     violations = list(_add_violations(add))
     symmetric = not any(law in ("add-idempotence", "add-commutativity") for law, _ in violations)
     for law, witness in (
-        ("mul-associativity", _mul_associativity(mul)),
+        ("mul-associativity", _associativity(mul)),
         ("left-distributivity", _left_distributivity(add, mul, symmetric)),
         ("right-distributivity", _right_distributivity(add, mul, symmetric)),
     ):

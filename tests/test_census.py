@@ -175,7 +175,22 @@ def test_search_that_ignores_automorphisms_is_a_symmetry_bug(monkeypatch):
     unpruned = census._multiplications
     monkeypatch.setattr(census, "_multiplications", lambda add, auts: unpruned(add, _identity(len(add))))
     with pytest.raises(RuntimeError, match="symmetry bug"):
-        _census_for_addition(enumerate_semilattices(4)[0])
+        enumerate_ai_semirings(4)
+
+
+def test_a_class_listed_by_two_processes_is_a_symmetry_bug(monkeypatch):
+    # every process lists its first class twice, so the key comes twice to
+    # the caller's sorted pass, the one place where all classes meet
+    real = census._take_additions
+
+    def first_twice(additions, counter):
+        triples = real(additions, counter)
+        return triples + triples[:1]
+
+    monkeypatch.setattr(census, "_take_additions", first_twice)
+    with _within(30), pytest.raises(RuntimeError, match="symmetry bug"):
+        enumerate_ai_semirings(4, workers=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_census_refuses_an_addition_out_of_canonical_relabeling():
@@ -382,7 +397,7 @@ def test_census_does_not_depend_on_the_order_of_its_additions(monkeypatch, order
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_census_does_not_depend_on_the_order_of_its_chunks(monkeypatch, workers, order3_census, order4_census):
-    # each process returns its chunks reversed; the classes and their heights
+    # each process returns its triples reversed; the classes and their heights
     # still come from one sort of their unique keys
     real = census._take_additions
     monkeypatch.setattr(census, "_take_additions", lambda additions, counter: real(additions, counter)[::-1])
@@ -399,8 +414,8 @@ def test_height1_is_the_classes_of_additive_height_one(monkeypatch, order3_censu
     for result in results:
         assert result.height1 == tuple(S for S in result.semirings if additive_height(S) == 1)
     assert [len(result.height1) for result in results] == [0, 6, 17, 58]
-    assert enumerate_ai_semirings(4, workers=2).height1 == order4_census.height1
-    # the height is measured once per addition, and holds for every class over it
+    # the height is measured once per addition, by the caller for any worker
+    # count, and holds for every class over it
     measured = []
 
     def counted(S):
@@ -408,13 +423,15 @@ def test_height1_is_the_classes_of_additive_height_one(monkeypatch, order3_censu
         return additive_height(S)
 
     monkeypatch.setattr(census, "additive_height", counted)
-    assert enumerate_ai_semirings(4).height1 == order4_census.height1
-    assert measured == list(enumerate_semilattices(4))
+    for workers in (1, 2):
+        measured.clear()
+        assert enumerate_ai_semirings(4, workers=workers).height1 == order4_census.height1
+        assert measured == list(enumerate_semilattices(4))
     for n in (1, 2, 3, 4):
         for add in enumerate_semilattices(n):
-            height, triples = _census_for_addition(add)
+            triples = _census_for_addition(add)
             classes = [FiniteAiSemiring("", census._elements(n), add, mul) for _, _, mul in triples]
-            assert {additive_height(S) for S in classes} == {height}
+            assert len({additive_height(S) for S in classes}) == 1
 
 
 def test_write_census(tmp_path):
@@ -514,7 +531,7 @@ def test_canonical_form_matches_brute_force(order3_census, order4_census):
 def test_census_keys_match_brute_force_per_addition():
     for n in (1, 2, 3, 4):
         for add in enumerate_semilattices(n):
-            for key, add_table, mul in _census_for_addition(add)[1]:
+            for key, add_table, mul in _census_for_addition(add):
                 assert add_table == add and key == _brute_force_key(add, mul)
 
 
@@ -549,7 +566,10 @@ def test_census_rechecks_the_least_class_of_each_addition(monkeypatch, tmp_path)
         return canonical_form(S)
 
     monkeypatch.setattr(census, "canonical_form", counted)
-    result = enumerate_ai_semirings(4)
+    for workers in (2, 1):  # the caller rechecks, for any worker count
+        checked.clear()
+        result = enumerate_ai_semirings(4, workers=workers)
+        assert len(checked) == len(enumerate_semilattices(4))
     write_census(result, str(tmp_path))  # the index reuses the census keys
     assert len(checked) == len(enumerate_semilattices(4))
     # a result built without its keys is refused before anything is written
@@ -562,4 +582,4 @@ def test_census_rechecks_the_least_class_of_each_addition(monkeypatch, tmp_path)
     assert all((S.add, S.mul) in members for S in checked)
     monkeypatch.setattr(census, "canonical_form", lambda S: b"")
     with pytest.raises(RuntimeError, match="dedup bug"):
-        _census_for_addition(enumerate_semilattices(3)[0])
+        enumerate_ai_semirings(3)

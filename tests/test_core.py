@@ -140,7 +140,7 @@ def _validate_cases(censuses):
     rng = random.Random(15)
     census = [(S.add, S.mul) for result in censuses for S in result.semirings]
     census += [
-        (add, mul) for i in (5, 7) for _, add, mul in _census_for_addition(enumerate_semilattices(5)[i])[1]
+        (add, mul) for i in (5, 7) for _, add, mul in _census_for_addition(enumerate_semilattices(5)[i])
     ]
     perturbed = []
     for add, mul in census:
