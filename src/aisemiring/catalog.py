@@ -300,7 +300,7 @@ def _delete_variables(identity: Identity, gone: frozenset[str]) -> Optional[Iden
     def strip(term: Term) -> Optional[Term]:
         words = []
         for w in term.words:
-            letters = tuple(x for x in w.letters if x not in gone)
+            letters = tuple(x for x in w if x not in gone)
             if not letters:
                 return None
             words.append(Word(letters))

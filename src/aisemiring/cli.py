@@ -167,7 +167,11 @@ def _cmd_enumerate(args) -> int:
         # 40 ms on 2 workers with a free second processor and 70 ms without
         workers = 1 if args.order <= 4 else _available_processors()
     result = enumerate_ai_semirings(args.order, workers=workers)
-    chosen = result.height1 if args.height1 else result.semirings
+    chosen, keys = result.semirings, result.keys
+    if args.height1:  # a subsequence of the semirings, walked by identity: no table is hashed
+        rows = zip(result.semirings, result.keys)
+        chosen = result.height1
+        keys = tuple(next(key for S, key in rows if S is H) for H in chosen)
     count = len(chosen)
     payload = {
         "order": args.order,
@@ -176,8 +180,6 @@ def _cmd_enumerate(args) -> int:
         "height1_count": len(result.height1),
         "elapsed_seconds": round(result.elapsed, 3),
     }
-    key_of = dict(zip(result.semirings, result.keys))
-    keys = tuple(key_of[S] for S in chosen)
     if not args.count_only:
         payload["keys"] = [key.hex() for key in keys]
     if args.out:

@@ -172,7 +172,7 @@ def word_semiring(texts: Sequence[str], commutative: bool, monoid: bool) -> Fini
     pieces: set[tuple[str, ...]] = set()
     for w in words:
         if commutative:
-            letters = w.sorted().letters
+            letters = w.sorted()
             # a multiset with multiplicities c has prod(c + 1) - 1 nonempty divisors
             if math.prod(c + 1 for c in map(letters.count, set(letters))) - 1 > room:
                 raise too_big
@@ -180,7 +180,7 @@ def word_semiring(texts: Sequence[str], commutative: bool, monoid: bool) -> Fini
         else:
             if len(w) > room:  # its prefixes alone are too many
                 raise too_big
-            pieces |= _factors(w.letters)
+            pieces |= _factors(w)
         if len(pieces) > room:
             raise too_big
     if monoid:

@@ -91,7 +91,7 @@ def _inner(letters: tuple[str, ...], end: int) -> tuple[str, ...]:
 def _end_letters(u: Term, ends: frozenset[str], end: int) -> Optional[frozenset[str]]:
     """ends, the letters at one end of u's summands, if none of them occurs
     anywhere else in a summand (u has the end pattern), else None."""
-    if any(not ends.isdisjoint(_inner(w.letters, end)) for w in u.words):
+    if any(not ends.isdisjoint(_inner(w, end)) for w in u.words):
         return None
     return ends
 
@@ -110,18 +110,18 @@ class _Base:
 
     def __init__(self, u: Term):
         words = u.words
-        self.summands = frozenset(w.letters for w in words)
-        self.variables = frozenset(x for w in words for x in w.letters)
+        self.summands = frozenset(words)
+        self.variables = u.variables
         # both pairs are indexed by the end: 0 the head, -1 the tail
         self.ends = (frozenset(w.head for w in words), frozenset(w.tail for w in words))
         self.letter_sets = frozenset(w.letter_set for w in words)
         self.longest = max(map(len, words))
-        self.pair_letters = frozenset(x for w in words if len(w) == 2 for x in w.letters)
+        self.pair_letters = frozenset(x for w in words if len(w) == 2 for x in w)
         self.mixed = any(len(w) == 1 and w.head in self.pair_letters for w in words)
         self.end_letters = (_end_letters(u, self.ends[0], 0), _end_letters(u, self.ends[-1], -1))
         # S10: the sums of an odd number of the distinct odd-letter vectors are
         # exactly v1 ^ span{v1 ^ vi}; reduce the span to pivoted rows once
-        vectors = list(dict.fromkeys(_odd_letters(w.letters) for w in words))
+        vectors = list(dict.fromkeys(_odd_letters(w) for w in words))
         self.odd_first = vectors[0]
         self.odd_rows: list[tuple[str, frozenset]] = []
         for v in vectors[1:]:
@@ -142,7 +142,7 @@ def _base(u: Term) -> _Base:
 
 
 def _end_match(si: SimpleIdentity, end: int) -> CriterionVerdict:
-    if si.extra.letters[end] in _base(si.base).ends[end]:
+    if si.extra[end] in _base(si.base).ends[end]:
         return _MATCH[end]
     return _NO_MATCH[end]
 
@@ -156,7 +156,7 @@ def _two_element_R2(si: SimpleIdentity) -> CriterionVerdict:
 
 
 def _two_element_M2(si: SimpleIdentity) -> CriterionVerdict:
-    if _base(si.base).variables.issuperset(si.extra.letters):
+    if _base(si.base).variables.issuperset(si.extra):
         return _LETTERS_COVERED
     return _FRESH_LETTER
 
@@ -171,7 +171,7 @@ def _two_element_D2(si: SimpleIdentity) -> CriterionVerdict:
 def _two_element_N2(si: SimpleIdentity) -> CriterionVerdict:
     if len(si.extra) >= 2:
         return _EXTRA_LENGTH_2_PLUS
-    if si.extra.letters in _base(si.base).summands:
+    if si.extra in _base(si.base).summands:
         return _EXTRA_IS_SUMMAND
     return _EXTRA_SHORT_AND_NEW
 
@@ -180,7 +180,7 @@ def _two_element_T2(si: SimpleIdentity) -> CriterionVerdict:
     base = _base(si.base)
     if base.longest >= 2:
         return _LONG_SUMMAND
-    if si.extra.letters in base.summands:
+    if si.extra in base.summands:
         return _EXTRA_IS_SUMMAND
     return _ALL_SHORT_AND_EXTRA_NEW
 
@@ -193,11 +193,11 @@ def holds_s2(si: SimpleIdentity) -> CriterionVerdict:
     if base.mixed:
         return _LENGTH_MIX_OVERLAP
     if len(q) == 1:
-        if q.letters in base.summands:
+        if q in base.summands:
             return _EXTRA_IS_SUMMAND
         return _EXTRA_NOT_A_SUMMAND
     if len(q) == 2:
-        if base.pair_letters.issuperset(q.letters):
+        if base.pair_letters.issuperset(q):
             return _EXTRA_IN_PAIR_LETTERS
         return _EXTRA_OUTSIDE_PAIR_LETTERS
     return _EXTRA_TOO_LONG
@@ -233,7 +233,7 @@ def delta(v: Term) -> frozenset[frozenset[str]]:
 
 
 def _holds_pattern(si: SimpleIdentity, end: int) -> CriterionVerdict:
-    base, q = _base(si.base), si.extra.letters
+    base, q = _base(si.base), si.extra
     if q in base.summands:
         return _TRIVIAL
     if not base.variables.issuperset(q):
@@ -271,7 +271,7 @@ def holds_s10(si: SimpleIdentity) -> CriterionVerdict:
     subsets are not listed: the base holds the vectors reduced by one GF(2)
     elimination, so each q costs one pass over its rows.
     """
-    base, q = _base(si.base), si.extra.letters
+    base, q = _base(si.base), si.extra
     if not base.variables.issuperset(q):
         return _FRESH_LETTER
     if not _reduce(base.odd_rows, base.odd_first ^ _odd_letters(q)):

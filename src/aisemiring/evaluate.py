@@ -80,8 +80,8 @@ class UnassignedVariableError(KeyError):
 
 def eval_word(S: FiniteAiSemiring, w: Word, assignment: Mapping[str, int]) -> int:
     try:
-        acc = assignment[w.letters[0]]
-        for x in w.letters[1:]:
+        acc = assignment[w[0]]
+        for x in w[1:]:
             acc = S.mul[acc][assignment[x]]
     except KeyError as exc:
         raise UnassignedVariableError(f"variable {exc.args[0]!r} has no value") from None
@@ -323,7 +323,7 @@ def counterexample(
 ) -> Optional[dict[str, int]]:
     """Lexicographically first failing assignment, or None if the identity holds."""
     lhs_words, rhs_words = identity.lhs.words, identity.rhs.words
-    variables = sorted({x for w in lhs_words + rhs_words for x in w.letters})
+    variables = sorted({x for w in lhs_words + rhs_words for x in w})
     n, k = S.order, len(variables)
     if n ** k > budget:
         raise BudgetExceededError(
@@ -332,8 +332,8 @@ def counterexample(
     if n == 1:  # one element satisfies every identity, however many variables
         return None
     letter = dict(zip(variables, range(n, n + k))).__getitem__
-    lhs = frozenset([tuple(map(letter, w.letters)) for w in lhs_words])
-    rhs = frozenset([tuple(map(letter, w.letters)) for w in rhs_words])
+    lhs = frozenset([tuple(map(letter, w)) for w in lhs_words])
+    rhs = frozenset([tuple(map(letter, w)) for w in rhs_words])
     if lhs == rhs:
         return None
     values = _first_failure(lhs, rhs, k, S.add, S.mul, n)
@@ -420,16 +420,16 @@ class BulkEvaluator:
         # u ≈ u + q fails exactly where u is a and q is b for one of these pairs
         self._breaking = [(a, b) for a in range(n) for b in range(n) if S.add[a][b] != a]
         self._columns = dict(zip(self.variables, _variable_masks(n, k)))
-        self._cache: dict[tuple[str, ...], tuple[int, ...]] = {}
+        self._cache: dict[Word, tuple[int, ...]] = {}
 
     def word_vector(self, w: Word) -> tuple[int, ...]:
-        cached = self._cache.get(w.letters)  # a tuple of str hashes faster than a Word
+        cached = self._cache.get(w)
         if cached is not None:
             return cached
-        acc = self._columns[w.letters[0]]
-        for x in w.letters[1:]:
+        acc = self._columns[w[0]]
+        for x in w[1:]:
             acc = _combine(self._mul_pairs, acc, self._columns[x])
-        self._cache[w.letters] = acc
+        self._cache[w] = acc
         return acc
 
     def term_vector(self, t: Term) -> tuple[int, ...]:

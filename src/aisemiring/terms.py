@@ -1,8 +1,10 @@
 """Words, terms as finite word sets, identities and parsing.
 
-A term is a nonempty finite set of nonempty words; sum is union, product is
-pairwise concatenation.  Every identity between terms reduces to a family of
-"simple" identities u = u + q with q a single word.
+A word is the nonempty tuple of its letters; a term is a nonempty finite set
+of words, held as its distinct words sorted, a normal form built in one
+place, ``Term``.  Sum is union, product is pairwise concatenation.  Every
+identity between terms reduces to a family of "simple" identities u = u + q
+with q a single word.
 
 Parsing reads a flat side, a sum of products of variables each with at most
 one exponent and no parentheses, with regular expressions alone; the
@@ -29,47 +31,56 @@ class UnboundVariableError(KeyError):
     __str__ = Exception.__str__  # the message, not KeyError's repr of it
 
 
-@dataclass(frozen=True, order=True)
-class Word:
-    """A nonempty sequence of variable identifiers."""
+class Word(tuple):
+    """A word: the nonempty tuple of its letters, each a variable identifier,
+    and it equals, hashes and orders as that tuple.  ``word`` reads text."""
 
-    letters: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.letters:
+    def __new__(cls, letters: Iterable[str]) -> "Word":
+        if isinstance(letters, str):
+            raise TypeError(f"a Word is built from a tuple of letters; use word({letters!r}) for text")
+        w = tuple.__new__(cls, letters)
+        if not w:
             raise ValueError("words must be nonempty")
-
-    def __len__(self) -> int:
-        return len(self.letters)
+        return w
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return tuple.__new__(Word, tuple.__add__(self, other))  # nonempty: no check
+
+    def __add__(self, other):  # refuse tuple concatenation: a sum of words is a Term
+        return NotImplemented
+
+    @property
+    def letters(self) -> "Word":
+        """The word itself, the tuple of its letters."""
+        return self
 
     @property
     def head(self) -> str:
-        return self.letters[0]
+        return self[0]
 
     @property
     def tail(self) -> str:
-        return self.letters[-1]
+        return self[-1]
 
     @property
     def letter_set(self) -> frozenset[str]:
-        return frozenset(self.letters)
-
-    def count(self, x: str) -> int:
-        return self.letters.count(x)
+        return frozenset(self)
 
     def reverse(self) -> "Word":
-        return Word(self.letters[::-1])
+        return Word(self[::-1])
 
     def sorted(self) -> "Word":
         """Commutative view: the same multiset with letters in sorted order."""
-        return Word(tuple(sorted(self.letters)))
+        return Word(sorted(self))
+
+    def __repr__(self) -> str:
+        return f"Word(letters={tuple(self)!r})"
 
     def __str__(self) -> str:
         out = []
-        for letter, run in itertools.groupby(self.letters):
+        for letter, run in itertools.groupby(self):
             k = len(list(run))
             out.append(letter if k == 1 else f"{letter}^{k}")
         return "".join(out)
@@ -85,34 +96,15 @@ def word(text: str) -> Word:
 
 @dataclass(frozen=True)
 class Term:
-    """A nonempty set of words; stored sorted with duplicates collapsed."""
+    """A nonempty finite set of words, held as its distinct words sorted."""
 
     words: tuple[Word, ...]
 
     def __post_init__(self):
-        # a Word orders and hashes as its letters, so keying by the letters
-        # gives the same normal form through tuples' own hash and compare
-        by_letters = {w.letters: w for w in self.words}
-        normal = tuple(map(by_letters.__getitem__, sorted(by_letters)))
+        normal = tuple(sorted(set(self.words)))
         if not normal:
             raise ValueError("terms must have at least one summand")
         object.__setattr__(self, "words", normal)
-
-    @classmethod
-    def _of_letters(cls, words: Iterable[tuple[str, ...]]) -> "Term":
-        """The term of nonempty letter tuples, built in the normal form of
-        ``__post_init__`` (the distinct tuples sorted, each made a ``Word``)
-        without the dataclass ``__init__`` and ``__post_init__`` of every
-        ``Word`` and the ``Term``.  A change to that normal form is made in
-        both places; the parser's words are never empty, nor its terms."""
-        normal = []
-        for letters in sorted(set(words)):
-            w = object.__new__(Word)
-            object.__setattr__(w, "letters", letters)
-            normal.append(w)
-        term = object.__new__(cls)
-        object.__setattr__(term, "words", tuple(normal))
-        return term
 
     def __add__(self, other: "Term") -> "Term":
         return Term(self.words + other.words)
@@ -128,7 +120,7 @@ class Term:
 
     @property
     def variables(self) -> frozenset[str]:
-        return frozenset().union(*(w.letter_set for w in self.words))
+        return frozenset().union(*self.words)
 
     def reverse(self) -> "Term":
         return Term(tuple(w.reverse() for w in self.words))
@@ -193,7 +185,7 @@ def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
     out: Optional[Term] = None
     for w in t.words:
         img: Optional[Term] = None
-        for letter in w.letters:
+        for letter in w:
             img = mapping[letter] if img is None else bounded_product(img, mapping[letter])
         if out is not None:
             _check_bounds(len(out.words) + len(img.words), 0)
@@ -245,10 +237,10 @@ class _Parser:
     """Recursive descent over the tokens of one text.
 
     Every (sub)term it holds is a tuple of distinct letter tuples; the
-    ``Word``s and the ``Term`` are built once per side, by
-    ``Term._of_letters``.  Repeats merge where ``Term`` would merge them, so
-    every count ``_check_size`` sees is the summand count of the ``Term``
-    that (sub)term stands for.
+    ``Word``s and the ``Term`` are built once per side, by ``_parsed_term``.
+    Repeats merge where ``Term`` would merge them, so every count
+    ``_check_size`` sees is the summand count of the ``Term`` that (sub)term
+    stands for.
     """
 
     def __init__(self, text: str):
@@ -385,6 +377,11 @@ def _check_bounds(words: int, length: int) -> None:
         raise ValueError(f"word longer than {MAX_WORD_LENGTH} letters")
 
 
+def _parsed_term(words: Iterable[tuple[str, ...]]) -> Term:
+    """The term of parsed letter tuples; the parser makes no empty word."""
+    return Term(tuple([tuple.__new__(Word, w) for w in words]))
+
+
 def split_top_level(text: str, sep: str) -> list[str]:
     """Split ``text`` at each ``sep`` outside parentheses."""
     parts, depth, start = [], 0, 0
@@ -404,13 +401,13 @@ def parse_term(text: str) -> Term:
     if isinstance(text, str):
         words = _flat_side(text)
         if words is not None:
-            return Term._of_letters(words)
+            return _parsed_term(words)
     p = _Parser(text)
     t = p.term()
     kind, _, pos = p.peek()
     if kind != "end":
         raise TermSyntaxError("trailing input after term", pos)
-    return Term._of_letters(t)
+    return _parsed_term(t)
 
 
 def parse_identity(text: str) -> Identity:
@@ -419,7 +416,7 @@ def parse_identity(text: str) -> Identity:
         if len(sides) == 2:
             lhs, rhs = map(_flat_side, sides)
             if lhs is not None and rhs is not None:
-                return Identity(Term._of_letters(lhs), Term._of_letters(rhs))
+                return Identity(_parsed_term(lhs), _parsed_term(rhs))
     p = _Parser(text)
     lhs = p.term()
     kind, value, pos = p.take()
@@ -429,4 +426,4 @@ def parse_identity(text: str) -> Identity:
     kind, _, pos = p.peek()
     if kind != "end":
         raise TermSyntaxError("trailing input after identity", pos)
-    return Identity(Term._of_letters(lhs), Term._of_letters(rhs))
+    return Identity(_parsed_term(lhs), _parsed_term(rhs))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from aisemiring import catalog, cli
 from aisemiring.census import enumerate_ai_semirings
+from aisemiring.core import FiniteAiSemiring
 from aisemiring.cli import main
 
 
@@ -114,6 +115,22 @@ def test_enumerate_subcommand(capsys, tmp_path):
         index = [line.split() for line in (out_dir / "index.txt").read_text().splitlines()]
         assert [key for key, _ in index] == payload["keys"]
         assert sorted(os.listdir(out_dir)) == sorted([name for _, name in index] + ["index.txt"])
+
+
+def test_enumerate_hashes_no_semiring(capsys, monkeypatch):
+    # the keys are read by position and height1 is walked by identity
+    hashed = []
+    unhashed = FiniteAiSemiring.__hash__
+
+    def counted(S):
+        hashed.append(S)
+        return unhashed(S)
+
+    monkeypatch.setattr(FiniteAiSemiring, "__hash__", counted)
+    for flags, count in (([], "866"), (["--height1"], "58")):
+        code, out, _ = run(capsys, ["enumerate", "--order", "4", "--count-only", *flags])
+        assert code == 0 and out.strip() == count
+    assert hashed == []
 
 
 def test_construct_subcommand(capsys, tmp_path):

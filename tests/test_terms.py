@@ -1,3 +1,4 @@
+import pickle
 import random
 import tracemalloc
 
@@ -130,10 +131,10 @@ def test_term_normal_form_is_the_sorted_set_of_its_words():
     assert repeated > 250
 
 
-def test_of_letters_builds_the_term_the_constructors_build():
-    # Term._of_letters skips the dataclass methods of Word and Term; what it
-    # builds from letter tuples must be the Term built through them, to the
-    # order of its words
+def test_parsed_term_builds_the_term_the_constructors_build():
+    # _parsed_term builds its Words with tuple.__new__, skipping Word's checks;
+    # what it builds from letter tuples must be the Term built through Word,
+    # to the type and order of its words
     rng = random.Random(12)
     names = ["x", "y", "x1", "x10", "x2", "xy"]
     repeated = 0
@@ -141,7 +142,7 @@ def test_of_letters_builds_the_term_the_constructors_build():
         pool = [tuple(rng.choices(names, k=rng.randint(1, 4))) for _ in range(rng.randint(1, 6))]
         words = [tuple(list(w)) for w in rng.choices(pool, k=rng.randint(1, 12))]
         repeated += len(set(words)) < len(words)
-        built, reference = Term._of_letters(words), Term(tuple(map(Word, words)))
+        built, reference = terms_module._parsed_term(words), Term(tuple(map(Word, words)))
         assert type(built) is Term and all(type(w) is Word for w in built.words)
         assert built == reference and hash(built) == hash(reference)
         assert repr(built) == repr(reference) and built.words == reference.words
@@ -149,6 +150,32 @@ def test_of_letters_builds_the_term_the_constructors_build():
         for name, judge in criteria.CRITERIA.items():
             assert judge(SimpleIdentity(built, extra)) == judge(SimpleIdentity(reference, extra)), name
     assert repeated > 250
+
+
+def test_a_word_is_the_tuple_of_its_letters():
+    xy = Word(("x", "y"))
+    assert repr(xy) == "Word(letters=('x', 'y'))" and str(Word(("x", "x", "y1"))) == "x^2y1"
+    assert isinstance(xy, tuple) and not hasattr(xy, "__dict__") and xy.letters is xy
+    assert xy == ("x", "y") and hash(xy) == hash(("x", "y"))
+    # ordered as letter tuples: a prefix first, then letter by letter
+    shuffled = [Word(("y",)), Word(("x1",)), xy, Word(("x",))]
+    assert sorted(shuffled) == [Word(("x",)), xy, Word(("x1",)), Word(("y",))]
+    product = xy * Word(("z",))
+    assert type(product) is Word and product == ("x", "y", "z")
+    with pytest.raises(TypeError):
+        xy + xy  # a sum of words is a Term
+    with pytest.raises(ValueError):
+        Word([])
+    copy = pickle.loads(pickle.dumps(xy))
+    assert type(copy) is Word and copy == xy
+
+
+def test_a_word_refuses_text():
+    # the characters of "x1" are not its letters: text goes through word()
+    for text in ("xy", "x1"):
+        with pytest.raises(TypeError, match=r"word\('"):
+            Word(text)
+    assert word("x1") == Word(("x1",)) and word("xy") == Word(("x", "y"))
 
 
 @given(terms, terms, terms)
