@@ -6,13 +6,15 @@ multiplication a function of its values on pairs of join-irreducible elements,
 so only those cells are searched; every other product is the forced sum over
 the join-irreducibles below the factors.
 
-The search is compiled to integer-indexed lists before it starts.  A cell is
-its position in growing-square order and the products form a flat list
-indexed ``e * n + f``; each product is computed once per path, when the last
-cell it reads is filled.  Every constraint is placed in advance at the cell
-where it becomes decidable, except an associativity check whose products
-depend on earlier cell values: it is deferred on the current path to exactly
-the cell that makes it decidable.
+The search is compiled before it starts into one plan entry per cell, a
+tuple that a node of the search unpacks once.  A cell is its position in
+growing-square order and the products form a flat list indexed ``e * n + f``;
+each product is computed once per path, when the last cell it reads is
+filled, as a sum over the covering cells only (a cell is at least every cell
+below it).  Every constraint is placed in advance at the cell where it
+becomes decidable, except an associativity check whose products depend on
+earlier cell values: it is deferred on the current path to exactly the cell
+that makes it decidable.
 
 Isomorphic multiplications over one addition are relabelings of each other
 by Aut(+), the perms attaining a canonical addition's least relabeling.  The
@@ -149,6 +151,17 @@ def _multiplications(add: Table, auts: Sequence[Sequence[int]]) -> list[Table]:
     deferred to exactly the cell where the later of them becomes ready, and
     withdrawn on backtrack.
 
+    Since every domain lies above the sum of the cells below, each cell is at
+    least every cell below it, and a sum of cells equals the sum of its
+    maximal ones.  So the lower bound of a cell (p, q) sums only its lower
+    covers (p', q) and (p, q'), p' maximal among the join-irreducibles
+    strictly below p, and any other product ``e * f`` only the cells of the
+    maximal join-irreducibles below e and below f.  Each cell is compiled to
+    one plan entry: its own product index, the first of its lower covers and
+    the rest, its joined products (each with the first of its other
+    summands and the rest), and its distributivity checks, deferred checks,
+    associativity checks and lex-leader perms.
+
     Lex-leader pruning: a non-identity ``perm`` in ``auts`` relabels the
     table to one holding ``perm[val[src[k]]]`` at cell k = (p, q), where
     ``src[k]`` is the cell (perm^-1 p, perm^-1 q).  At cell t its prefix up
@@ -173,17 +186,23 @@ def _multiplications(add: Table, auts: Sequence[Sequence[int]]) -> list[Table]:
     pos = {cell: t for t, cell in enumerate(cells)}
     total = len(cells)
 
-    # the cells each product reads; a cell's own product reads it last, after
-    # the cells below it, whose sum bounds the cell's value from below
-    reads = [sorted(pos[(p, q)] for p in jbelow[e] for q in jbelow[f]) for e in rng for f in rng]
-    ready = [r[-1] for r in reads]
-    below: list[tuple[int, ...]] = [()] * total
-    joined: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in cells]
-    for ef, r in enumerate(reads):
-        if divmod(ef, n) in pos:
-            below[r[-1]] = tuple(r[:-1])
-        else:
-            joined[r[-1]].append((ef, tuple(r[:-1])))
+    def maximal(xs: list[int]) -> list[int]:
+        return [x for x in xs if not any(y != x and add[x][y] == y for y in xs)]
+
+    # the cell each product reads last, where it is computed; a cell's own
+    # product reads it last, after the cells below it
+    ready = [max(pos[(p, q)] for p in jbelow[e] for q in jbelow[f]) for e in rng for f in rng]
+    # every sum is over maximal cells only: the lower covers of a cell, and
+    # the cells of the maximal join-irreducibles below each factor otherwise
+    tops = [maximal(jbelow[x]) for x in rng]
+    covers = {p: maximal([x for x in jbelow[p] if x != p]) for p in ji}
+    below = [sorted([pos[(x, q)] for x in covers[p]] + [pos[(p, x)] for x in covers[q]]) for p, q in cells]
+    joined: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in cells]
+    for ef, t in enumerate(ready):
+        e, f = divmod(ef, n)
+        if (e, f) not in pos:
+            earlier = sorted(pos[(p, q)] for p in tops[e] for q in tops[f] if pos[(p, q)] != t)
+            joined[t].append((ef, earlier[0], tuple(earlier[1:])))
 
     # distributivity over a + b = j for incomparable a, b, on either side of c
     dist: list[list[tuple[int, int, int]]] = [[] for _ in cells]
@@ -201,8 +220,8 @@ def _multiplications(add: Table, auts: Sequence[Sequence[int]]) -> list[Table]:
         pq, qr = pos[(p, q)], pos[(q, r)]
         assoc[max(pq, qr)].append((pq, qr, p * n, r))
 
-    # (perm, src, length of its decided prefix) for the perms whose prefix grows at each cell
-    leaders: list[list[tuple[Sequence[int], tuple[int, ...], int]]] = [[] for _ in cells]
+    # (perm, its decided prefix as (k, src[k]) pairs) for the perms whose prefix grows at each cell
+    leaders: list[list[tuple[Sequence[int], tuple[tuple[int, int], ...]]]] = [[] for _ in cells]
     for perm in auts:
         if all(perm[a] == a for a in rng):
             continue
@@ -210,43 +229,48 @@ def _multiplications(add: Table, auts: Sequence[Sequence[int]]) -> list[Table]:
         for a in rng:
             inv[perm[a]] = a
         src = tuple(pos[(inv[p], inv[q])] for p, q in cells)
+        pairs = tuple(enumerate(src))
         length = 0
         for t in range(total):
             grown = length
             while grown < total and src[grown] <= t:
                 grown += 1
             if grown > length:
-                leaders[t].append((perm, src, grown))
+                leaders[t].append((perm, pairs[:grown]))
                 length = grown
 
     val = [0] * total
     prod = [0] * (n * n)
     pending: list[list[tuple[int, int]]] = [[] for _ in cells]
+    # the plan entries, as the docstring lists them; no lower cover is None
+    plan = [
+        (p * n + q, low[0] if low else None, tuple(low[1:]), joined[t], dist[t], pending[t], assoc[t], leaders[t])
+        for t, ((p, q), low) in enumerate(zip(cells, below))
+    ]
+    rows = [slice(a * n, a * n + n) for a in rng]
     results: list[Table] = []
 
     def fill(t: int) -> None:
         if t == total:
-            full = tuple(tuple(prod[a * n : a * n + n]) for a in rng)
+            full = tuple(tuple(prod[row]) for row in rows)
             if not validate(add, full).valid:
                 raise RuntimeError("search produced an invalid table; constraint bug")
             results.append(full)
             return
-        own = cells[t][0] * n + cells[t][1]
-        lows = below[t]
-        if lows:
-            lb = val[lows[0]]
-            for s in lows[1:]:
+        own, low, lows, joins, checks, waiting, triples, syms = plan[t]
+        if low is None:
+            domain = rng
+        else:
+            lb = val[low]
+            for s in lows:
                 lb = plus[lb * n + val[s]]
             domain = above[lb]
-        else:
-            domain = rng
         bases = []
-        for ef, earlier in joined[t]:
-            acc = val[earlier[0]]
-            for s in earlier[1:]:
+        for ef, first, rest in joins:
+            acc = val[first]
+            for s in rest:
                 acc = plus[acc * n + val[s]]
             bases.append((ef, acc * n))
-        checks, waiting, triples, syms = dist[t], pending[t], assoc[t], leaders[t]
         for v in domain:
             val[t] = v
             prod[own] = v  # the cells below sum to at most v
@@ -264,20 +288,20 @@ def _multiplications(add: Table, auts: Sequence[Sequence[int]]) -> list[Table]:
                     for pq, qr, pn, r in triples:
                         i = val[pq] * n + r
                         k = pn + val[qr]
-                        d = ready[i] if ready[i] > ready[k] else ready[k]
-                        if d <= t:
+                        if ready[i] <= t >= ready[k]:
                             if prod[i] != prod[k]:
                                 break
-                        else:
-                            pending[d].append((i, k))
+                        else:  # to the later of the two ready cells
+                            later = pending[ready[i] if ready[i] > ready[k] else ready[k]]
+                            later.append((i, k))
                             if deferred is None:
-                                deferred = [d]
+                                deferred = [later]
                             else:
-                                deferred.append(d)
+                                deferred.append(later)
                     else:  # lex-leader: no perm maps the decided prefix below itself
-                        for perm, src, length in syms:
-                            for k in range(length):
-                                w = perm[val[src[k]]]
+                        for perm, prefix in syms:
+                            for k, s in prefix:
+                                w = perm[val[s]]
                                 if w != val[k]:
                                     break
                             else:
@@ -287,8 +311,8 @@ def _multiplications(add: Table, auts: Sequence[Sequence[int]]) -> list[Table]:
                         else:
                             fill(t + 1)
                     if deferred is not None:
-                        for d in deferred:
-                            pending[d].pop()
+                        for later in deferred:
+                            later.pop()
 
     fill(0)
     return results

@@ -51,6 +51,9 @@ class Word(tuple):
     def __add__(self, other):  # refuse tuple concatenation: a sum of words is a Term
         return NotImplemented
 
+    def __rmul__(self, other):  # refuse tuple repetition: 3 * w is no word product
+        return NotImplemented
+
     @property
     def letters(self) -> "Word":
         """The word itself, the tuple of its letters."""

@@ -29,6 +29,7 @@ from aisemiring.core import (
     least_relabeling,
     validate,
 )
+from reference_census import labeled_semilattices, least_key, reference_keys
 
 
 def test_semilattice_counts():
@@ -37,30 +38,9 @@ def test_semilattice_counts():
 
 
 def _semilattices_by_relations(n):
-    """The relation scan the one-point extension replaced: every partial order
-    whose labeling is a linear extension (i below j implies i < j), kept when
-    every pair has a join."""
-    if n == 1:
-        return (((0,),),)
-    pairs = list(itertools.combinations(range(n), 2))
-    found = set()
-    for bits in range(2 ** len(pairs)):
-        leq = [[i == j for j in range(n)] for i in range(n)]
-        for k, (i, j) in enumerate(pairs):
-            if bits >> k & 1:
-                leq[i][j] = True
-        if any(leq[i][j] and not all(leq[i][k] for k in range(n) if leq[j][k]) for i, j in pairs):
-            continue
-        add = [[i if i == j else None for j in range(n)] for i in range(n)]
-        for i, j in pairs:
-            uppers = [k for k in range(n) if leq[i][k] and leq[j][k]]
-            least = [u for u in uppers if all(leq[u][v] for v in uppers)]
-            if len(least) != 1:
-                break
-            add[i][j] = add[j][i] = least[0]
-        else:
-            found.add(_canonical_add(tuple(map(tuple, add))))
-    return tuple(sorted(found))
+    """The relation scan the one-point extension replaced, each table in
+    canonical relabeling."""
+    return tuple(sorted({_canonical_add(add) for add in labeled_semilattices(n)}))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -212,9 +192,14 @@ def _census_digest(result):
 def test_order5_census_output_is_pinned():
     # _census_digest of enumerate_ai_semirings(5) taken from the census
     # before its search was pruned by Aut(+), when it kept the first table
-    # of each class the unpruned search listed; the same for any worker count
+    # of each class the unpruned search listed; the same for any worker count.
+    # The counts were checked against tests/reference_census.py at order 5.
     digest = "7006d29888385d44800342c686f9f5e8c4e111693aa3d2ff3feb94e3676f0230"
-    assert _census_digest(enumerate_ai_semirings(5, workers=1)) == digest
+    result = enumerate_ai_semirings(5, workers=1)
+    assert _census_digest(result) == digest
+    assert (result.count, len(result.height1)) == (15751, 215)
+    keys = set(result.keys)
+    assert all(canonical_form(dual(S)) in keys for S in result.semirings)
     assert _census_digest(enumerate_ai_semirings(5, workers=2)) == digest
 
 
@@ -222,6 +207,21 @@ def test_small_census_counts(order3_census):
     assert enumerate_ai_semirings(1).count == 1
     assert enumerate_ai_semirings(2).count == 6
     assert order3_census.count == 61
+
+
+def test_census_equals_the_independent_reference(order3_census, order4_census):
+    # reference_census shares no search, relabeling or key code with the census
+    censuses = [enumerate_ai_semirings(1), enumerate_ai_semirings(2), order3_census, order4_census]
+    for result, count in zip(censuses, (1, 6, 61, 866)):
+        keys = reference_keys(result.order)
+        assert len(keys) == result.count == count
+        assert {least_key((S.add, S.mul)) for S in result.semirings} == keys
+
+
+def test_census_is_closed_under_dual(order3_census, order4_census):
+    for result in (enumerate_ai_semirings(1), enumerate_ai_semirings(2), order3_census, order4_census):
+        keys = set(result.keys)
+        assert all(canonical_form(dual(S)) in keys for S in result.semirings)
 
 
 def test_order2_census_matches_the_six_named_semirings():

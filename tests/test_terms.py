@@ -170,6 +170,14 @@ def test_a_word_is_the_tuple_of_its_letters():
     assert type(copy) is Word and copy == xy
 
 
+def test_a_word_is_not_repeated_by_an_int():
+    xy = Word(("x", "y"))
+    for product in (lambda: 3 * xy, lambda: xy * 3, lambda: True * xy):
+        with pytest.raises(TypeError):
+            product()
+    assert xy * xy == Word(("x", "y", "x", "y"))
+
+
 def test_a_word_refuses_text():
     # the characters of "x1" are not its letters: text goes through word()
     for text in ("xy", "x1"):
