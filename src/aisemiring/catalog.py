@@ -298,13 +298,8 @@ BASIS_NAMES = tuple(_BASES)
 def _delete_variables(identity: Identity, gone: frozenset[str]) -> Optional[Identity]:
     """Drop the given variables from every word; None if a word would vanish."""
     def strip(term: Term) -> Optional[Term]:
-        words = []
-        for w in term.words:
-            letters = tuple(x for x in w if x not in gone)
-            if not letters:
-                return None
-            words.append(Word(letters))
-        return Term(tuple(words))
+        words = [tuple(x for x in w if x not in gone) for w in term]
+        return Term(map(Word, words)) if all(words) else None
 
     lhs = strip(identity.lhs)
     rhs = strip(identity.rhs)

@@ -162,9 +162,9 @@ def _available_processors() -> int:
 def _cmd_enumerate(args) -> int:
     workers = args.workers
     if workers is None:
-        # up to order 4 a census takes under 0.1 s serially: about 3 ms at order
-        # 3, against 7 ms on 2 workers, and about 60 ms at order 4, against
-        # 40 ms on 2 workers with a free second processor and 70 ms without
+        # up to order 4 a census takes under 0.1 s serially: about 2 ms at order
+        # 3, against 6 ms on 2 workers, and 35-40 ms at order 4, against
+        # 29-32 ms on 2 workers with a free second processor, 44-59 ms without
         workers = 1 if args.order <= 4 else _available_processors()
     result = enumerate_ai_semirings(args.order, workers=workers)
     chosen, keys = result.semirings, result.keys
@@ -270,7 +270,7 @@ def _parse_simple_identity(text: str) -> SimpleIdentity:
     last written summand of the right side, or the last word of that summand
     if it is a sum."""
     identity = parse_identity(text)
-    u, rhs = set(identity.lhs.words), set(identity.rhs.words)
+    u, rhs = set(identity.lhs), set(identity.rhs)
     extra = rhs - u
     if not u <= rhs or len(extra) > 1:
         raise CliError("identity is not of the simple form u ≈ u + q")
@@ -278,7 +278,7 @@ def _parse_simple_identity(text: str) -> SimpleIdentity:
         return SimpleIdentity(identity.lhs, extra.pop())
     sep = "≈" if "≈" in text else "="
     q_term = parse_term(split_top_level(text.split(sep, 1)[1], "+")[-1])
-    return SimpleIdentity(identity.lhs, q_term.words[-1])
+    return SimpleIdentity(identity.lhs, q_term[-1])
 
 
 # the sweep's variable pool, longest word and most summands in u, when not given

@@ -91,7 +91,7 @@ def _inner(letters: tuple[str, ...], end: int) -> tuple[str, ...]:
 def _end_letters(u: Term, ends: frozenset[str], end: int) -> Optional[frozenset[str]]:
     """ends, the letters at one end of u's summands, if none of them occurs
     anywhere else in a summand (u has the end pattern), else None."""
-    if any(not ends.isdisjoint(_inner(w, end)) for w in u.words):
+    if any(not ends.isdisjoint(_inner(w, end)) for w in u):
         return None
     return ends
 
@@ -109,19 +109,18 @@ class _Base:
     """The facts about u that the criteria read."""
 
     def __init__(self, u: Term):
-        words = u.words
-        self.summands = frozenset(words)
+        self.summands = frozenset(u)
         self.variables = u.variables
         # both pairs are indexed by the end: 0 the head, -1 the tail
-        self.ends = (frozenset(w.head for w in words), frozenset(w.tail for w in words))
-        self.letter_sets = frozenset(w.letter_set for w in words)
-        self.longest = max(map(len, words))
-        self.pair_letters = frozenset(x for w in words if len(w) == 2 for x in w)
-        self.mixed = any(len(w) == 1 and w.head in self.pair_letters for w in words)
+        self.ends = (frozenset(w.head for w in u), frozenset(w.tail for w in u))
+        self.letter_sets = frozenset(w.letter_set for w in u)
+        self.longest = max(map(len, u))
+        self.pair_letters = frozenset(x for w in u if len(w) == 2 for x in w)
+        self.mixed = any(len(w) == 1 and w.head in self.pair_letters for w in u)
         self.end_letters = (_end_letters(u, self.ends[0], 0), _end_letters(u, self.ends[-1], -1))
         # S10: the sums of an odd number of the distinct odd-letter vectors are
         # exactly v1 ^ span{v1 ^ vi}; reduce the span to pivoted rows once
-        vectors = list(dict.fromkeys(_odd_letters(w) for w in words))
+        vectors = list(dict.fromkeys(_odd_letters(w) for w in u))
         self.odd_first = vectors[0]
         self.odd_rows: list[tuple[str, frozenset]] = []
         for v in vectors[1:]:
@@ -131,13 +130,12 @@ class _Base:
 
 
 def _base(u: Term) -> _Base:
-    """u's prepared base, kept in the term's instance dict the way
-    functools.cached_property keeps a value; Term's eq, hash and repr read
-    only its words."""
+    """u's prepared base, kept in the term's instance dict; a Term equals,
+    hashes and prints as the tuple of its words alone."""
     try:
         return u._criteria_base
     except AttributeError:
-        base = u.__dict__["_criteria_base"] = _Base(u)
+        u._criteria_base = base = _Base(u)
         return base
 
 
@@ -222,7 +220,7 @@ def delta(v: Term) -> frozenset[frozenset[str]]:
         for combo in itertools.combinations(letters, r):
             Z = frozenset(combo)
             ok = True
-            for w in v.words:
+            for w in v:
                 hit = Z & w.letter_set
                 if len(hit) != 1 or w.count(next(iter(hit))) != 1:
                     ok = False

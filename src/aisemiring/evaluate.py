@@ -89,8 +89,8 @@ def eval_word(S: FiniteAiSemiring, w: Word, assignment: Mapping[str, int]) -> in
 
 
 def eval_term(S: FiniteAiSemiring, t: Term, assignment: Mapping[str, int]) -> int:
-    acc = eval_word(S, t.words[0], assignment)
-    for w in t.words[1:]:
+    acc = eval_word(S, t[0], assignment)
+    for w in t[1:]:
         acc = S.add[acc][eval_word(S, w, assignment)]
     return acc
 
@@ -322,8 +322,7 @@ def counterexample(
     S: FiniteAiSemiring, identity: Identity, budget: int = DEFAULT_BUDGET
 ) -> Optional[dict[str, int]]:
     """Lexicographically first failing assignment, or None if the identity holds."""
-    lhs_words, rhs_words = identity.lhs.words, identity.rhs.words
-    variables = sorted({x for w in lhs_words + rhs_words for x in w})
+    variables = sorted({x for side in (identity.lhs, identity.rhs) for w in side for x in w})
     n, k = S.order, len(variables)
     if n ** k > budget:
         raise BudgetExceededError(
@@ -332,8 +331,8 @@ def counterexample(
     if n == 1:  # one element satisfies every identity, however many variables
         return None
     letter = dict(zip(variables, range(n, n + k))).__getitem__
-    lhs = frozenset([tuple(map(letter, w)) for w in lhs_words])
-    rhs = frozenset([tuple(map(letter, w)) for w in rhs_words])
+    lhs = frozenset([tuple(map(letter, w)) for w in identity.lhs])
+    rhs = frozenset([tuple(map(letter, w)) for w in identity.rhs])
     if lhs == rhs:
         return None
     values = _first_failure(lhs, rhs, k, S.add, S.mul, n)
@@ -433,8 +432,8 @@ class BulkEvaluator:
         return acc
 
     def term_vector(self, t: Term) -> tuple[int, ...]:
-        acc = self.word_vector(t.words[0])
-        for w in t.words[1:]:
+        acc = self.word_vector(t[0])
+        for w in t[1:]:
             acc = _combine(self._add_pairs, acc, self.word_vector(w))
         return acc
 

@@ -1,10 +1,10 @@
 """Words, terms as finite word sets, identities and parsing.
 
-A word is the nonempty tuple of its letters; a term is a nonempty finite set
-of words, held as its distinct words sorted, a normal form built in one
-place, ``Term``.  Sum is union, product is pairwise concatenation.  Every
-identity between terms reduces to a family of "simple" identities u = u + q
-with q a single word.
+A word is the nonempty tuple of its letters, and a term, a nonempty finite
+set of words, is the tuple of its distinct words sorted: one normal form,
+built in one place, ``Term.__new__``.  Sum is union, product is pairwise
+concatenation.  Every identity between terms reduces to a family of
+"simple" identities u = u + q with q a single word.
 
 Parsing reads a flat side, a sum of products of variables each with at most
 one exponent and no parentheses, with regular expressions alone; the
@@ -92,44 +92,52 @@ class Word(tuple):
 def word(text: str) -> Word:
     """Build a word from juxtaposed variables, e.g. ``word("xy^2")``."""
     t = parse_term(text)
-    if len(t.words) != 1:
+    if len(t) != 1:
         raise ValueError(f"{text!r} is a sum, not a single word")
-    return t.words[0]
+    return t[0]
 
 
-@dataclass(frozen=True)
-class Term:
-    """A nonempty finite set of words, held as its distinct words sorted."""
+class Term(tuple):
+    """A nonempty finite set of words: the tuple of its distinct words sorted,
+    and it equals, hashes and orders as that tuple.  ``parse_term`` reads text."""
 
-    words: tuple[Word, ...]
-
-    def __post_init__(self):
-        normal = tuple(sorted(set(self.words)))
-        if not normal:
+    def __new__(cls, words: Iterable[Word]) -> "Term":
+        summands = set(words)
+        if not summands:
             raise ValueError("terms must have at least one summand")
-        object.__setattr__(self, "words", normal)
+        for w in summands:
+            if not isinstance(w, Word):
+                raise TypeError(f"a Term's summands are Words, got {w!r}; use parse_term for text")
+        return tuple.__new__(cls, sorted(summands))
 
-    def __add__(self, other: "Term") -> "Term":
-        return Term(self.words + other.words)
+    def __add__(self, other: tuple[Word, ...]) -> "Term":
+        if isinstance(other, Word):  # a Word is a tuple of letters, not of summands
+            return NotImplemented
+        return Term(tuple.__add__(self, other))
 
     def __mul__(self, other: "Term") -> "Term":
-        return Term(tuple(a * b for a in self.words for b in other.words))
+        return Term([a * b for a in self for b in other])
 
-    def __contains__(self, w: Word) -> bool:
-        return w in self.words
+    def __rmul__(self, other):  # refuse tuple repetition: 3 * t is no term product
+        return NotImplemented
 
-    def __len__(self) -> int:
-        return len(self.words)
+    @property
+    def words(self) -> "Term":
+        """The term itself, the tuple of its words."""
+        return self
 
     @property
     def variables(self) -> frozenset[str]:
-        return frozenset().union(*self.words)
+        return frozenset().union(*self)
 
     def reverse(self) -> "Term":
-        return Term(tuple(w.reverse() for w in self.words))
+        return Term([w.reverse() for w in self])
+
+    def __repr__(self) -> str:
+        return f"Term(words={tuple(self)!r})"
 
     def __str__(self) -> str:
-        return " + ".join(str(w) for w in self.words)
+        return " + ".join(map(str, self))
 
 
 @dataclass(frozen=True)
@@ -160,7 +168,7 @@ class SimpleIdentity:
         return self.extra in self.base
 
     def as_identity(self) -> Identity:
-        return Identity(self.base, self.base + Term((self.extra,)))
+        return Identity(self.base, self.base + (self.extra,))
 
     def reverse(self) -> "SimpleIdentity":
         return SimpleIdentity(self.base.reverse(), self.extra.reverse())
@@ -172,7 +180,7 @@ class SimpleIdentity:
 def bounded_product(a: Term, b: Term) -> Term:
     """a * b; ValueError if it would have more than MAX_TERM_WORDS summands or
     a word longer than MAX_WORD_LENGTH letters."""
-    _check_bounds(len(a.words) * len(b.words), max(map(len, a.words)) + max(map(len, b.words)))
+    _check_bounds(len(a) * len(b), max(map(len, a)) + max(map(len, b)))
     return a * b
 
 
@@ -186,12 +194,12 @@ def substitute(t: Term, mapping: Mapping[str, Term]) -> Term:
     if missing:
         raise UnboundVariableError(f"no image for {sorted(missing)}")
     out: Optional[Term] = None
-    for w in t.words:
+    for w in t:
         img: Optional[Term] = None
         for letter in w:
             img = mapping[letter] if img is None else bounded_product(img, mapping[letter])
         if out is not None:
-            _check_bounds(len(out.words) + len(img.words), 0)
+            _check_bounds(len(out) + len(img), 0)
         out = img if out is None else out + img
     return out
 
@@ -382,7 +390,7 @@ def _check_bounds(words: int, length: int) -> None:
 
 def _parsed_term(words: Iterable[tuple[str, ...]]) -> Term:
     """The term of parsed letter tuples; the parser makes no empty word."""
-    return Term(tuple([tuple.__new__(Word, w) for w in words]))
+    return Term([tuple.__new__(Word, w) for w in words])
 
 
 def split_top_level(text: str, sep: str) -> list[str]:

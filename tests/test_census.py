@@ -242,13 +242,9 @@ def test_census_members_are_valid_and_deduplicated(order3_census):
         keys.add(key)
 
 
-def test_census_closure_under_dual_and_small_products(order3_census):
-    keys3 = {canonical_form(S) for S in order3_census.semirings}
-    for S in order3_census.semirings:
-        assert canonical_form(dual(S)) in keys3
-
+def test_census_closure_under_small_products(order4_census):
     result2 = enumerate_ai_semirings(2)
-    keys4 = {canonical_form(S) for S in enumerate_ai_semirings(4).semirings}
+    keys4 = set(order4_census.keys)
     for A, B in itertools.product(result2.semirings, repeat=2):
         assert canonical_form(direct_product(A, B)) in keys4
 

@@ -419,8 +419,8 @@ def test_readme_command_lines_parse():
 
 def test_enumerate_workers_default_to_the_processor_count(capsys, monkeypatch):
     # above order 4; up to order 4 a serial census takes under 0.1 s, and 2
-    # workers are slower at order 3 (7 against 3 ms) and at order 4 save
-    # about a third (40 against 60 ms) only with a free second processor
+    # workers are slower at order 3 (6 against 2 ms) and at order 4 save
+    # about a fifth (29-32 against 35-40 ms) only with a free second processor
     handed = []
     order1 = enumerate_ai_semirings(1)
 

@@ -186,6 +186,41 @@ def test_a_word_refuses_text():
     assert word("x1") == Word(("x1",)) and word("xy") == Word(("x", "y"))
 
 
+def test_a_term_is_the_sorted_tuple_of_its_words(monkeypatch):
+    x, xy, z = Word(("x",)), Word(("x", "y")), Word(("z",))
+    t = Term((xy, x, xy))
+    assert isinstance(t, tuple) and t.words is t and len(t) == 2 and xy in t
+    assert t == (x, xy) and hash(t) == hash((x, xy)) and t != (xy, x)
+    assert repr(t) == "Term(words=(Word(letters=('x',)), Word(letters=('x', 'y'))))" and str(t) == "x + xy"
+    # ordered as word tuples
+    assert sorted([Term((z,)), t, Term((x,))]) == [Term((x,)), t, Term((z,))]
+    # a sum is the union, with a Term or with a tuple of Words
+    for other in (Term((z, x)), (z, x)):
+        total = t + other
+        assert type(total) is Term and total == (x, xy, z)
+    product = t * Term((z, x))
+    assert type(product) is Term and product == parse_term("xx + xz + xyx + xyz")
+    for refused in (lambda: t + z, lambda: 3 * t, lambda: t * 3, lambda: True * t):
+        with pytest.raises(TypeError):
+            refused()
+    copy = pickle.loads(pickle.dumps(t))
+    assert type(copy) is Term and copy == t and all(type(w) is Word for w in copy)
+    # the criteria build a term's base once per term object
+    built = []
+    monkeypatch.setattr(criteria, "_Base", lambda u: built.append(u) or object())
+    u, equal = parse_term("xy + z"), parse_term("z + xy")
+    assert criteria._base(u) is criteria._base(u) and criteria._base(equal) is not criteria._base(u)
+    assert [id(b) for b in built] == [id(u), id(equal)]
+
+
+def test_a_term_refuses_summands_that_are_not_words():
+    # text and plain letter tuples go through parse_term or Word
+    for summands in (("xy",), (("x", "y"),), (Word(("x",)), "y")):
+        with pytest.raises(TypeError, match="parse_term"):
+            Term(summands)
+    assert Term((Word(("x", "y")),)) == parse_term("xy")
+
+
 @given(terms, terms, terms)
 @settings(max_examples=150, deadline=None)
 def test_term_algebra_laws(a, b, c):
