@@ -2,7 +2,9 @@
 
 Exit codes follow one contract everywhere: 0 for success or a holding
 property, 1 for a check that ran and came out false, 2 for usage or I/O
-problems.  Every subcommand emits machine-readable JSON under --json.
+problems.  Every subcommand returns its JSON payload, its text and whether
+it holds, and ``main`` alone prints them (the payload under --json) and
+picks the exit code.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .core import (
     is_subdirect_embedding,
     validate,
 )
-from .evaluate import DEFAULT_BUDGET, BudgetExceededError, BulkEvaluator, check_basis, counterexample
+from .evaluate import DEFAULT_BUDGET, BudgetExceededError, BulkEvaluator, check_basis
 from .terms import SimpleIdentity, Term, Word, parse_identity, parse_term, split_top_level
 
 EXIT_OK = 0
@@ -103,13 +105,6 @@ def resolve_ref(ref: str) -> FiniteAiSemiring:
         raise CliError(f"unknown semiring reference {ref!r}")
 
 
-def _emit(args, payload: dict, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=1))
-    elif text:
-        print(text)
-
-
 def _table_text(S: FiniteAiSemiring) -> str:
     width = max(len(e) for e in S.elements)
 
@@ -126,10 +121,10 @@ def _table_text(S: FiniteAiSemiring) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (payload, text, holds) for main to emit
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args):
     # a file is read as raw tables, so that broken laws are reported, not refused
     path = args.table or (args.semiring if _is_path(args.semiring) else None)
     if path:
@@ -148,8 +143,7 @@ def _cmd_validate(args) -> int:
     }
     lines = ["valid" if report.valid else "invalid"]
     lines += [f"  {law} fails at {witness}" for law, witness in report.violations]
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK if report.valid else EXIT_FALSE
+    return payload, "\n".join(lines), report.valid
 
 
 def _available_processors() -> int:
@@ -159,12 +153,11 @@ def _available_processors() -> int:
     return os.cpu_count() or 1
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args):
     workers = args.workers
     if workers is None:
-        # up to order 4 a census takes under 0.1 s serially: about 2 ms at order
-        # 3, against 6 ms on 2 workers, and 35-40 ms at order 4, against
-        # 29-32 ms on 2 workers with a free second processor, 44-59 ms without
+        # up to order 4 a serial census takes under 0.1 s, and starting
+        # processes costs about what they save (README gives the timings)
         workers = 1 if args.order <= 4 else _available_processors()
     result = enumerate_ai_semirings(args.order, workers=workers)
     chosen, keys = result.semirings, result.keys
@@ -184,11 +177,10 @@ def _cmd_enumerate(args) -> int:
         payload["keys"] = [key.hex() for key in keys]
     if args.out:
         payload["index"] = write_census(dataclasses.replace(result, semirings=chosen, keys=keys), args.out)
-    _emit(args, payload, str(count))
-    return EXIT_OK
+    return payload, str(count), True
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     S = resolve_ref(args.semiring)
     if args.basis:
         identities = catalog.get(args.basis).basis
@@ -197,48 +189,40 @@ def _cmd_check(args) -> int:
     else:
         identities = tuple(parse_identity(text) for text in args.identity)
     report = check_basis(S, identities)
-    payload = {
-        "semiring": S.name,
-        "all_hold": report.all_hold,
-        "results": [v.to_dict(S) for v in report.verdicts],
-    }
-    lines = []
-    for v in report.verdicts:
-        mark = "holds" if v.holds else "fails"
-        extra = ""
-        if v.witness is not None:
-            named = {x: S.elements[e] for x, e in v.witness.items()}
-            extra = f"  witness {named}"
-        lines.append(f"{mark}: {v.identity}{extra}")
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK if report.all_hold else EXIT_FALSE
+    results = [v.to_dict(S) for v in report.verdicts]
+    lines = [
+        f"{'holds' if r['holds'] else 'fails'}: {r['identity']}"
+        + ("" if r["witness"] is None else f"  witness {r['witness']}")
+        for r in results
+    ]
+    payload = {"semiring": S.name, "all_hold": report.all_hold, "results": results}
+    return payload, "\n".join(lines), report.all_hold
 
 
-def _report_morphism(args, found: Optional[Morphism], yes: str, no: str) -> int:
-    morphism = None if found is None else found.to_dict()
-    _emit(args, {"found": found is not None, "morphism": morphism}, yes if found else no)
-    if not args.json and found:
-        print(json.dumps(morphism["map"], indent=1))
-    return EXIT_OK if found else EXIT_FALSE
+def _report_morphism(found: Optional[Morphism], yes: str, no: str):
+    if found is None:
+        return {"found": False, "morphism": None}, no, False
+    morphism = found.to_dict()
+    return {"found": True, "morphism": morphism}, f"{yes}\n{json.dumps(morphism['map'], indent=1)}", True
 
 
-def _cmd_iso(args) -> int:
+def _cmd_iso(args):
     found = find_isomorphism(resolve_ref(args.first), resolve_ref(args.second))
-    return _report_morphism(args, found, "isomorphic", "not isomorphic")
+    return _report_morphism(found, "isomorphic", "not isomorphic")
 
 
-def _cmd_embed(args) -> int:
+def _cmd_embed(args):
     found = find_embedding(resolve_ref(args.first), resolve_ref(args.second))
-    return _report_morphism(args, found, "embeds", "no embedding")
+    return _report_morphism(found, "embeds", "no embedding")
 
 
-def _cmd_subdirect(args) -> int:
+def _cmd_subdirect(args):
     S, A, B = resolve_ref(args.semiring), resolve_ref(args.first), resolve_ref(args.second)
     found = is_subdirect_embedding(S, A, B)
-    return _report_morphism(args, found, "subdirect embedding found", "no subdirect embedding")
+    return _report_morphism(found, "subdirect embedding found", "no subdirect embedding")
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args):
     if args.refs:
         S = args.builder(*map(resolve_ref, args.refs))
     elif args.text is not None:
@@ -260,8 +244,7 @@ def _cmd_construct(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=1)
             fh.write("\n")
-    _emit(args, payload, f"wrote {args.out}" if args.out else _table_text(S))
-    return EXIT_OK
+    return payload, f"wrote {args.out}" if args.out else _table_text(S), True
 
 
 def _parse_simple_identity(text: str) -> SimpleIdentity:
@@ -285,7 +268,7 @@ def _parse_simple_identity(text: str) -> SimpleIdentity:
 _SWEEP_DEFAULTS = {"variables": "xyz", "max_length": 3, "max_summands": 3}
 
 
-def _criteria_sweep(args) -> int:
+def _criteria_sweep(args):
     """Every u ≈ u + q over the variable pool, judged by each of the ten
     criteria and by the bulk evaluator on the criterion's semiring.  The
     payload's ``holds`` counts, per criterion, the identities its oracle
@@ -349,11 +332,10 @@ def _criteria_sweep(args) -> int:
         f"{checked} comparisons over {identities} simple identities, "
         f"{len(disagreements)} disagreements, {elapsed:.1f}s"
     )
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_FALSE if disagreements else EXIT_OK
+    return payload, "\n".join(lines), not disagreements
 
 
-def _cmd_criteria(args) -> int:
+def _cmd_criteria(args):
     given = [name for name in _SWEEP_DEFAULTS if getattr(args, name) is not None]
     if args.sweep:
         for name in _SWEEP_DEFAULTS.keys() - given:
@@ -369,21 +351,17 @@ def _cmd_criteria(args) -> int:
     text = f"{args.lemma}: {'holds' if verdict.holds else 'fails'} ({verdict.rule})"
     if args.oracle:
         S = catalog.get(args.lemma).semiring
-        witness = counterexample(S, si.as_identity())
-        oracle_holds = witness is None
+        oracle = check_basis(S, [si.as_identity()]).verdicts[0].to_dict(S)
+        agrees = oracle["holds"] == verdict.holds
         payload["oracle"] = {
-            "semiring": S.name,
-            "holds": oracle_holds,
-            "witness": None if witness is None else {x: S.elements[e] for x, e in witness.items()},
-            "agrees": oracle_holds == verdict.holds,
+            "semiring": S.name, "holds": oracle["holds"], "witness": oracle["witness"], "agrees": agrees
         }
-        text += f"; oracle {'holds' if oracle_holds else 'fails'}"
-        text += " (agreement)" if payload["oracle"]["agrees"] else " (DISAGREEMENT)"
-    _emit(args, payload, text)
-    return EXIT_OK if verdict.holds else EXIT_FALSE
+        text += f"; oracle {'holds' if oracle['holds'] else 'fails'}"
+        text += " (agreement)" if agrees else " (DISAGREEMENT)"
+    return payload, text, verdict.holds
 
 
-def _cmd_nfb_check(args) -> int:
+def _cmd_nfb_check(args):
     S = resolve_ref(args.semiring)
     report = construct.nfb_witness(S)
     payload = {"semiring": S.name, **report.to_dict()}
@@ -392,11 +370,10 @@ def _cmd_nfb_check(args) -> int:
         f"S7-style subsemiring embeds: {report.s7_embedding is not None}\n"
         f"nonfinite-basis witness: {report.conclusion}"
     )
-    _emit(args, payload, text)
-    return EXIT_OK if report.conclusion else EXIT_FALSE
+    return payload, text, report.conclusion
 
 
-def _cmd_catalog_list(args) -> int:
+def _cmd_catalog_list(args):
     rows = catalog.entries(
         order=args.order,
         height1=True if args.height1 else None,
@@ -416,11 +393,10 @@ def _cmd_catalog_list(args) -> int:
         f"{e['name']:10} order {e['order']}  {e['status']}{' basis' if e['has_basis'] else ''}"
         for e in payload
     ]
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK
+    return payload, "\n".join(lines), True
 
 
-def _cmd_catalog_show(args) -> int:
+def _cmd_catalog_show(args):
     entry = catalog.get(args.name)
     payload = {
         "name": entry.name,
@@ -435,28 +411,25 @@ def _cmd_catalog_show(args) -> int:
         text += "\nbasis:\n" + "\n".join(f"  {i}" for i in entry.basis)
     if entry.claims:
         text += "\nclaims:\n" + "\n".join(f"  {c.label}" for c in entry.claims)
-    _emit(args, payload, text)
-    return EXIT_OK
+    return payload, text, True
 
 
-def _cmd_catalog_verify(args) -> int:
+def _cmd_catalog_verify(args):
     results = catalog.verify_all_claims()
     ok = all(r.ok for r in results)
     payload = {"all_ok": ok, "results": [r.to_dict() for r in results]}
     lines = [f"{'pass' if r.ok else 'FAIL'}  {r.entry}: {r.claim.label}" for r in results]
     lines.append(f"{sum(r.ok for r in results)}/{len(results)} claims pass")
-    _emit(args, payload, "\n".join(lines))
-    return EXIT_OK if ok else EXIT_FALSE
+    return payload, "\n".join(lines), ok
 
 
-def _cmd_cert_list(args) -> int:
+def _cmd_cert_list(args):
     names = derivation.bundled_certificate_names()
-    _emit(args, {"bundled": list(names)}, "\n".join(names))
-    return EXIT_OK
+    return {"bundled": list(names)}, "\n".join(names), True
 
 
-def _cmd_cert_verify(args) -> int:
-    if os.path.exists(args.path):
+def _cmd_cert_verify(args):
+    if _is_path(args.path):
         cert = derivation.certificate_from_dict(_read_json(args.path))
     else:
         try:
@@ -468,8 +441,7 @@ def _cmd_cert_verify(args) -> int:
     text = "certificate valid" if verdict.valid else (
         f"certificate invalid at step {verdict.failed_step}: {verdict.reason}"
     )
-    _emit(args, payload, text)
-    return EXIT_OK if verdict.valid else EXIT_FALSE
+    return payload, text, verdict.valid
 
 
 # ---------------------------------------------------------------------------
@@ -578,9 +550,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        code = args.fn(args)
+        payload, text, holds = args.fn(args)
+        if args.json:
+            print(json.dumps(payload, indent=1))
+        elif text:
+            print(text)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
-        return code
+        return EXIT_OK if holds else EXIT_FALSE
     except BrokenPipeError:
         # the reader of stdout went away (``... | head``): point stdout at
         # devnull, so that flushing what is left at exit raises nothing more

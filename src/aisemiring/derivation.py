@@ -155,5 +155,9 @@ def bundled_certificate_names() -> tuple[str, ...]:
 
 
 def load_bundled_certificate(name: str) -> DerivationCertificate:
+    """The bundled certificate of a name that ``bundled_certificate_names``
+    lists; any other name, a path among them, raises FileNotFoundError."""
+    if name not in bundled_certificate_names():
+        raise FileNotFoundError(f"no bundled certificate {name!r}")
     pkg = resources.files(__package__) / "certs" / f"{name}.json"
     return certificate_from_dict(json.loads(pkg.read_text(encoding="utf-8")))

@@ -121,6 +121,9 @@ class Term(tuple):
     def __rmul__(self, other):  # refuse tuple repetition: 3 * t is no term product
         return NotImplemented
 
+    def __reduce__(self):  # a copy holds the words alone, not the instance dict's caches
+        return Term, (tuple(self),)
+
     @property
     def words(self) -> "Term":
         """The term itself, the tuple of its words."""

@@ -5,8 +5,10 @@ functions: the additions come from a scan of partial orders
 (``labeled_semilattices``), the multiplications from a plain backtracking
 over the whole n x n table, and the key of a class is the least of its n!
 relabelings of (add, mul), computed here.  Tier-1 compares its key sets with
-the census for orders 1-4.  Run as a script it prints the sorted hex keys of
-one order as a JSON list, for a larger order than tier-1 runs:
+the census for orders 1-4, and its flat height-1 classes with
+``flat_from_semigroup`` over ``zero_cancellative_semigroups``.  Run as a
+script it prints the sorted hex keys of one order as a JSON list, for a
+larger order than tier-1 runs:
 
     python tests/reference_census.py 5 > keys.json   # about two minutes
 """
@@ -93,6 +95,47 @@ def multiplications(add: Table) -> list[Table]:
             mul[a][b] = v
             if not broken(a, b):
                 fill(cell + 1)
+        mul[a][b] = None
+
+    fill(0)
+    return found
+
+
+def zero_cancellative_semigroups(n: int) -> list[Table]:
+    """Every 0-cancellative semigroup on range(n) whose zero is 0, as its
+    table: the (n - 1)**2 cells off the zero row and column are set one by
+    one in row-major order, and a partial table is dropped as soon as a
+    nonzero value repeats in a row or a column (ab = ac != 0 with b != c, or
+    ba = ca != 0) or associativity fails on a triple whose cells are set.
+    ``flat_from_semigroup`` makes each one a flat ai-semiring."""
+    mul = [[0] * n] + [[0] + [None] * (n - 1) for _ in range(1, n)]
+    cells = [(a, b) for a in range(1, n) for b in range(1, n)]
+    triples = list(itertools.product(range(n), repeat=3))
+    near = {(a, b): [(x, y, z) for x, y, z in triples if x == a or z == b] for a, b in cells}
+    found = []
+
+    def broken(a: int, b: int) -> bool:
+        v = mul[a][b]
+        others = [mul[a][c] for c in range(n) if c != b] + [mul[c][b] for c in range(n) if c != a]
+        if v and v in others:
+            return True
+        for x, y, z in near[a, b]:
+            xy, yz = mul[x][y], mul[y][z]
+            if xy is not None and yz is not None:
+                left, right = mul[xy][z], mul[x][yz]
+                if left is not None and right is not None and left != right:
+                    return True
+        return False
+
+    def fill(k: int) -> None:
+        if k == len(cells):
+            found.append(tuple(map(tuple, mul)))
+            return
+        a, b = cells[k]
+        for v in range(n):
+            mul[a][b] = v
+            if not broken(a, b):
+                fill(k + 1)
         mul[a][b] = None
 
     fill(0)

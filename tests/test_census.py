@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from aisemiring import catalog, census
+from aisemiring import catalog, census, construct
 from aisemiring.census import (
     _canonical_add,
     _census_for_addition,
@@ -29,7 +29,7 @@ from aisemiring.core import (
     least_relabeling,
     validate,
 )
-from reference_census import labeled_semilattices, least_key, reference_keys
+from reference_census import labeled_semilattices, least_key, reference_keys, zero_cancellative_semigroups
 
 
 def test_semilattice_counts():
@@ -216,6 +216,19 @@ def test_census_equals_the_independent_reference(order3_census, order4_census):
         keys = reference_keys(result.order)
         assert len(keys) == result.count == count
         assert {least_key((S.add, S.mul)) for S in result.semirings} == keys
+
+
+def test_flat_classes_equal_flat_semigroups(order3_census, order4_census):
+    # a third route to the flat height-1 classes: flat_from_semigroup over
+    # every labeled 0-cancellative semigroup, keyed by the reference's key
+    censuses = [enumerate_ai_semirings(2), order3_census, order4_census]
+    for result, counts in zip(censuses, ((2, 2), (14, 8), (128, 27))):
+        elements = tuple(map(str, range(result.order)))
+        tables = zero_cancellative_semigroups(result.order)
+        flats = [construct.flat_from_semigroup(construct.FiniteSemigroup(elements, mul, zero=0)) for mul in tables]
+        keys = {least_key((S.add, S.mul)) for S in flats}
+        assert (len(tables), len(keys)) == counts
+        assert {least_key((S.add, S.mul)) for S in result.height1 if construct.is_flat(S)} == keys
 
 
 def test_census_is_closed_under_dual(order3_census, order4_census):

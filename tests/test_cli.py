@@ -280,6 +280,11 @@ def test_cert_subcommand(capsys, tmp_path):
     code, _, err = run(capsys, ["cert", "verify", "no_such_cert"])
     assert code == 2
 
+    # an argument with a path separator is a file, as for every file argument
+    assert run(capsys, ["cert", "verify", "./missing.json"]) == (2, "", "error: no such file: ./missing.json\n")
+    code, out, err = run(capsys, ["cert", "verify", "../certs/square_swallows_overlap"])
+    assert (code, out) == (2, "") and err.startswith("error: no such file: ")
+
 
 def test_unknown_reference_is_usage_error(capsys):
     code, _, err = run(capsys, ["iso", "S_(4,8)", "nonsense"])

@@ -24,6 +24,13 @@ def test_bundled_certificates_verify():
         assert verdict.valid, (name, verdict.reason)
 
 
+def test_a_bundled_certificate_is_loaded_only_by_a_listed_name():
+    assert "square_swallows_overlap" in bundled_certificate_names()
+    for name in ("../certs/square_swallows_overlap", "certs/../square_swallows_overlap", "no_such_cert", ""):
+        with pytest.raises(FileNotFoundError):
+            load_bundled_certificate(name)
+
+
 def test_bundled_certificates_are_sound(cat):
     for name in bundled_certificate_names():
         cert = load_bundled_certificate(name)

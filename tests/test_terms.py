@@ -1,3 +1,4 @@
+import copy
 import pickle
 import random
 import tracemalloc
@@ -211,6 +212,15 @@ def test_a_term_is_the_sorted_tuple_of_its_words(monkeypatch):
     u, equal = parse_term("xy + z"), parse_term("z + xy")
     assert criteria._base(u) is criteria._base(u) and criteria._base(equal) is not criteria._base(u)
     assert [id(b) for b in built] == [id(u), id(equal)]
+
+
+def test_a_copied_term_holds_its_words_alone():
+    t = parse_term("xy + z")
+    criteria._base(t)
+    assert "_criteria_base" in vars(t)
+    for copied in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+        assert type(copied) is Term and copied == t and vars(copied) == {}
+    assert len(pickle.dumps(t)) < 100
 
 
 def test_a_term_refuses_summands_that_are_not_words():
