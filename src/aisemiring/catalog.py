@@ -426,20 +426,20 @@ def get(name: str) -> CatalogEntry:
 
 def entries(
     order: Optional[int] = None,
-    height1: Optional[bool] = None,
+    height1: bool = False,
     status: Optional[str] = None,
-    flat: Optional[bool] = None,
+    flat: bool = False,
 ) -> tuple[CatalogEntry, ...]:
     out = []
     for entry in _catalog().values():
         S = entry.semiring
         if order is not None and S.order != order:
             continue
-        if height1 is not None and (additive_height(S) == 1) != height1:
+        if height1 and additive_height(S) != 1:
             continue
         if status is not None and entry.status != status:
             continue
-        if flat is not None and construct.is_flat(S) != flat:
+        if flat and not construct.is_flat(S):
             continue
         out.append(entry)
     return tuple(out)

@@ -374,12 +374,7 @@ def _cmd_nfb_check(args):
 
 
 def _cmd_catalog_list(args):
-    rows = catalog.entries(
-        order=args.order,
-        height1=True if args.height1 else None,
-        status=args.status,
-        flat=True if args.flat else None,
-    )
+    rows = catalog.entries(order=args.order, height1=args.height1, status=args.status, flat=args.flat)
     payload = [
         {
             "name": e.name,

@@ -325,10 +325,6 @@ class Morphism:
             if f[S.add[a][b]] != T.add[f[a]][f[b]] or f[S.mul[a][b]] != T.mul[f[a]][f[b]]:
                 raise ValueError(f"not a homomorphism at ({a},{b})")
 
-    @property
-    def injective(self) -> bool:
-        return len(set(self.mapping)) == len(self.mapping)
-
     def to_dict(self) -> dict:
         return {
             "source": self.source.name,

@@ -6,9 +6,9 @@ by the brute-force evaluator on the matching catalog semiring, and the test
 suite cross-validates the two exhaustively on small identities.
 
 What the criteria read of u (its summands, letters, ends, end patterns and
-S10's reduced odd-letter vectors) is a prepared base, computed once per term
-object and kept on it, so judging many q against one u derives nothing about
-u twice.
+S10's reduced odd-letter vectors) is a prepared base, kept for the term being
+judged, so judging many q against one u derives nothing about u twice;
+judging another term in between rebuilds it.
 
 Verdicts are shared immutable constants, built once when the module is
 imported: a criterion returns one of them and builds nothing per call.
@@ -129,14 +129,19 @@ class _Base:
                 self.odd_rows.append((min(vec), vec))
 
 
+_kept: tuple = (None, None)  # (term, base) for the term judged last
+
+
 def _base(u: Term) -> _Base:
-    """u's prepared base, kept in the term's instance dict; a Term equals,
-    hashes and prints as the tuple of its words alone."""
-    try:
-        return u._criteria_base
-    except AttributeError:
-        u._criteria_base = base = _Base(u)
-        return base
+    """u's prepared base.  The base of the term being judged is kept, found by
+    identity so that no term is hashed; judging another term in between
+    rebuilds it."""
+    global _kept
+    term, base = _kept
+    if term is not u:
+        base = _Base(u)
+        _kept = (u, base)
+    return base
 
 
 def _end_match(si: SimpleIdentity, end: int) -> CriterionVerdict:

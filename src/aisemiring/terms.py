@@ -99,7 +99,11 @@ def word(text: str) -> Word:
 
 class Term(tuple):
     """A nonempty finite set of words: the tuple of its distinct words sorted,
-    and it equals, hashes and orders as that tuple.  ``parse_term`` reads text."""
+    and it equals, hashes and orders as that tuple.  ``parse_term`` reads text.
+    Like a word it holds nothing else: the criteria keep their base for the
+    term being judged, and judging another term in between rebuilds it."""
+
+    __slots__ = ()
 
     def __new__(cls, words: Iterable[Word]) -> "Term":
         summands = set(words)
@@ -120,9 +124,6 @@ class Term(tuple):
 
     def __rmul__(self, other):  # refuse tuple repetition: 3 * t is no term product
         return NotImplemented
-
-    def __reduce__(self):  # a copy holds the words alone, not the instance dict's caches
-        return Term, (tuple(self),)
 
     @property
     def words(self) -> "Term":

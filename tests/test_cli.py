@@ -412,14 +412,25 @@ def test_closed_stdout_is_one_error_line():
     assert proc.stderr == "error: standard output was closed before the output was written\n"
 
 
+def _readme() -> str:
+    return open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8").read()
+
+
 def test_readme_command_lines_parse():
-    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8").read()
-    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = _readme().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [shlex.split(line, comments=True) for line in block.splitlines()]
     assert lines and all(argv[0] == "aisemiring" for argv in lines)
     parser = cli.build_parser()
     for argv in lines:
         assert callable(parser.parse_args(argv[1:]).fn), argv
+
+
+def test_readme_python_blocks_run():
+    blocks = [b.split("```", 1)[0] for b in _readme().split("```python\n")[1:]]
+    assert len(blocks) == 3
+    namespace = {}  # one namespace: a later block reads what an earlier one set
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
 
 
 def test_enumerate_workers_default_to_the_processor_count(capsys, monkeypatch):

@@ -181,6 +181,18 @@ def test_base_is_kept_per_term():
         assert (hash(u), repr(u)) == (hash(Term(u.words)), repr(Term(u.words)))
 
 
+def test_one_base_per_term_judged(monkeypatch):
+    built = []
+    monkeypatch.setattr(criteria, "_Base", lambda u, base=criteria._Base: built.append(u) or base(u))
+    monkeypatch.setattr(criteria, "_kept", (None, None))
+    u = parse_term("xy + yz + x^2")
+    qs = [Word(t) for t in itertools.product("xyz", repeat=3)][:20]
+    for q in qs:
+        for judge in criteria.CRITERIA.values():
+            judge(SimpleIdentity(u, q))
+    assert len(qs) == 20 and len(criteria.CRITERIA) == 10 and built == [u]
+
+
 def test_s10_examples():
     assert criteria.holds_s10(si("xy^2", "x")).holds
     assert criteria.holds_s10(si("xy", "yx")).holds
