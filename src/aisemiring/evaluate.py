@@ -28,8 +28,10 @@ side is the sum of the two parts); in ``u ≈ u + q`` that is every word of u.
 The lowest set bit of L ^ R lies in the first failing lane, whose index read
 in base n is the first failing assignment.  What a block needs that depends
 only on n and k (its depth, lane width and size, its letters' lane ints) is
-built once per (n, k) and kept in a bounded cache.  When every variable fits
-in the block, the block is decided at once, with no search, memo or stack.
+built once per (n, k) and kept in a bounded cache.  The rest, the two lane
+ops and the word lanes, lives in one call of ``_first_failure``, and its
+closure ``column`` lanes a term through it.  When every variable fits in
+the block, the block is decided at once, with no search, memo or stack.
 
 At every depth below the first, the block depth included, a state whose
 subtree held is remembered by its depth and its two sides, so an identical
@@ -40,11 +42,10 @@ identity, so the memo stops taking entries after
 MEMO_LETTERS // (letters of the identity) of them.  Without that bound an
 identity whose assigned letters stay apart, such as
 ``x01 x09 x02 x09 ... x08 x09`` against its reverse, leaves nearly every node
-of the search in the memo.  The lane int of each word at the block depth is
-kept for the call as well, keyed by the word alone, since the letters left
-there are always the block's; that cache counts each stored word at its size,
-its letters plus a pointer and the lane int, and takes at most MEMO_LETTERS
-such letters.
+of the search in the memo.  The word lanes, keyed by the word alone since
+the letters left at the block depth are always the block's, count each
+stored word at its letters plus a pointer and the lane int, and take at
+most MEMO_LETTERS such letters.
 
 ``BulkEvaluator`` decides many identities ``u ≈ u + q`` over one variable
 pool.  It holds a word or term as n bitmasks over the assignment space, one
@@ -222,42 +223,15 @@ def _lane_op(table: Table, n: int, width: int, size: int) -> Callable[[int, int]
     return op
 
 
-def _column(
-    term: frozenset, block: dict, mul: Callable, add: Callable, words: dict, room: int, col: Optional[int] = None
-) -> Optional[int]:
-    """The lane int of ``term`` plus ``col``, if given, where the letters of
-    ``term`` are all in ``block``: lane i holds the value at the i-th
-    assignment to those letters.  ``block`` maps each letter to its lane int
-    and each element to the lane int that holds it in every lane; ``mul``
-    and ``add`` combine two lane ints lane by lane.  The lane int of each
-    word is looked up in ``words`` and, while it holds fewer than ``room``
-    words, stored there."""
-    for w in term:
-        lane = words.get(w)
-        if lane is None:
-            lane = block[w[0]]
-            for x in w[1:]:
-                lane = mul(lane, block[x])
-            if len(words) < room:
-                words[w] = lane
-        col = lane if col is None else add(col, lane)
-    return col
-
-
-def _block_diff(
-    left: frozenset, right: frozenset, block: dict, mul: Callable, add: Callable, words: dict, room: int
-) -> int:
+def _block_diff(left: frozenset, right: frozenset, column: Callable) -> int:
     """L ^ R for the lane ints L and R of two different sides over the block,
     so a lane is nonzero exactly where the sides differ.  The words the sides
     share are laned and summed once, and each side adds its own words: since
     + is a semilattice, a side is the sum of its shared and its own words.
-    Sides that share no word are laned whole, without the three sets."""
-    if left.isdisjoint(right):
-        return _column(left, block, mul, add, words, room) ^ _column(right, block, mul, add, words, room)
-    shared = _column(left & right, block, mul, add, words, room)
-    return _column(left - right, block, mul, add, words, room, shared) ^ _column(
-        right - left, block, mul, add, words, room, shared
-    )
+    ``column(term, col)``, the lane int of ``term`` plus ``col`` (None for no
+    words), is ``_first_failure``'s closure over the call's lane context."""
+    shared = column(left & right)
+    return column(left - right, shared) ^ column(right - left, shared)
 
 
 def _lane_values(diff: int, width: int, n: int, t: int) -> list[int]:
@@ -282,21 +256,37 @@ def _first_failure(
     """
     top, width, size, ones, block, lane_letters = _block_context(n, k)
     lane_mul, lane_add = _lane_op(mul, n, width, size), _lane_op(add, n, width, size)
+    words = {}  # the lane int of each word at the block depth
+    word_room = 0  # word lanes allowed; none are kept when the block is decided once
+
+    def column(term: frozenset, col: Optional[int] = None) -> Optional[int]:
+        """The lane int of ``term`` plus ``col``, if given, over the block
+        letters; each word's lane int is kept in ``words`` while room is left."""
+        for w in term:
+            lane = words.get(w)
+            if lane is None:
+                lane = block[w[0]]
+                for x in w[1:]:
+                    lane = lane_mul(lane, block[x])
+                if len(words) < word_room:
+                    words[w] = lane
+            col = lane if col is None else lane_add(col, lane)
+        return col
+
     if not top:  # every letter is in the block
-        diff = _block_diff(lhs, rhs, block, lane_mul, lane_add, {}, 0)
+        diff = _block_diff(lhs, rhs, column)
         return _lane_values(diff, width, n, k) if diff else None
-    block = {c: c * ones for c in range(n)} | block  # reduced words hold elements
+    block = {c: c * ones for c in range(n)} | block  # reduced words hold elements; column reads it
     room = MEMO_LETTERS // (sum(map(len, lhs)) + sum(map(len, rhs)))  # memo entries allowed
-    word_room = MEMO_LETTERS // (lane_letters + max(map(len, lhs | rhs)))  # word lanes allowed
+    word_room = MEMO_LETTERS // (lane_letters + max(map(len, lhs | rhs)))
     states = [(lhs, rhs)]
     values = [-1]  # the value tried at each depth of the current path
     held = set()  # (depth, lhs, rhs) of subtrees below the root without a failure
-    words = {}  # the lane int of each word at the block depth
     while states:
         d = len(states) - 1
         left, right = states[-1]
         if d == top:
-            diff = _block_diff(left, right, block, lane_mul, lane_add, words, word_room)
+            diff = _block_diff(left, right, column)
             if diff:
                 values[top:] = _lane_values(diff, width, n, k - top)
                 return values

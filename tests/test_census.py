@@ -199,7 +199,17 @@ def test_order5_census_output_is_pinned():
     assert _census_digest(result) == digest
     assert (result.count, len(result.height1)) == (15751, 215)
     keys = set(result.keys)
-    assert all(canonical_form(dual(S)) in keys for S in result.semirings)
+    # canonical_form's key of each dual: dual(S) keeps the addition of S, so
+    # the first stage, the least relabeling of the addition and the perms
+    # attaining it, is computed once per addition
+    perms = list(itertools.permutations(range(5)))
+    additions = {}
+    for S in map(dual, result.semirings):
+        if S.add not in additions:
+            additions[S.add] = least_relabeling(S.add, perms)
+        add_key, attained = additions[S.add]
+        assert add_key + least_relabeling(S.mul, attained)[0] in keys
+    assert len(additions) == 15  # the semilattices of order 5
     assert _census_digest(enumerate_ai_semirings(5, workers=2)) == digest
 
 
