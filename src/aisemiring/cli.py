@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -291,20 +292,25 @@ def _criteria_sweep(args):
             raise BudgetExceededError(
                 f"{letters} letters of words over {bits} assignments exceed the budget of {DEFAULT_BUDGET}"
             )
+    # each u of at most max_summands words is judged against every word q
+    n_words = sum(len(variables) ** k for k in range(1, args.max_length + 1))
+    identities = 0
+    for r in range(1, min(args.max_summands, n_words) + 1):
+        identities += n_words * math.comb(n_words, r)
+        if identities > DEFAULT_BUDGET:
+            raise BudgetExceededError(f"{n_words} words give more identities than the budget of {DEFAULT_BUDGET}")
     words = [Word(t) for k in range(1, args.max_length + 1) for t in itertools.product(variables, repeat=k)]
     bulks = [BulkEvaluator(S, variables) for S in oracles]
     # per word q, its vector under each criterion's oracle
     qvecs = list(zip(*([bulk.word_vector(w) for w in words] for bulk in bulks)))
 
     start = time.monotonic()
-    identities = 0
     counts = [0] * len(names)  # identities the oracle says hold, per criterion
     disagreements = []
     for r in range(1, args.max_summands + 1):
         for u_words in itertools.combinations(words, r):
             u = Term(u_words)
             lanes = [(c, judges[c], bulk.absorbs, bulk.term_vector(u)) for c, bulk in enumerate(bulks)]
-            identities += len(words)
             for q, qvec in zip(words, qvecs):
                 si = SimpleIdentity(u, q)
                 for c, judge, absorbs, uvec in lanes:

@@ -172,11 +172,10 @@ def word_semiring(texts: Sequence[str], commutative: bool, monoid: bool) -> Fini
     pieces: set[tuple[str, ...]] = set()
     for w in words:
         if commutative:
-            letters = w.sorted()
             # a multiset with multiplicities c has prod(c + 1) - 1 nonempty divisors
-            if math.prod(c + 1 for c in map(letters.count, set(letters))) - 1 > room:
+            if math.prod(c + 1 for c in map(w.count, set(w))) - 1 > room:
                 raise too_big
-            pieces |= _divisors(letters)
+            pieces |= _divisors(w)  # each divisor is written with its letters sorted
         else:
             if len(w) > room:  # its prefixes alone are too many
                 raise too_big

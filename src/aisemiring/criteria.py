@@ -112,11 +112,11 @@ class _Base:
         self.summands = frozenset(u)
         self.variables = u.variables
         # both pairs are indexed by the end: 0 the head, -1 the tail
-        self.ends = (frozenset(w.head for w in u), frozenset(w.tail for w in u))
-        self.letter_sets = frozenset(w.letter_set for w in u)
+        self.ends = (frozenset(w[0] for w in u), frozenset(w[-1] for w in u))
+        self.letter_sets = frozenset(map(frozenset, u))
         self.longest = max(map(len, u))
         self.pair_letters = frozenset(x for w in u if len(w) == 2 for x in w)
-        self.mixed = any(len(w) == 1 and w.head in self.pair_letters for w in u)
+        self.mixed = any(len(w) == 1 and w[0] in self.pair_letters for w in u)
         self.end_letters = (_end_letters(u, self.ends[0], 0), _end_letters(u, self.ends[-1], -1))
         # S10: the sums of an odd number of the distinct odd-letter vectors are
         # exactly v1 ^ span{v1 ^ vi}; reduce the span to pivoted rows once
@@ -165,7 +165,7 @@ def _two_element_M2(si: SimpleIdentity) -> CriterionVerdict:
 
 
 def _two_element_D2(si: SimpleIdentity) -> CriterionVerdict:
-    extra_letters = si.extra.letter_set
+    extra_letters = frozenset(si.extra)
     if any(s <= extra_letters for s in _base(si.base).letter_sets):
         return _SUMMAND_INSIDE_EXTRA
     return _NO_SUMMAND_INSIDE_EXTRA
@@ -226,7 +226,7 @@ def delta(v: Term) -> frozenset[frozenset[str]]:
             Z = frozenset(combo)
             ok = True
             for w in v:
-                hit = Z & w.letter_set
+                hit = Z.intersection(w)
                 if len(hit) != 1 or w.count(next(iter(hit))) != 1:
                     ok = False
                     break

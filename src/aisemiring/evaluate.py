@@ -29,7 +29,7 @@ The lowest set bit of L ^ R lies in the first failing lane, whose index read
 in base n is the first failing assignment.  What a block needs that depends
 only on n and k (its depth, lane width and size, its letters' lane ints) is
 built once per (n, k) and kept in a bounded cache.  The rest, the two lane
-ops and the word lanes, lives in one call of ``_first_failure``, and its
+ops and the word lanes, lives in one call of ``counterexample``, and its
 closure ``column`` lanes a term through it.  When every variable fits in
 the block, the block is decided at once, with no search, memo or stack.
 
@@ -229,7 +229,7 @@ def _block_diff(left: frozenset, right: frozenset, column: Callable) -> int:
     share are laned and summed once, and each side adds its own words: since
     + is a semilattice, a side is the sum of its shared and its own words.
     ``column(term, col)``, the lane int of ``term`` plus ``col`` (None for no
-    words), is ``_first_failure``'s closure over the call's lane context."""
+    words), is ``counterexample``'s closure over the call's lane context."""
     shared = column(left & right)
     return column(left - right, shared) ^ column(right - left, shared)
 
@@ -245,15 +245,28 @@ def _lane_values(diff: int, width: int, n: int, t: int) -> list[int]:
     return digits[::-1]
 
 
-def _first_failure(
-    lhs: frozenset, rhs: frozenset, k: int, add: Table, mul: Table, n: int
-) -> Optional[list[int]]:
-    """The values of the lexicographically first assignment to the letters
-    n..n+k-1 where the two sides differ, or None.
+def counterexample(
+    S: FiniteAiSemiring, identity: Identity, budget: int = DEFAULT_BUDGET
+) -> Optional[dict[str, int]]:
+    """Lexicographically first failing assignment, or None if the identity holds.
 
     The search keeps its path on an explicit stack, so the number of
     variables is not limited by the interpreter's recursion limit.
     """
+    variables = sorted({x for side in (identity.lhs, identity.rhs) for w in side for x in w})
+    n, k = S.order, len(variables)
+    if n ** k > budget:
+        raise BudgetExceededError(
+            f"{n}**{k} assignments exceed the budget of {budget}; refusing to sample"
+        )
+    if n == 1:  # one element satisfies every identity, however many variables
+        return None
+    letter = dict(zip(variables, range(n, n + k))).__getitem__
+    lhs = frozenset([tuple(map(letter, w)) for w in identity.lhs])
+    rhs = frozenset([tuple(map(letter, w)) for w in identity.rhs])
+    if lhs == rhs:
+        return None
+    add, mul = S.add, S.mul
     top, width, size, ones, block, lane_letters = _block_context(n, k)
     lane_mul, lane_add = _lane_op(mul, n, width, size), _lane_op(add, n, width, size)
     words = {}  # the lane int of each word at the block depth
@@ -275,7 +288,7 @@ def _first_failure(
 
     if not top:  # every letter is in the block
         diff = _block_diff(lhs, rhs, column)
-        return _lane_values(diff, width, n, k) if diff else None
+        return dict(zip(variables, _lane_values(diff, width, n, k))) if diff else None
     block = {c: c * ones for c in range(n)} | block  # reduced words hold elements; column reads it
     room = MEMO_LETTERS // (sum(map(len, lhs)) + sum(map(len, rhs)))  # memo entries allowed
     word_room = MEMO_LETTERS // (lane_letters + max(map(len, lhs | rhs)))
@@ -289,7 +302,7 @@ def _first_failure(
             diff = _block_diff(left, right, column)
             if diff:
                 values[top:] = _lane_values(diff, width, n, k - top)
-                return values
+                return dict(zip(variables, values))
         else:
             v = values[-1] + 1
             if v < n:
@@ -306,27 +319,6 @@ def _first_failure(
         states.pop()
         values.pop()
     return None
-
-
-def counterexample(
-    S: FiniteAiSemiring, identity: Identity, budget: int = DEFAULT_BUDGET
-) -> Optional[dict[str, int]]:
-    """Lexicographically first failing assignment, or None if the identity holds."""
-    variables = sorted({x for side in (identity.lhs, identity.rhs) for w in side for x in w})
-    n, k = S.order, len(variables)
-    if n ** k > budget:
-        raise BudgetExceededError(
-            f"{n}**{k} assignments exceed the budget of {budget}; refusing to sample"
-        )
-    if n == 1:  # one element satisfies every identity, however many variables
-        return None
-    letter = dict(zip(variables, range(n, n + k))).__getitem__
-    lhs = frozenset([tuple(map(letter, w)) for w in identity.lhs])
-    rhs = frozenset([tuple(map(letter, w)) for w in identity.rhs])
-    if lhs == rhs:
-        return None
-    values = _first_failure(lhs, rhs, k, S.add, S.mul, n)
-    return None if values is None else dict(zip(variables, values))
 
 
 def satisfies(S: FiniteAiSemiring, identity: Identity) -> bool:

@@ -33,7 +33,10 @@ class UnboundVariableError(KeyError):
 
 class Word(tuple):
     """A word: the nonempty tuple of its letters, each a variable identifier,
-    and it equals, hashes and orders as that tuple.  ``word`` reads text."""
+    and it equals, hashes and orders as that tuple.  ``word`` reads text.
+    Read it as the tuple it is: ``w[0]``, ``w[-1]``, ``frozenset(w)``.
+    ``letters``, like ``Term.words``, is the value itself, kept because the
+    benchmark harness reads both."""
 
     __slots__ = ()
 
@@ -59,24 +62,8 @@ class Word(tuple):
         """The word itself, the tuple of its letters."""
         return self
 
-    @property
-    def head(self) -> str:
-        return self[0]
-
-    @property
-    def tail(self) -> str:
-        return self[-1]
-
-    @property
-    def letter_set(self) -> frozenset[str]:
-        return frozenset(self)
-
     def reverse(self) -> "Word":
         return Word(self[::-1])
-
-    def sorted(self) -> "Word":
-        """Commutative view: the same multiset with letters in sorted order."""
-        return Word(sorted(self))
 
     def __repr__(self) -> str:
         return f"Word(letters={tuple(self)!r})"
@@ -166,10 +153,6 @@ class SimpleIdentity:
 
     base: Term
     extra: Word
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.extra in self.base
 
     def as_identity(self) -> Identity:
         return Identity(self.base, self.base + (self.extra,))
@@ -272,8 +255,7 @@ class _Parser:
         return tok
 
     def term(self) -> tuple[tuple[str, ...], ...]:
-        out = self.product()
-        words = list(out)
+        words = list(self.product())
         while True:
             kind, value, pos = self.peek()
             if kind == "op" and value == "+":
@@ -281,7 +263,7 @@ class _Parser:
                 words.extend(self.product())
                 _check_size(len(words), 0, pos)
             else:
-                return out if len(words) == len(out) else tuple(dict.fromkeys(words))
+                return tuple(dict.fromkeys(words))
 
     def product(self) -> tuple[tuple[str, ...], ...]:
         out = None
@@ -293,8 +275,7 @@ class _Parser:
                     out, length = factor, factor_length
                 else:
                     length += factor_length
-                    if length > MAX_WORD_LENGTH or len(factor) > 1:  # else out's count holds
-                        _check_size(len(out) * len(factor), length, pos)
+                    _check_size(len(out) * len(factor), length, pos)
                     out = _times(out, factor)
             elif kind == "op" and value == "*":
                 if out is None:
@@ -345,8 +326,6 @@ class _Parser:
 
 def _times(a: tuple[tuple[str, ...], ...], b: tuple[tuple[str, ...], ...]) -> tuple[tuple[str, ...], ...]:
     """Pairwise concatenation of two parsed (sub)terms, repeats merged."""
-    if len(a) == 1 and len(b) == 1:
-        return (a[0] + b[0],)
     return tuple(dict.fromkeys(x + y for x in a for y in b))
 
 

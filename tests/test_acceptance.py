@@ -107,7 +107,7 @@ def test_acceptance_4_criterion_oracle_equivalence():
         for u_words in itertools.combinations(words, r):
             u = Term(u_words)
             # the transversal family recognises the tail pattern exactly
-            tails = frozenset(w.tail for w in u.words)
+            tails = frozenset(w[-1] for w in u.words)
             if (tails in criteria.delta(u)) != criteria.property_t(u):
                 delta_breaks += 1
             u_rev = Term(tuple(reverse_of[w] for w in u.words))

@@ -351,6 +351,8 @@ _BAD_INPUTS = [
     ["cert", "list", "extra"],
     ["criteria", "--lemma", "M2", "--identity", "x + y ≈ yx + x + y", "--max-length", "5", "--variables", "ab"],
     ["criteria", "--lemma", "M2", "--identity", "x + y ≈ yx + x + y", "--max-summands", "9"],
+    ["criteria", "--sweep", "--max-length", "9"],  # 1.3e17 identities, words inside the letter budget
+    ["criteria", "--sweep", "--max-summands", "40"],  # 2.1e13 identities over 39 words
 ]
 
 
@@ -431,6 +433,20 @@ def test_readme_python_blocks_run():
     namespace = {}  # one namespace: a later block reads what an earlier one set
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def test_readme_command_lines_run(capsys, tmp_path, monkeypatch):
+    block = _readme().split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    # a 3-element table that breaks left distributivity
+    (tmp_path / "table.json").write_text('{"add": [[0,0,0],[0,1,0],[0,1,2]], "mul": [[0,0,0],[0,0,0],[0,1,0]]}')
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        code, out, err = run(capsys, argv[1:])
+        assert (code, err) == (1 if "exit 1" in line else 0, ""), line
+        printed = line.partition("# prints ")[2]
+        if printed:
+            assert out == printed + "\n", line
 
 
 def test_enumerate_workers_default_to_the_processor_count(capsys, monkeypatch):

@@ -59,7 +59,7 @@ def test_delta_characterises_property_t():
     for r in (1, 2):
         for combo in itertools.combinations(words, r):
             v = Term(combo)
-            tails = frozenset(w.tail for w in v.words)
+            tails = frozenset(w[-1] for w in v.words)
             assert (tails in criteria.delta(v)) == criteria.property_t(v)
 
 
@@ -107,9 +107,9 @@ def _end_pattern(u, end):
 def _pattern_by_rebuild(si, end, kind):
     # reference for S4 (end -1) and S6 (end 0): rebuild u + q and check its pattern
     u, q = si.base, si.extra
-    if si.is_trivial:
+    if q in u:
         return criteria.CriterionVerdict(True, "trivial")
-    if not q.letter_set <= u.variables:
+    if not frozenset(q) <= u.variables:
         return criteria.CriterionVerdict(False, "fresh-letter")
     if all(len(w) == 1 for w in u.words):
         return criteria.CriterionVerdict(False, "no-long-summand")
@@ -210,7 +210,7 @@ def _odd_letters(w):
 def _s10_by_subsets(si):
     # reference: try every odd-size subset of the distinct odd-letter vectors
     u, q = si.base, si.extra
-    if not q.letter_set <= u.variables:
+    if not frozenset(q) <= u.variables:
         return False
     target = _odd_letters(q)
     vectors = sorted({_odd_letters(w) for w in u.words}, key=sorted)
@@ -227,7 +227,7 @@ def _s10_by_subsets(si):
 def test_s10_elimination_matches_the_subset_search():
     # every (u, q) shape of acceptance 4, one per distinct odd-letter vector set
     words = [Word(t) for k in (1, 2, 3) for t in itertools.product("xyz", repeat=k)]
-    q_shapes = [(q, q.letter_set, _odd_letters(q)) for q in words]
+    q_shapes = [(q, frozenset(q), _odd_letters(q)) for q in words]
     seen = set()
     for r in (1, 2, 3):
         for combo in itertools.combinations(words, r):

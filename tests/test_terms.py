@@ -462,6 +462,8 @@ _HOSTILE = [
     "x" * 1024,
     "x^1000" * 2000,  # flat text whose word would pass the bound by 2e6 letters
     "x^9999" * 2000,  # or by 2e7
+    "(x)" + "x" * 1023,  # one word through the token parser, at the word bound
+    "(x)" + "x" * 1024,  # and one past it
 ]
 
 
