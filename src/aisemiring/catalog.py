@@ -24,7 +24,6 @@ from typing import Optional
 from . import construct
 from .core import (
     FiniteAiSemiring,
-    additive_height,
     canonical_form,
     direct_product,
     dual,
@@ -426,7 +425,6 @@ def get(name: str) -> CatalogEntry:
 
 def entries(
     order: Optional[int] = None,
-    height1: bool = False,
     status: Optional[str] = None,
     flat: bool = False,
 ) -> tuple[CatalogEntry, ...]:
@@ -434,8 +432,6 @@ def entries(
     for entry in _catalog().values():
         S = entry.semiring
         if order is not None and S.order != order:
-            continue
-        if height1 and additive_height(S) != 1:
             continue
         if status is not None and entry.status != status:
             continue

@@ -23,6 +23,7 @@ from . import catalog, construct, criteria, derivation
 from .census import enumerate_ai_semirings, write_census
 from .core import (
     FiniteAiSemiring,
+    InvalidSemiringError,
     Morphism,
     canonical_form,
     find_embedding,
@@ -82,12 +83,13 @@ def _read_json(path: str):
         raise CliError(f"{path}: not a JSON file ({exc})")
 
 
-def _load_semiring_file(path: str) -> FiniteAiSemiring:
+def _load(path: str, from_dict, what: str):
+    """The value that ``from_dict`` reads from the JSON file at ``path``."""
     data = _read_json(path)
     try:
-        return FiniteAiSemiring.from_dict(data)
+        return from_dict(data)
     except (KeyError, TypeError) as exc:
-        raise CliError(f"{path}: not a semiring JSON file ({exc})")
+        raise CliError(f"{path}: not a {what} JSON file ({exc})")
 
 
 def _is_path(ref: str) -> bool:
@@ -99,7 +101,7 @@ def _is_path(ref: str) -> bool:
 def resolve_ref(ref: str) -> FiniteAiSemiring:
     """Catalog name, @constructor reference, or path to a semiring JSON file."""
     if _is_path(ref):
-        return _load_semiring_file(ref)
+        return _load(ref, FiniteAiSemiring.from_dict, "semiring")
     try:
         return catalog.resolve(ref)
     except catalog.CatalogError:
@@ -126,18 +128,11 @@ def _table_text(S: FiniteAiSemiring) -> str:
 
 
 def _cmd_validate(args):
-    # a file is read as raw tables, so that broken laws are reported, not refused
-    path = args.table or (args.semiring if _is_path(args.semiring) else None)
-    if path:
-        data = _read_json(path)
-        try:
-            add, mul = data["add"], data["mul"]
-        except (KeyError, TypeError):
-            raise CliError(f"{path}: expected an object with add and mul tables")
-    else:
+    try:
         S = resolve_ref(args.semiring)
-        add, mul = S.add, S.mul
-    report = validate(add, mul)
+        report = validate(S.add, S.mul)
+    except InvalidSemiringError as exc:  # a file whose tables break a law: reported, not refused
+        report = exc.report
     payload = {
         "valid": report.valid,
         "violations": [{"law": law, "witness": list(witness)} for law, witness in report.violations],
@@ -229,17 +224,7 @@ def _cmd_construct(args):
     elif args.text is not None:
         S = args.builder(args.text)
     else:
-        data = _read_json(args.table)
-        try:
-            G = construct.FiniteSemigroup(
-                elements=tuple(data["elements"]),
-                mul=tuple(map(tuple, data["mul"])),
-                zero=data.get("zero"),
-                identity=data.get("identity"),
-            )
-        except (KeyError, TypeError):
-            raise CliError(f"{args.table}: expected a semigroup table with elements and mul")
-        S = construct.flat_from_semigroup(G)
+        S = construct.flat_from_semigroup(_load(args.table, construct.FiniteSemigroup.from_dict, "semigroup"))
     payload = S.to_dict()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -380,7 +365,7 @@ def _cmd_nfb_check(args):
 
 
 def _cmd_catalog_list(args):
-    rows = catalog.entries(order=args.order, height1=args.height1, status=args.status, flat=args.flat)
+    rows = catalog.entries(order=args.order, status=args.status, flat=args.flat)
     payload = [
         {
             "name": e.name,
@@ -431,7 +416,7 @@ def _cmd_cert_list(args):
 
 def _cmd_cert_verify(args):
     if _is_path(args.path):
-        cert = derivation.certificate_from_dict(_read_json(args.path))
+        cert = _load(args.path, derivation.certificate_from_dict, "certificate")
     else:
         try:
             cert = derivation.load_bundled_certificate(args.path)
@@ -464,9 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command(commands, "validate", _cmd_validate, "check the ai-semiring laws")
-    source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("semiring", nargs="?", help="catalog name, @constructor, or JSON file")
-    source.add_argument("--table", help="semiring JSON file with add and mul tables")
+    p.add_argument("semiring", help="catalog name, @constructor, or JSON file")
 
     p = command(commands, "enumerate", _cmd_enumerate, "census of ai-semirings up to isomorphism")
     p.add_argument("--order", type=int, required=True)
@@ -535,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p = command(actions, "list", _cmd_catalog_list)
     p.add_argument("--order", type=int)
-    p.add_argument("--height1", action="store_true")
     p.add_argument("--status", choices=["finitely-based", "nonfinitely-based", "external"])
     p.add_argument("--flat", action="store_true")
     command(actions, "show", _cmd_catalog_show).add_argument("name", help="entry name")

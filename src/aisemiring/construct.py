@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 from .core import (
     MAX_BUILT_ORDER,
     FiniteAiSemiring,
+    MalformedTableError,
     Morphism,
     Table,
     _as_table,
@@ -44,6 +45,9 @@ class FiniteSemigroup:
     identity: Optional[int] = None
 
     def __post_init__(self):
+        if isinstance(self.elements, (str, dict)):  # their characters or keys are no list of names
+            raise MalformedTableError("element names must be a list, not a string or an object")
+        object.__setattr__(self, "elements", tuple(self.elements))
         n = len(self.elements)
         object.__setattr__(self, "mul", _as_table(self.mul, "mul", n))
         for what, v in (("zero", self.zero), ("identity", self.identity)):
@@ -65,6 +69,10 @@ class FiniteSemigroup:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "FiniteSemigroup":
+        return cls(data["elements"], data["mul"], zero=data.get("zero"), identity=data.get("identity"))
 
 
 def _violating_triple(G: FiniteSemigroup) -> Optional[tuple[tuple[int, int, int], str]]:

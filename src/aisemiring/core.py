@@ -193,8 +193,12 @@ class FiniteAiSemiring:
         add = _as_table(add, "add")
         mul = _as_table(mul, "mul", len(add))
         n = len(add)
+        if type(name) is not str:
+            raise MalformedTableError(f"name must be a string, got {type(name).__name__}")
         if elements is None:
             elements = tuple(str(i + 1) for i in range(n))
+        elif isinstance(elements, (str, dict)):  # their characters or keys are no list of names
+            raise MalformedTableError("element names must be a list, not a string or an object")
         else:
             elements = tuple(elements)
             if len(elements) != n or len(set(elements)) != n or not all(type(e) is str for e in elements):

@@ -291,7 +291,7 @@ class _Parser:
         kind, value, pos = self.take()
         if kind == "var":
             base, length = ((value,),), 1
-        elif kind == "op" and value == "(":
+        else:  # product calls this only at a variable or '('
             self.depth += 1
             if self.depth > MAX_TERM_DEPTH:
                 raise TermSyntaxError(f"parentheses nest deeper than {MAX_TERM_DEPTH}", pos)
@@ -301,8 +301,6 @@ class _Parser:
             kind, value, pos = self.take()
             if not (kind == "op" and value == ")"):
                 raise TermSyntaxError("expected ')'", pos)
-        else:
-            raise TermSyntaxError("expected a variable or '('", pos)
         while True:
             kind, value, pos = self.peek()
             if kind == "op" and value == "^":

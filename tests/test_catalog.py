@@ -71,11 +71,15 @@ def test_get_and_aliases():
 
 def test_entry_filters():
     assert {e.name for e in catalog.entries(order=2)} == {"L2", "R2", "M2", "D2", "N2", "T2"}
-    height1 = catalog.entries(order=4, height1=True)
-    assert len(height1) == 58
+    assert len(catalog.entries(order=4)) == 58
     flats = catalog.entries(order=3, flat=True)
     assert {"S7", "S2", "S4", "S6", "S10"} <= {e.name for e in flats}
     assert "S5" not in {e.name for e in flats}
+
+
+def test_every_entry_has_additive_height_one(cat):
+    # so a filter on additive height would select every entry
+    assert {name: additive_height(entry.semiring) for name, entry in cat.items()} == dict.fromkeys(cat, 1)
 
 
 def test_catalog_keys_are_pairwise_distinct(cat):

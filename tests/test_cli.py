@@ -76,18 +76,16 @@ def test_validate_subcommand(capsys, tmp_path):
             {"elements": ["0", "1"], "add": [[0, 1], [1, 1]], "mul": [[1, 0], [0, 0]]}
         )
     )
-    code, payload, _ = run_json(capsys, ["validate", "--table", str(bad)])
+    code, payload, _ = run_json(capsys, ["validate", str(bad)])
     assert code == 1 and not payload["valid"]
     assert payload["violations"]
-    # a file given as the semiring reference is checked the same way
-    assert run_json(capsys, ["validate", str(bad)])[:2] == (1, payload)
 
     malformed = tmp_path / "malformed.json"
     malformed.write_text(json.dumps({"elements": ["0"], "add": [[0, 0]], "mul": [[0]]}))
-    code, _, err = run(capsys, ["validate", "--table", str(malformed)])
+    code, _, err = run(capsys, ["validate", str(malformed)])
     assert code == 2
 
-    code, _, err = run(capsys, ["validate", "--table", str(tmp_path / "missing.json")])
+    code, _, err = run(capsys, ["validate", str(tmp_path / "missing.json")])
     assert code == 2 and err.startswith("error: no such file:")
 
 
@@ -241,8 +239,11 @@ def test_catalog_subcommands(capsys):
     assert code == 0
     assert payload["semiring"]["mul"][2] == [0, 2, 3, 1]
 
-    code, payload, _ = run_json(capsys, ["catalog", "list", "--height1", "--order", "4"])
+    code, payload, _ = run_json(capsys, ["catalog", "list", "--order", "4"])
     assert len(payload) == 58
+    # every entry has additive height 1, so there is no filter on it
+    code, out, err = run(capsys, ["catalog", "list", "--height1"])
+    assert (code, out) == (2, "") and err == "error: aisemiring catalog list: unrecognized arguments: --height1\n"
 
     code, payload, _ = run_json(capsys, ["catalog", "verify"])
     assert code == 0 and payload["all_ok"] and len(payload["results"]) == 53
@@ -305,8 +306,8 @@ def test_budget_overrun_is_usage_error(capsys):
 _BAD_INPUTS = [
     ["catalog", "show"],
     ["cert", "verify"],
-    ["validate", "--table", "{add_five}"],
-    ["validate", "--table", "{bool_entries}"],
+    ["validate", "{add_five}"],
+    ["validate", "{nan_name}"],
     ["validate", "{bool_entries}"],
     ["validate", "{dir}/"],
     ["iso", "@prod:T2", "L2"],
@@ -322,7 +323,7 @@ _BAD_INPUTS = [
     ["subdirect", "T2", "@prod:@prod:T2,T2,@prod:T2,T2", "@prod:@prod:T2,T2,@prod:T2,T2"],
     ["enumerate", "--order", "2", "--workers", "-3"],
     ["enumerate", "--order", "2", "--workers", "0"],
-    ["validate", "--table", "{dir}"],
+    ["validate", "{dir}"],
     ["criteria"],
     ["criteria", "--sweep", "--identity", "x = x + x"],
     ["criteria", "--sweep", "--max-summands", "0"],
@@ -333,7 +334,7 @@ _BAD_INPUTS = [
     ["validate", "T2", "--table", "{broken_laws}"],
     ["check", "--semiring", "T2", "--basis", "S_(4,4)", "--identity", "x = y"],
     ["validate", "{deep}"],
-    ["validate", "--table", "{deep}"],
+    ["validate", "{string_elements}"],
     ["construct", "flat-ext", "--table", "{deep}"],
     ["construct", "dual", "{deep}"],
     ["cert", "verify", "{deep}"],
@@ -353,6 +354,10 @@ _BAD_INPUTS = [
     ["criteria", "--lemma", "M2", "--identity", "x + y ≈ yx + x + y", "--max-summands", "9"],
     ["criteria", "--sweep", "--max-length", "9"],  # 1.3e17 identities, words inside the letter budget
     ["criteria", "--sweep", "--max-summands", "40"],  # 2.1e13 identities over 39 words
+    ["construct", "flat-ext", "--table", "{zero_not_absorbing}"],
+    ["construct", "flat-ext", "--table", "{identity_not_neutral}"],
+    ["construct", "flat-ext", "--table", "{zero_out_of_range}"],
+    ["construct", "flat-ext", "--table", "{semigroup_string_elements}"],
 ]
 
 
@@ -365,6 +370,12 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
         "broken_laws": {"elements": ["0", "1"], "add": [[0, 1], [1, 1]], "mul": [[1, 0], [0, 0]]},
         "semigroup_out_of_range": {"elements": ["0", "1"], "mul": [[0, 0], [0, 5]], "zero": 0},
         "no_elements": {"mul": [[0]]},
+        "nan_name": {**_T2, "name": float("nan")},
+        "string_elements": {**_T2, "elements": "01"},
+        "zero_not_absorbing": {"elements": ["0", "1"], "mul": [[0, 0], [0, 1]], "zero": 1},
+        "identity_not_neutral": {"elements": ["0", "1"], "mul": [[0, 0], [0, 0]], "zero": 0, "identity": 1},
+        "zero_out_of_range": {"elements": ["0", "1"], "mul": [[0, 0], [0, 0]], "zero": 5},
+        "semigroup_string_elements": {"elements": "01", "mul": [[0, 0], [0, 1]], "zero": 0},
     }
     texts = {name: json.dumps(data) for name, data in files.items()}
     texts["deep"] = "[" * 100000 + "]" * 100000  # json.dumps itself refuses this depth
@@ -378,6 +389,29 @@ def test_bad_input_is_usage_error(capsys, tmp_path, argv):
     if given_dir:  # the message names the directory, not the OS error number
         assert err.startswith(f"error: {tmp_path}")
     assert all(os.path.isfile(path) for path in paths.values())
+
+
+def test_validate_accepts_exactly_the_files_check_loads(capsys, tmp_path):
+    docs = {
+        "valid": _T2,
+        "broken_laws": {**_T2, "mul": [[1, 0], [0, 0]]},
+        "string_elements": {**_T2, "elements": "ab"},
+        "object_elements": {**_T2, "elements": {"a": 0, "b": 1}},
+        "nan_name": {**_T2, "name": float("nan")},
+        "int_name": {**_T2, "name": 5},
+        "three_names": {**_T2, "elements": ["0", "1", "2"]},
+    }
+    validated = {}
+    for name, doc in docs.items():
+        path = str(tmp_path / f"{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        validated[name] = run(capsys, ["validate", path])[0]
+        code, out, _ = run(capsys, ["check", "--semiring", path, "--identity", "x = x", "--json"])
+        assert (validated[name] == 0) == (code == 0), name
+        assert "NaN" not in out
+    assert {name for name, code in validated.items() if code == 1} == {"broken_laws"}
+    assert validated["valid"] == 0
 
 
 def test_argparse_refusals_name_the_sub_command(capsys):
@@ -572,7 +606,6 @@ _commands = st.one_of(
         ),
         _files(_semiring_docs),
     ),
-    st.tuples(st.builds(lambda j: ["validate", "--table", "FILE"] + j, _json), _files(_semiring_docs)),
     st.tuples(st.builds(lambda r: ["validate", r], st.just("FILE")), _files(_semiring_docs)),
     st.tuples(st.builds(lambda kind: ["construct", kind, "FILE"], st.sampled_from(["ne", "dual"])), _files(_semiring_docs)),
     st.tuples(st.just(["cert", "verify", "FILE", "--json"]), _files(_cert_docs)),

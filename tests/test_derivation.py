@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from aisemiring import catalog
+from aisemiring.cli import main
 from aisemiring.derivation import (
     DerivationCertificate,
     DerivationStep,
@@ -90,6 +93,26 @@ def test_axiom_index_out_of_range_is_invalid_at_that_step():
     verdict = verify_certificate(cert)
     assert not verdict.valid and verdict.failed_step == 0
     assert "axiom index" in verdict.reason
+
+
+def test_a_source_side_that_is_not_its_chain_term_fails_there():
+    data = certificate_to_dict(load_bundled_certificate("commute_inside_context"))
+    data["chain"][0] += " + z9"  # a fresh summand that no step's source side has
+    verdict = verify_certificate(certificate_from_dict(data))
+    assert not verdict.valid and verdict.failed_step == 0
+    assert verdict.reason.endswith("chain term 0")
+
+
+def test_a_direction_other_than_lr_or_rl_is_malformed(tmp_path, capsys):
+    data = certificate_to_dict(load_bundled_certificate("commute_inside_context"))
+    data["steps"][0]["dir"] = "XY"
+    with pytest.raises(MalformedCertificateError, match="direction"):
+        verify_certificate(certificate_from_dict(data))
+    path = tmp_path / "xy.json"
+    path.write_text(json.dumps(data))
+    assert main(["cert", "verify", str(path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: step 0: direction must be LR or RL\n"
 
 
 def test_malformed_substitution_raises():
