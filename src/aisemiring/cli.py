@@ -84,12 +84,18 @@ def _read_json(path: str):
 
 
 def _load(path: str, from_dict, what: str):
-    """The value that ``from_dict`` reads from the JSON file at ``path``."""
+    """The value that ``from_dict`` reads from the JSON file at ``path``.  A
+    refusal names the file; tables that break a law raise InvalidSemiringError
+    unchanged, for ``validate`` to report."""
     data = _read_json(path)
     try:
         return from_dict(data)
     except (KeyError, TypeError) as exc:
         raise CliError(f"{path}: not a {what} JSON file ({exc})")
+    except InvalidSemiringError:
+        raise
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}")
 
 
 def _is_path(ref: str) -> bool:

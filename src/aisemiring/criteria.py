@@ -8,7 +8,10 @@ suite cross-validates the two exhaustively on small identities.
 What the criteria read of u (its summands, letters, ends, end patterns and
 S10's reduced odd-letter vectors) is a prepared base, kept for the term being
 judged, so judging many q against one u derives nothing about u twice;
-judging another term in between rebuilds it.
+judging another term in between rebuilds it.  The base holds u's letters as
+bits of an int, one per letter in sorted order: a word's letter set is the OR
+of its letters' bits and its odd-letter vector their XOR, so D2's subset test
+and S10's GF(2) elimination run on int masks.
 
 Verdicts are shared immutable constants, built once when the module is
 imported: a criterion returns one of them and builds nothing per call.
@@ -79,54 +82,58 @@ _ODD_SET_MATCH = CriterionVerdict(True, "odd-set-match")
 _NO_ODD_SET_MATCH = CriterionVerdict(False, "no-odd-set-match")
 
 
-def _odd_letters(letters: tuple[str, ...]) -> frozenset[str]:
-    return frozenset(x for x in set(letters) if letters.count(x) % 2)
-
-
-def _inner(letters: tuple[str, ...], end: int) -> tuple[str, ...]:
-    """The letters away from one end (-1 the tail, 0 the head)."""
-    return letters[:-1] if end == -1 else letters[1:]
-
-
 def _end_letters(u: Term, ends: frozenset[str], end: int) -> Optional[frozenset[str]]:
     """ends, the letters at one end of u's summands, if none of them occurs
     anywhere else in a summand (u has the end pattern), else None."""
-    if any(not ends.isdisjoint(_inner(w, end)) for w in u):
+    if any(not ends.isdisjoint(w[:-1] if end == -1 else w[1:]) for w in u):
         return None
     return ends
 
 
-def _reduce(rows: list[tuple[str, frozenset]], vec: frozenset) -> frozenset:
-    """vec reduced over GF(2) by the rows in order.  No row holds the pivot
-    letter of an earlier row, so one pass clears every pivot."""
+def _reduce(rows: list[tuple[int, int]], vec: int) -> int:
+    """vec reduced over GF(2) by the (pivot bit, row) pairs in order.  No row
+    holds the pivot bit of an earlier row, so one pass clears every pivot."""
     for pivot, row in rows:
-        if pivot in vec:
+        if vec & pivot:
             vec ^= row
     return vec
 
 
 class _Base:
-    """The facts about u that the criteria read."""
+    """The facts about u that the criteria read.  ``bit`` maps each letter of
+    u to its bit, 1 << i for the i-th letter in sorted order; D2's letter sets
+    and S10's odd-letter vectors are ints over those bits."""
 
     def __init__(self, u: Term):
         self.summands = frozenset(u)
         self.variables = u.variables
+        self.bit = bit = {x: 1 << i for i, x in enumerate(sorted(self.variables))}
         # both pairs are indexed by the end: 0 the head, -1 the tail
         self.ends = (frozenset(w[0] for w in u), frozenset(w[-1] for w in u))
-        self.letter_sets = frozenset(map(frozenset, u))
         self.longest = max(map(len, u))
         self.pair_letters = frozenset(x for w in u if len(w) == 2 for x in w)
         self.mixed = any(len(w) == 1 and w[0] in self.pair_letters for w in u)
         self.end_letters = (_end_letters(u, self.ends[0], 0), _end_letters(u, self.ends[-1], -1))
+        # a summand's letter set is the OR of its bits, its odd-letter vector
+        # the XOR, since a repeated letter cancels in pairs
+        masks, odds = set(), []
+        for w in u:
+            mask = odd = 0
+            for x in w:
+                mask |= bit[x]
+                odd ^= bit[x]
+            masks.add(mask)
+            odds.append(odd)
+        self.letter_masks = tuple(masks)
         # S10: the sums of an odd number of the distinct odd-letter vectors are
         # exactly v1 ^ span{v1 ^ vi}; reduce the span to pivoted rows once
-        vectors = list(dict.fromkeys(_odd_letters(w) for w in u))
+        vectors = list(dict.fromkeys(odds))
         self.odd_first = vectors[0]
-        self.odd_rows: list[tuple[str, frozenset]] = []
+        self.odd_rows: list[tuple[int, int]] = []
         for v in vectors[1:]:
             vec = _reduce(self.odd_rows, self.odd_first ^ v)
             if vec:
-                self.odd_rows.append((min(vec), vec))
+                self.odd_rows.append((vec & -vec, vec))
 
 
 _kept: tuple = (None, None)  # (term, base) for the term judged last
@@ -165,9 +172,14 @@ def _two_element_M2(si: SimpleIdentity) -> CriterionVerdict:
 
 
 def _two_element_D2(si: SimpleIdentity) -> CriterionVerdict:
-    extra_letters = frozenset(si.extra)
-    if any(s <= extra_letters for s in _base(si.base).letter_sets):
-        return _SUMMAND_INSIDE_EXTRA
+    base = _base(si.base)
+    bit = base.bit
+    mask = 0
+    for x in si.extra:
+        mask |= bit.get(x, 0)  # a letter outside u lies in no summand's set
+    for s in base.letter_masks:
+        if s & mask == s:
+            return _SUMMAND_INSIDE_EXTRA
     return _NO_SUMMAND_INSIDE_EXTRA
 
 
@@ -249,7 +261,7 @@ def _holds_pattern(si: SimpleIdentity, end: int) -> CriterionVerdict:
     # q's letters all occur in u, so an end letter of q that is not one of u's
     # occurs inside a summand of u: u + q keeps the pattern exactly when q ends
     # in one of u's end letters and holds none of them elsewhere
-    if q[end] in ends and ends.isdisjoint(_inner(q, end)):
+    if q[end] in ends and ends.isdisjoint(q[:-1] if end == -1 else q[1:]):
         return _PATTERN_PRESERVED[end]
     return _PATTERN_BROKEN[end]
 
@@ -277,7 +289,11 @@ def holds_s10(si: SimpleIdentity) -> CriterionVerdict:
     base, q = _base(si.base), si.extra
     if not base.variables.issuperset(q):
         return _FRESH_LETTER
-    if not _reduce(base.odd_rows, base.odd_first ^ _odd_letters(q)):
+    bit = base.bit
+    vec = base.odd_first
+    for x in q:
+        vec ^= bit[x]
+    if not _reduce(base.odd_rows, vec):
         return _ODD_SET_MATCH
     return _NO_ODD_SET_MATCH
 

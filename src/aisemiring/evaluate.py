@@ -404,9 +404,10 @@ class BulkEvaluator:
         self._cache: dict[Word, tuple[int, ...]] = {}
 
     def word_vector(self, w: Word) -> tuple[int, ...]:
-        cached = self._cache.get(w)
-        if cached is not None:
-            return cached
+        try:
+            return self._cache[w]
+        except KeyError:
+            pass
         acc = self._columns[w[0]]
         for x in w[1:]:
             acc = _combine(self._mul_pairs, acc, self._columns[x])

@@ -414,6 +414,27 @@ def test_validate_accepts_exactly_the_files_check_loads(capsys, tmp_path):
     assert validated["valid"] == 0
 
 
+def test_a_refusal_inside_a_reader_names_the_file(capsys, tmp_path):
+    cases = [
+        (["validate"], {**_T2, "mul": [[True, 1], [1, 1]]}),
+        (["construct", "flat-ext", "--table"], {"elements": ["0", "1"], "mul": [[0, 0], [0, 5]], "zero": 0}),
+        (["cert", "verify"], {"axioms": 5}),
+    ]
+    for i, (argv, doc) in enumerate(cases):
+        path = str(tmp_path / f"{i}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code, out, err = run(capsys, argv + [path])
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    # tables that break a law are still reported, not refused
+    path = str(tmp_path / "broken_laws.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({**_T2, "mul": [[1, 0], [0, 0]]}, fh)
+    code, out, err = run(capsys, ["validate", path])
+    assert (code, err) == (1, "") and out.startswith("invalid")
+
+
 def test_argparse_refusals_name_the_sub_command(capsys):
     code, out, err = run(capsys, ["construct", "product", "T2"])
     assert (code, out) == (2, "")

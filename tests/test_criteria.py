@@ -201,6 +201,8 @@ def test_s10_examples():
     # odd products combine three distinct summands
     assert criteria.holds_s10(si("x + y + z", "xyz")).holds
     assert not criteria.holds_s10(si("x + y", "xy")).holds
+    # multi-character letters, written out of their sorted order
+    assert criteria.holds_s10(si("x3 + x1 + x2", "x2x3x1")).rule == "odd-set-match"
 
 
 def _odd_letters(w):
@@ -257,6 +259,38 @@ def test_s10_elimination_matches_the_subset_search():
         outcomes.append(_s10_by_subsets(s))
         assert criteria.holds_s10(s).holds == outcomes[-1], str(s)
     assert 50 < sum(outcomes) < 350
+
+
+def test_verdicts_do_not_depend_on_letter_order():
+    # the renaming reverses the sort order of the letters and gives one of them
+    # two characters, so every letter's bit in the base moves
+    rename = {"x": "x9", "y": "b", "z": "a"}
+    words = [Word(t) for k in (1, 2) for t in itertools.product("xyz", repeat=k)]
+    renamed = {w: Word(rename[x] for x in w) for w in words}
+    judged = 0
+    for r in (1, 2, 3):
+        for combo in itertools.combinations(words, r):
+            u, v = Term(combo), Term(renamed[w] for w in combo)
+            for q in words:
+                for name, judge in criteria.CRITERIA.items():
+                    assert judge(SimpleIdentity(u, q)) == judge(SimpleIdentity(v, renamed[q])), (name, str(u), str(q))
+                    judged += 1
+    assert len(words) == 12 and judged == 35760
+
+
+def test_d2_matches_the_letter_set_reference():
+    # q draws from two letters that never occur in u as well
+    rng = random.Random(41)
+    pool = [f"x{i}" for i in range(1, 7)]
+    outcomes = []
+    for _ in range(400):
+        u = Term(
+            Word(rng.choice(pool) for _ in range(rng.randint(1, 4))) for _ in range(rng.randint(1, 5))
+        )
+        q = Word(rng.choice(pool + ["y1", "y2"]) for _ in range(rng.randint(1, 6)))
+        outcomes.append(any(frozenset(w) <= frozenset(q) for w in u))
+        assert criteria.check("D2", SimpleIdentity(u, q)).holds == outcomes[-1], (str(u), str(q))
+    assert sum(outcomes) >= 50 and len(outcomes) - sum(outcomes) >= 50
 
 
 def test_dispatch():
