@@ -4,10 +4,12 @@ Covers the six 2-element semirings, the 3-element semiring S7, the 58
 4-element semirings whose additive reduct is the height-1 semilattice
 (top element "1", atoms "2", "3", "4"), derived 3-element subalgebras
 (S2, S4, S6, S10), and five further 3-element semirings (S5, S9, S13,
-S14, S15). Every typed table is validated when the catalog is built, and a
-build runs no census and no homomorphism search: that each of the five is
-the unique order-3 census class with its embedding and subdirect-product
-claims is proved in tests/test_catalog.py.
+S14, S15). Every entry, typed or derived, is built by
+``FiniteAiSemiring.from_tables``, so a table that breaks a law raises
+InvalidSemiringError naming its entry. A build runs no census and no
+homomorphism search: that each of the five is the unique order-3 census
+class with its embedding and subdirect-product claims is proved in
+tests/test_catalog.py.
 
 The paper's facts are stated once, as data: the nine nonfinitely based
 order-4 entries, the structural claims (``_STRUCTURE``) and the bundled bases
@@ -31,7 +33,6 @@ from .core import (
     find_isomorphism,
     generated_subalgebra,
     is_subdirect_embedding,
-    validate,
 )
 from .evaluate import check_basis
 from .terms import Identity, Term, Word, parse_identity, split_top_level
@@ -338,7 +339,7 @@ def _order4(k: int) -> FiniteAiSemiring:
     digits = _ORDER4_MUL[k]
     mul = tuple(tuple(int(digits[4 * a + b]) - 1 for b in range(4)) for a in range(4))
     # height-1 addition on {1, 2, 3, 4}: x + x = x, everything else joins to 1
-    return FiniteAiSemiring(f"S_(4,{k})", ("1", "2", "3", "4"), construct.flat_addition(4, 0), mul)
+    return FiniteAiSemiring.from_tables(construct.flat_addition(4, 0), mul, ("1", "2", "3", "4"), f"S_(4,{k})")
 
 
 def _status(S: FiniteAiSemiring) -> str:
@@ -357,39 +358,27 @@ def _claims(name: str) -> tuple[Claim, ...]:
     return tuple(claims)
 
 
-def _check_table(S: FiniteAiSemiring) -> None:
-    report = validate(S.add, S.mul)
-    if not report.valid:
-        laws = ", ".join(law for law, _ in report.violations)
-        raise CatalogError(f"{S.name}: the stored table violates {laws}")
-
-
 @lru_cache(maxsize=1)
 def _catalog() -> dict[str, CatalogEntry]:
-    # typed tables are built unchecked and validated before any derivation
-    # reads them; derived entries are validated once they are built
+    # the typed tables are built, and so validated, before any derivation reads them
     semirings: dict[str, FiniteAiSemiring] = {}
     for label, mul in _ORDER2_MUL.items():
-        semirings[label] = FiniteAiSemiring(label, ("0", "1"), construct.flat_addition(2, 1), mul)
-    semirings["S7"] = FiniteAiSemiring("S7", ("1", "a", "inf"), construct.flat_addition(3, 2), _S7_MUL)
+        semirings[label] = FiniteAiSemiring.from_tables(construct.flat_addition(2, 1), mul, ("0", "1"), label)
+    semirings["S7"] = FiniteAiSemiring.from_tables(construct.flat_addition(3, 2), _S7_MUL, ("1", "a", "inf"), "S7")
     for name, mul in _ORDER3_MUL.items():
-        semirings[name] = FiniteAiSemiring(name, ("1", "2", "3"), construct.flat_addition(3, 0), mul)
+        semirings[name] = FiniteAiSemiring.from_tables(construct.flat_addition(3, 0), mul, ("1", "2", "3"), name)
     for k in range(1, 59):
         semirings[f"S_(4,{k})"] = _order4(k)
-    for S in semirings.values():
-        _check_table(S)
 
     # derived order-3 subalgebras; seeds are carrier subsets of order-4 entries
-    sub, _ = generated_subalgebra(semirings["S_(4,15)"], (0, 1, 2))
-    semirings["S2"] = sub.renamed("S2")
-    sub, _ = generated_subalgebra(semirings["S_(4,47)"], (0, 1, 2))
-    semirings["S4"] = sub.renamed("S4")
-    semirings["S6"] = dual(semirings["S4"]).renamed("S6")
-    sub, _ = generated_subalgebra(semirings["S_(4,20)"], (3,))
-    semirings["S10"] = sub.renamed("S10")
-    derived = ("S2", "S4", "S6", "S10")
-    for name in derived:
-        _check_table(semirings[name])
+    S4, _ = generated_subalgebra(semirings["S_(4,47)"], (0, 1, 2))
+    for name, S in (
+        ("S2", generated_subalgebra(semirings["S_(4,15)"], (0, 1, 2))[0]),
+        ("S4", S4),
+        ("S6", dual(S4)),
+        ("S10", generated_subalgebra(semirings["S_(4,20)"], (3,))[0]),
+    ):
+        semirings[name] = FiniteAiSemiring.from_tables(S.add, S.mul, S.elements, name)
 
     return {
         name: CatalogEntry(
@@ -399,7 +388,7 @@ def _catalog() -> dict[str, CatalogEntry]:
             basis=expand_basis(name) if name in _BASES else None,
             claims=_claims(name),
         )
-        for name in (*_ORDER2_MUL, "S7", *derived, *_ORDER3_MUL, *(f"S_(4,{k})" for k in _ORDER4_MUL))
+        for name in (*_ORDER2_MUL, "S7", "S2", "S4", "S6", "S10", *_ORDER3_MUL, *(f"S_(4,{k})" for k in _ORDER4_MUL))
     }
 
 

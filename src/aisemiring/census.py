@@ -60,6 +60,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import FiniteAiSemiring, Table, additive_height, canonical_form, least_relabeling, validate
+from .core import element_names as _elements  # the names from_tables gives by default
 
 SEMILATTICE_MAX_ORDER = 6
 
@@ -316,11 +317,6 @@ def _multiplications(add: Table, auts: Sequence[Sequence[int]]) -> list[Table]:
 
     fill(0)
     return results
-
-
-def _elements(n: int) -> tuple[str, ...]:
-    """The element names of a census member, as ``from_tables`` gives them."""
-    return tuple(str(i + 1) for i in range(n))
 
 
 def _census_for_addition(add: Table) -> list[tuple[bytes, Table, Table]]:

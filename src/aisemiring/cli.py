@@ -84,16 +84,16 @@ def _read_json(path: str):
 
 
 def _load(path: str, from_dict, what: str):
-    """The value that ``from_dict`` reads from the JSON file at ``path``.  A
-    refusal names the file; tables that break a law raise InvalidSemiringError
-    unchanged, for ``validate`` to report."""
+    """The value that ``from_dict`` reads from the JSON file at ``path``.
+    Every refusal names the file; tables that break a law stay an
+    InvalidSemiringError, now named by ``path``, for ``validate`` to report."""
     data = _read_json(path)
     try:
         return from_dict(data)
     except (KeyError, TypeError) as exc:
         raise CliError(f"{path}: not a {what} JSON file ({exc})")
-    except InvalidSemiringError:
-        raise
+    except InvalidSemiringError as exc:
+        raise InvalidSemiringError(exc.report, path) from None
     except ValueError as exc:
         raise CliError(f"{path}: {exc}")
 
@@ -230,7 +230,8 @@ def _cmd_construct(args):
     elif args.text is not None:
         S = args.builder(args.text)
     else:
-        S = construct.flat_from_semigroup(_load(args.table, construct.FiniteSemigroup.from_dict, "semigroup"))
+        # built inside the loader, so that a refusal names the file
+        S = _load(args.table, lambda d: construct.flat_from_semigroup(construct.FiniteSemigroup.from_dict(d)), "semigroup")
     payload = S.to_dict()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

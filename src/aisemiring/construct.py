@@ -13,11 +13,11 @@ from typing import Optional, Sequence
 from .core import (
     MAX_BUILT_ORDER,
     FiniteAiSemiring,
-    MalformedTableError,
     Morphism,
     Table,
     _as_table,
     _associativity,
+    element_names,
     find_embedding,
     natural_order,
 )
@@ -45,11 +45,9 @@ class FiniteSemigroup:
     identity: Optional[int] = None
 
     def __post_init__(self):
-        if isinstance(self.elements, (str, dict)):  # their characters or keys are no list of names
-            raise MalformedTableError("element names must be a list, not a string or an object")
-        object.__setattr__(self, "elements", tuple(self.elements))
-        n = len(self.elements)
-        object.__setattr__(self, "mul", _as_table(self.mul, "mul", n))
+        object.__setattr__(self, "mul", _as_table(self.mul, "mul"))
+        n = len(self.mul)
+        object.__setattr__(self, "elements", element_names(n, self.elements))
         for what, v in (("zero", self.zero), ("identity", self.identity)):
             if v is not None and (type(v) is not int or not 0 <= v < n):
                 raise ValueError(f"{what} {v!r} is not an element index 0..{n - 1}")

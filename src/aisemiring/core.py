@@ -25,12 +25,13 @@ class MalformedTableError(ValueError):
 
 
 class InvalidSemiringError(ValueError):
-    """Tables are well-formed but violate a semiring law."""
+    """Tables are well-formed but violate a semiring law; a nonempty
+    ``where`` (a semiring's name or file) is put before the message."""
 
-    def __init__(self, report: "ValidationReport"):
+    def __init__(self, report: "ValidationReport", where: str = ""):
         self.report = report
-        laws = ", ".join(law for law, _ in report.violations)
-        super().__init__(f"not an ai-semiring: {laws}")
+        message = "not an ai-semiring: " + ", ".join(law for law, _ in report.violations)
+        super().__init__(f"{where}: {message}" if where else message)
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,18 @@ class ValidationReport:
 
 
 _VALID = ValidationReport(True, ())  # the one report of every valid input
+
+
+def element_names(n: int, elements: Optional[Sequence[str]] = None) -> tuple[str, ...]:
+    """The display names of n elements, "1" to "n" when none are given."""
+    if elements is None:
+        return tuple(str(i + 1) for i in range(n))
+    if isinstance(elements, (str, dict)):  # their characters or keys are no list of names
+        raise MalformedTableError("element names must be a list, not a string or an object")
+    elements = tuple(elements)
+    if len(elements) != n or len(set(elements)) != n or not all(type(e) is str for e in elements):
+        raise MalformedTableError("element names must be distinct strings, one per row")
+    return elements
 
 
 def _as_table(rows: Sequence[Sequence[int]], what: str, n: Optional[int] = None) -> Table:
@@ -186,24 +199,17 @@ class FiniteAiSemiring:
         elements: Optional[Sequence[str]] = None,
         name: str = "",
     ) -> "FiniteAiSemiring":
-        """A validated semiring; the dataclass constructor is the unchecked path."""
-        report = validate(add, mul)
-        if not report.valid:
-            raise InvalidSemiringError(report)
-        add = _as_table(add, "add")
-        mul = _as_table(mul, "mul", len(add))
-        n = len(add)
+        """A validated semiring; the dataclass constructor is the unchecked path.
+
+        Tables that break a law raise InvalidSemiringError named by ``name``."""
         if type(name) is not str:
             raise MalformedTableError(f"name must be a string, got {type(name).__name__}")
-        if elements is None:
-            elements = tuple(str(i + 1) for i in range(n))
-        elif isinstance(elements, (str, dict)):  # their characters or keys are no list of names
-            raise MalformedTableError("element names must be a list, not a string or an object")
-        else:
-            elements = tuple(elements)
-            if len(elements) != n or len(set(elements)) != n or not all(type(e) is str for e in elements):
-                raise MalformedTableError("element names must be distinct strings, one per row")
-        return cls(name=name, elements=elements, add=add, mul=mul)
+        report = validate(add, mul)
+        if not report.valid:
+            raise InvalidSemiringError(report, name)
+        add = _as_table(add, "add")
+        mul = _as_table(mul, "mul", len(add))
+        return cls(name=name, elements=element_names(len(add), elements), add=add, mul=mul)
 
     def renamed(self, name: str) -> "FiniteAiSemiring":
         return replace(self, name=name)

@@ -4,6 +4,9 @@ A certificate presents a chain of terms T1..Tn and, for each step, an axiom
 instance rewritten inside a sum-product context: Ti = P·σ(A)·Q + R and
 Ti+1 = P·σ(B)·Q + R, where A ≈ B is a cited axiom used in either direction,
 P and Q may be absent (no multiplier) and R may be absent (no remainder).
+
+A certificate's structure (step count, directions, substitutions covering
+their axiom) is checked when it is built; verification only judges steps.
 """
 
 from __future__ import annotations
@@ -47,6 +50,13 @@ class DerivationCertificate:
         for i, step in enumerate(self.steps):
             if type(step.axiom) is not int:  # JSON true or 0.0 is no index
                 raise MalformedCertificateError(f"step {i}: axiom index {step.axiom!r} is not an integer")
+            if step.direction not in ("LR", "RL"):
+                raise MalformedCertificateError(f"step {i}: direction must be LR or RL")
+            if 0 <= step.axiom < len(self.axioms):  # an index past the axioms is a step that fails
+                axiom = self.axioms[step.axiom]
+                missing = (axiom.lhs.variables | axiom.rhs.variables) - set(step.substitution)
+                if missing:
+                    raise MalformedCertificateError(f"step {i}: substitution missing variables {sorted(missing)}")
 
     @property
     def endpoints(self) -> Identity:
@@ -79,15 +89,8 @@ def verify_step(cert: DerivationCertificate, i: int) -> Optional[str]:
     step = cert.steps[i]
     if not 0 <= step.axiom < len(cert.axioms):
         return f"axiom index {step.axiom} not among the {len(cert.axioms)} axioms"
-    if step.direction not in ("LR", "RL"):
-        raise MalformedCertificateError(f"step {i}: direction must be LR or RL")
     axiom = cert.axioms[step.axiom]
     a_side, b_side = (axiom.lhs, axiom.rhs) if step.direction == "LR" else (axiom.rhs, axiom.lhs)
-    missing = (a_side.variables | b_side.variables) - set(step.substitution)
-    if missing:
-        raise MalformedCertificateError(
-            f"step {i}: substitution missing variables {sorted(missing)}"
-        )
     if _step_side(step, a_side) != cert.chain[i]:
         return f"P·σ(A)·Q + R does not equal chain term {i}"
     if _step_side(step, b_side) != cert.chain[i + 1]:

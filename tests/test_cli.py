@@ -418,6 +418,8 @@ def test_a_refusal_inside_a_reader_names_the_file(capsys, tmp_path):
     cases = [
         (["validate"], {**_T2, "mul": [[True, 1], [1, 1]]}),
         (["construct", "flat-ext", "--table"], {"elements": ["0", "1"], "mul": [[0, 0], [0, 5]], "zero": 0}),
+        (["construct", "flat-ext", "--table"], {"elements": ["0", "1"], "mul": [[0, 0], [0, 1]]}),  # no zero
+        (["construct", "flat-ext", "--table"], {"elements": ["a", "a"], "mul": [[0, 0], [0, 1]], "zero": 0}),
         (["cert", "verify"], {"axioms": 5}),
     ]
     for i, (argv, doc) in enumerate(cases):
@@ -427,10 +429,21 @@ def test_a_refusal_inside_a_reader_names_the_file(capsys, tmp_path):
         code, out, err = run(capsys, argv + [path])
         assert (code, out) == (2, ""), argv
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
-    # tables that break a law are still reported, not refused
+    # tables that break a law are refused under the file's name by every
+    # command that reads a semiring, whatever name the file gives them
     path = str(tmp_path / "broken_laws.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({**_T2, "mul": [[1, 0], [0, 0]]}, fh)
+        json.dump({**_T2, "name": "B", "mul": [[1, 0], [0, 0]]}, fh)
+    for argv in (
+        ["check", "--semiring", path, "--identity", "x = x"],
+        ["construct", "dual", path],
+        ["iso", path, "T2"],
+        ["subdirect", path, "T2", "T2"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {path}: not an ai-semiring: ") and err.count("\n") == 1, err
+    # ... and are still reported, not refused, by validate
     code, out, err = run(capsys, ["validate", path])
     assert (code, err) == (1, "") and out.startswith("invalid")
 

@@ -25,7 +25,7 @@ from aisemiring.construct import (
     semiring_index,
     word_semiring,
 )
-from aisemiring.core import direct_product, find_embedding, find_isomorphism, natural_order, validate
+from aisemiring.core import MalformedTableError, direct_product, find_embedding, find_isomorphism, natural_order, validate
 
 
 def S(name):
@@ -60,6 +60,13 @@ def test_zero_cancellative():
     # the first (a, b, c) in row-major order with (ab)c != a(bc)
     with pytest.raises(ValueError, match=r"multiplication not associative at \(0,0,1\)"):
         FiniteSemigroup(elements=("0", "1"), mul=((1, 0), (0, 0)))
+
+
+def test_semigroup_element_names_are_distinct_strings():
+    for elements in ((1, 2), ("a", "a"), ("a",), "ab"):
+        with pytest.raises(MalformedTableError, match="element names"):
+            FiniteSemigroup(elements=elements, mul=((0, 0), (0, 0)), zero=0)
+    assert FiniteSemigroup(elements=["a", "b"], mul=((0, 0), (0, 0)), zero=0).elements == ("a", "b")
 
 
 def test_flat_from_groups():
