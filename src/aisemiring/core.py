@@ -199,16 +199,16 @@ class FiniteAiSemiring:
         elements: Optional[Sequence[str]] = None,
         name: str = "",
     ) -> "FiniteAiSemiring":
-        """A validated semiring; the dataclass constructor is the unchecked path.
-
-        Tables that break a law raise InvalidSemiringError named by ``name``."""
+        """A validated semiring, storing the tables it validated; the dataclass
+        constructor is the unchecked path. Tables that break a law raise
+        InvalidSemiringError named by ``name``."""
         if type(name) is not str:
             raise MalformedTableError(f"name must be a string, got {type(name).__name__}")
+        add = _as_table(add, "add")
+        mul = _as_table(mul, "mul", len(add))
         report = validate(add, mul)
         if not report.valid:
             raise InvalidSemiringError(report, name)
-        add = _as_table(add, "add")
-        mul = _as_table(mul, "mul", len(add))
         return cls(name=name, elements=element_names(len(add), elements), add=add, mul=mul)
 
     def renamed(self, name: str) -> "FiniteAiSemiring":

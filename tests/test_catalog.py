@@ -13,13 +13,15 @@ from aisemiring.core import (
     additive_height,
     canonical_form,
     direct_product,
+    dual,
     find_embedding,
     find_isomorphism,
     is_subdirect_embedding,
     natural_order,
     validate,
 )
-from aisemiring.terms import parse_identity
+from aisemiring.evaluate import check_basis, counterexample
+from aisemiring.terms import Identity, Term, Word, parse_identity
 
 
 def test_every_entry_validates(cat):
@@ -282,3 +284,77 @@ def test_building_refuses_an_invalid_table(monkeypatch):
     monkeypatch.setitem(catalog._ORDER4_MUL, 15, "1211111111111111")
     with pytest.raises(InvalidSemiringError, match=r"^S_\(4,15\): "):
         catalog._catalog.__wrapped__()
+
+
+
+def test_every_claim_kind_is_one_row_of_the_checks():
+    claims = [claim for entry in catalog.entries() for claim in entry.claims]
+    assert {claim.kind for claim in claims} == set(catalog._CHECKS)
+    for claim in claims:  # a row takes the entry and one semiring per arg
+        assert len(inspect.signature(catalog._CHECKS[claim.kind]).parameters) == 1 + len(claim.args), claim
+
+
+def _s7_clash(S):
+    """An identity p ≈ q in x, y that holds in S and fails in S7, or None.
+
+    S7 is generated by its 1 and a, so S7 lies in the variety of S iff
+    x -> 1, y -> a extends to the free algebra F_S(2). Its elements are the
+    functions S x S -> S of the terms in x and y; closing the pairs
+    (function, value in S7) under + and under products in both orders must
+    give each function one S7 value. A function reached with two values by
+    terms p and q is a clash, and p ≈ q is returned."""
+    S7 = catalog.get("S7").semiring
+    pairs = list(itertools.product(range(S.order), repeat=2))
+    cells = range(len(pairs))
+    x, y = Term([Word(("x",))]), Term([Word(("y",))])
+    # function -> (its S7 value, the first term found for it); 0 is S7's "1", 1 its "a"
+    known = {tuple(a for a, _ in pairs): (0, x), tuple(b for _, b in pairs): (1, y)}
+    frontier = list(known)
+    while frontier:
+        new = []
+        for f in list(known):
+            for g in frontier:
+                (u, p), (v, q) = known[f], known[g]
+                for h, value, term in (
+                    (tuple(S.add[f[i]][g[i]] for i in cells), S7.add[u][v], p + q),
+                    (tuple(S.mul[f[i]][g[i]] for i in cells), S7.mul[u][v], p * q),
+                    (tuple(S.mul[g[i]][f[i]] for i in cells), S7.mul[v][u], q * p),
+                ):
+                    if h not in known:
+                        known[h] = value, term
+                        new.append(h)
+                    elif known[h][0] != value:
+                        return Identity(known[h][1], term)
+        frontier = new
+    return None
+
+
+def test_s7_lies_in_the_variety_of_exactly_the_nonfinitely_based_entries():
+    S7 = catalog.get("S7").semiring
+    clashes = {}
+    for entry in catalog.entries(order=4):
+        clash = _s7_clash(entry.semiring)
+        assert (clash is None) == (entry.status == "nonfinitely-based"), entry.name
+        if clash is not None:
+            assert counterexample(entry.semiring, clash) is None, (entry.name, str(clash))
+            assert counterexample(S7, clash) is not None, (entry.name, str(clash))
+            clashes[entry.name] = clash
+    assert len(clashes) == 49
+
+
+def test_duals_keep_status_and_reversed_bases():
+    twins = {}
+    for entry in catalog.entries(order=4):
+        twin = catalog.get(catalog.classify(dual(entry.semiring)))
+        assert twin.status == entry.status, entry.name
+        twins[entry.name] = twin.name
+    assert all(twins[twin] == name for name, twin in twins.items())
+    assert sum(name == twin for name, twin in twins.items()) == 26
+    nfb = {entry.name for entry in catalog.entries(order=4, status="nonfinitely-based")}
+    assert {name: twin for name, twin in twins.items() if name in nfb and name != twin} == {
+        "S_(4,13)": "S_(4,24)", "S_(4,24)": "S_(4,13)", "S_(4,31)": "S_(4,49)", "S_(4,49)": "S_(4,31)",
+    }
+    for name in BASIS_NAMES:
+        entry = catalog.get(name)
+        reversed_basis = [identity.reverse() for identity in entry.basis]
+        assert check_basis(dual(entry.semiring), reversed_basis).all_hold, name

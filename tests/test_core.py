@@ -54,6 +54,19 @@ def test_bool_entries_are_malformed():
         FiniteAiSemiring.from_tables([[0, 1], [1, 1]], [[0, 0], [0, 0]], elements=[1, 2])
 
 
+def test_from_tables_reads_each_table_once():
+    add, mul = [[0, 1], [1, 1]], [[0, 0], [0, 1]]
+    expected = FiniteAiSemiring.from_tables(add, mul)
+    assert expected.order == 2
+    # iterators are spent by a first read, so a second read would see no rows
+    for once in (
+        (map(list, add), map(list, mul)),
+        ((row for row in add), mul),
+        (add, (row for row in mul)),
+    ):
+        assert FiniteAiSemiring.from_tables(*once) == expected
+
+
 def test_public_names_snapshot():
     import aisemiring
 
