@@ -31,7 +31,11 @@ only on n and k (its depth, lane width and size, its letters' lane ints) is
 built once per (n, k) and kept in a bounded cache.  The rest, the two lane
 ops and the word lanes, lives in one call of ``counterexample``, and its
 closure ``column`` lanes a term through it.  When every variable fits in
-the block, the block is decided at once, with no search, memo or stack.
+the block, the block is decided at once, with no search, memo or stack, and
+its lane ints are keyed by the variable names, so the words are laned as
+they are, with no relabeling.  Only the search relabels: it renames the
+variables, in sorted order, to the ints n..n+k-1, so that ``_reduce`` can
+tell a letter from an element.
 
 At every depth below the first, the block depth included, a state whose
 subtree held is remembered by its depth and its two sides, so an identical
@@ -261,9 +265,7 @@ def counterexample(
         )
     if n == 1:  # one element satisfies every identity, however many variables
         return None
-    letter = dict(zip(variables, range(n, n + k))).__getitem__
-    lhs = frozenset([tuple(map(letter, w)) for w in identity.lhs])
-    rhs = frozenset([tuple(map(letter, w)) for w in identity.rhs])
+    lhs, rhs = frozenset(identity.lhs), frozenset(identity.rhs)
     if lhs == rhs:
         return None
     add, mul = S.add, S.mul
@@ -286,9 +288,13 @@ def counterexample(
             col = lane if col is None else lane_add(col, lane)
         return col
 
-    if not top:  # every letter is in the block
+    if not top:  # every letter is in the block: lane the words by letter name
+        block = dict(zip(variables, block.values()))  # the letters n..n+k-1 in order
         diff = _block_diff(lhs, rhs, column)
         return dict(zip(variables, _lane_values(diff, width, n, k))) if diff else None
+    letter = dict(zip(variables, range(n, n + k))).__getitem__  # _reduce tells letters from elements
+    lhs = frozenset([tuple(map(letter, w)) for w in identity.lhs])
+    rhs = frozenset([tuple(map(letter, w)) for w in identity.rhs])
     block = {c: c * ones for c in range(n)} | block  # reduced words hold elements; column reads it
     room = MEMO_LETTERS // (sum(map(len, lhs)) + sum(map(len, rhs)))  # memo entries allowed
     word_room = MEMO_LETTERS // (lane_letters + max(map(len, lhs | rhs)))

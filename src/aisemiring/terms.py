@@ -8,9 +8,11 @@ concatenation.  Every identity between terms reduces to a family of
 
 Parsing reads a flat side, a sum of products of variables each with at most
 one exponent and no parentheses, with regular expressions alone; the
-identities a basis check reads are almost all flat.  Every other text, and
-flat text past a bound, goes to the recursive-descent ``_Parser``, which
-gives every syntax error and its position.
+identities a basis check reads are almost all flat.  A summand without '^'
+is one ``findall`` of its letters, and only a summand with '^' is read
+(variable, exponent) pair by pair.  Every other text, and flat text past a
+bound, goes to the recursive-descent ``_Parser``, which gives every syntax
+error and its position.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 
 class TermSyntaxError(ValueError):
@@ -210,6 +212,7 @@ _TOKEN = re.compile(r"(?P<var>[A-Za-z][0-9]*)|(?P<num>[0-9]+)|(?P<op>[+*^()=])|(
 _FLAT_FACTOR = r"[A-Za-z][0-9]*(?:\s*\^\s*[1-9][0-9]{0,3})?"
 _FLAT_SIDE = re.compile(rf"\s*{_FLAT_FACTOR}(?:\s*(?:[*+]\s*)?{_FLAT_FACTOR})*\s*")
 _FLAT_POWERS = re.compile(r"([A-Za-z][0-9]*)(?:\s*\^\s*([0-9]+))?")  # (variable, exponent) pairs
+_FLAT_LETTERS = re.compile(r"[A-Za-z][0-9]*")  # the letters of a summand without '^'
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -327,12 +330,14 @@ def _times(a: tuple[tuple[str, ...], ...], b: tuple[tuple[str, ...], ...]) -> tu
     return tuple(dict.fromkeys(x + y for x in a for y in b))
 
 
-def _flat_side(text: str) -> Optional[list[tuple[str, ...]]]:
-    """The words of a flat side, or None for any text ``_Parser`` must read.
+def _flat_side(text: str) -> Optional[list[list[str]]]:
+    """The letter lists of the words of a flat side, or None for any text
+    ``_Parser`` must read.
 
     That is every text with parentheses, a repeated or trailing operator, a
     second exponent, an exponent that is zero or has a leading zero, and
-    every text past a bound, so that ``_Parser`` raises each error.
+    every text past a bound, so that ``_Parser`` raises each error.  A
+    summand without '^' is read by one ``findall`` of its letters.
     """
     if not _FLAT_SIDE.fullmatch(text):
         return None
@@ -341,17 +346,20 @@ def _flat_side(text: str) -> Optional[list[tuple[str, ...]]]:
         return None
     words = []
     for summand in summands:
-        letters = []
-        for variable, exponent in _FLAT_POWERS.findall(summand):
-            if exponent:  # checked before the repeat: only letters written out pass the bound
-                if len(letters) + int(exponent) > MAX_WORD_LENGTH:
-                    return None
-                letters += [variable] * int(exponent)
-            else:
-                letters.append(variable)
+        if "^" in summand:
+            letters = []
+            for variable, exponent in _FLAT_POWERS.findall(summand):
+                if exponent:  # checked before the repeat: only letters written out pass the bound
+                    if len(letters) + int(exponent) > MAX_WORD_LENGTH:
+                        return None
+                    letters += [variable] * int(exponent)
+                else:
+                    letters.append(variable)
+        else:
+            letters = _FLAT_LETTERS.findall(summand)
         if len(letters) > MAX_WORD_LENGTH:
             return None
-        words.append(tuple(letters))
+        words.append(letters)
     return words
 
 
@@ -369,8 +377,8 @@ def _check_bounds(words: int, length: int) -> None:
         raise ValueError(f"word longer than {MAX_WORD_LENGTH} letters")
 
 
-def _parsed_term(words: Iterable[tuple[str, ...]]) -> Term:
-    """The term of parsed letter tuples; the parser makes no empty word."""
+def _parsed_term(words: Iterable[Sequence[str]]) -> Term:
+    """The term of parsed letter tuples or lists; the parsers make no empty word."""
     return Term([tuple.__new__(Word, w) for w in words])
 
 

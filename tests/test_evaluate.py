@@ -575,3 +575,46 @@ def test_block_contexts_keep_under_their_stated_bound():
     entries = evaluate._block_context.cache_info().currsize
     assert entries == 8
     assert kept < entries * 12 * 1024
+
+
+# letters whose sorted order is not the order they appear in: x10 < x2 and B < a
+_NAME_POOLS = (
+    ["x2", "x10", "a", "B", "z7", "x100", "b", "A", "y", "x11", "Z"],
+    ["a", "B", "x2", "x10", "Z", "x11", "y", "A", "b", "x100", "z7"],
+)
+
+
+def test_witnesses_follow_sorted_names_in_and_above_the_block():
+    # k = tail puts every variable in the block, where its lanes are keyed by
+    # name; k = tail + 1 puts one variable above it, where the search relabels
+    rng = random.Random(12)
+    algebras = [S("D2"), S("S_(4,20)"), _square("S_(4,4)"), catalog.resolve("@prod:S_(4,4),@prod:T2,S7")]
+    assert [A.order for A in algebras] == [2, 4, 16, 24]  # 24 gives lanes of two bytes
+    searched = set()
+    for algebra in algebras:
+        n = algebra.order
+        tail = _tail_length(n)
+        held = failed = 0
+        for k in (tail, tail + 1):
+            searched.add(evaluate._block_context(n, k)[0] > 0)
+            for pool in _NAME_POOLS:
+                names = pool[:k]
+                assert names != sorted(names)
+                word = "".join(names)
+                extra = "".join(rng.choice(names) for _ in range(2))
+                texts = [
+                    f"{word} ≈ {''.join(reversed(names))}",
+                    f"{names[-1]}^2{word} ≈ {word}",
+                    f"{word} + {names[0]} ≈ {word} + {names[0]} + {extra}",
+                ]
+                for text in texts:
+                    identity = parse_identity(text)
+                    expected = _reference_counterexample(algebra, identity)
+                    witness = counterexample(algebra, identity)
+                    assert witness == expected, (n, text)
+                    if witness is not None:
+                        assert list(witness) == sorted(names)
+                    held += expected is None
+                    failed += expected is not None
+        assert held and failed, n
+    assert searched == {False, True}

@@ -517,3 +517,29 @@ def test_flat_text_past_the_word_bound_builds_no_long_word(power):
 def test_parser_matches_reference_on_hostile_text(text):
     for candidate in (text, f"{text} = x", f"x ≈ {text}") if isinstance(text, str) else (text,):
         _assert_parsers_agree(candidate)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "x1x2 * y^3 + x10x2\tz + x^2y*x1x2 + a * B",
+        "\tx12x1 + x1^2x2\t*\tx1 + y^1024 + x1x2x1",
+        "B a^2 x10 + x2\tB*a + x10^3 + Ba",
+        " + ".join(["x1x2", "y^2 x3", "x3 * y^2", "x1x2"]),
+    ],
+)
+def test_flat_reader_agrees_with_the_parser_on_summands_with_and_without_powers(text):
+    flat = terms_module._flat_side(text)
+    assert flat is not None
+    assert tuple(dict.fromkeys(map(tuple, flat))) == terms_module._Parser(text).term()
+
+
+def test_a_long_word_without_a_power_is_refused_as_before():
+    for text, position in (("x" * 1025, 1024), ("y^2 + " + "\t".join(["x1x2"] * 512) + " * z", 2568)):
+        assert terms_module._flat_side(text) is None
+        with pytest.raises(TermSyntaxError) as exc:
+            parse_term(text)
+        assert (str(exc.value), exc.value.position) == (
+            f"word longer than 1024 letters (at position {position})",
+            position,
+        )
