@@ -461,8 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(commands, "enumerate", _cmd_enumerate, "census of ai-semirings up to isomorphism")
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--height1", action="store_true", help="only additive height 1")
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--out", help="directory for semiring JSON files plus an index")
+    p.add_argument("--count-only", action="store_true", help="leave the keys out of the --json payload")
+    p.add_argument("--out", help="a new or empty directory for semiring JSON files plus an index")
     p.add_argument(
         "--workers",
         type=_at_least_1,
@@ -556,9 +556,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             pass
         print("error: standard output was closed before the output was written", file=sys.stderr)
         return EXIT_USAGE
-    except (CliError, catalog.CatalogError, BudgetExceededError, ValueError, OSError) as exc:
+    except (CliError, catalog.CatalogError, BudgetExceededError, ValueError, OSError, RecursionError) as exc:
         # MalformedTableError, InvalidSemiringError, TermSyntaxError and
-        # MalformedCertificateError are ValueErrors
+        # MalformedCertificateError are ValueErrors; a RecursionError is a
+        # homomorphism search deeper than the stack (one level per element)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,11 +1,12 @@
 import ast
+import collections
 import hashlib
 import inspect
 import itertools
 
 import pytest
 
-from aisemiring import catalog, census, core
+from aisemiring import catalog, census, construct, core
 from aisemiring.catalog import BASIS_NAMES, CatalogEntry, CatalogError, Claim, expand_basis
 from aisemiring.core import (
     FiniteAiSemiring,
@@ -340,6 +341,28 @@ def test_s7_lies_in_the_variety_of_exactly_the_nonfinitely_based_entries():
             assert counterexample(S7, clash) is not None, (entry.name, str(clash))
             clashes[entry.name] = clash
     assert len(clashes) == 49
+
+
+def test_s7_splits_the_order4_census(order4_census):
+    # each class by (S7 in V(S), nfb_witness concludes, S7 embeds)
+    S7 = catalog.get("S7").semiring
+    facts = {}
+    for S, key in zip(order4_census.semirings, order4_census.keys):
+        clash = _s7_clash(S)
+        if clash is not None:
+            assert counterexample(S, clash) is None, (S.name, str(clash))
+            assert counterexample(S7, clash) is not None, (S.name, str(clash))
+        member, witness, embeds = clash is None, construct.nfb_witness(S).conclusion, find_embedding(S7, S) is not None
+        assert member >= embeds >= witness, S.name  # a witness needs an embedding, which gives membership
+        facts[key] = member, witness, embeds
+    for S, key in zip(order4_census.semirings, order4_census.keys):
+        assert facts[canonical_form(dual(S))] == facts[key], S.name
+    assert collections.Counter(facts.values()) == {
+        (False, False, False): 821,
+        (True, True, True): 31,
+        (True, False, True): 7,
+        (True, False, False): 7,
+    }
 
 
 def test_duals_keep_status_and_reversed_bases():

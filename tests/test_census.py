@@ -455,33 +455,43 @@ def test_height1_is_the_classes_of_additive_height_one(monkeypatch, order3_censu
 
 def test_write_census(tmp_path):
     result = enumerate_ai_semirings(2)
-    index = write_census(result, str(tmp_path))
+    out = tmp_path / "census"
+    index = write_census(result, str(out))
     lines = open(index).read().strip().splitlines()
     assert len(lines) == 6
     for line in lines:
         key, filename = line.split()
-        data = (tmp_path / filename).read_text()
+        data = (out / filename).read_text()
         S = FiniteAiSemiring.from_dict(json.loads(data))
         assert canonical_form(S).hex() == key
-    # a smaller census written over a larger one leaves no stale file behind
-    small = enumerate_ai_semirings(1)
-    index = write_census(small, str(tmp_path))
-    names = sorted(p.name for p in tmp_path.iterdir())
-    assert names == sorted(["index.txt"] + [f"{S.name}.json" for S in small.semirings])
-    assert len(open(index).read().strip().splitlines()) == len(small.semirings) == 1
-    assert [p.name for p in tmp_path.parent.iterdir() if p.name.startswith(f".{tmp_path.name}.")] == []
-    # a directory holding anything besides a census is refused and left as it was
-    (tmp_path / "notes.txt").write_text("not a census\n")
-    with pytest.raises(ValueError, match="not a census"):
-        write_census(result, str(tmp_path))
-    assert (tmp_path / "notes.txt").read_text() == "not a census\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["notes.txt"])
-    assert [p.name for p in tmp_path.parent.iterdir() if p.name.startswith(f".{tmp_path.name}.")] == []
-    (tmp_path / "notes.txt").unlink()
-    (tmp_path / "sub").mkdir()
-    with pytest.raises(ValueError, match="not a census"):
-        write_census(result, str(tmp_path))
-    assert (tmp_path / "sub").is_dir()
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(["index.txt"] + [f"{S.name}.json" for S in result.semirings])
+    # an existing empty directory, and a new one with new parents, get the same files
+    (tmp_path / "empty").mkdir()
+    for fresh in (tmp_path / "empty", tmp_path / "new" / "parents" / "census"):
+        write_census(result, str(fresh))
+        assert {p.name: p.read_bytes() for p in fresh.iterdir()} == {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def refused(out_dir):
+        """write_census refuses out_dir and writes nothing, not even its fresh sibling."""
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        with pytest.raises(ValueError, match="not an empty directory") as info:
+            write_census(enumerate_ai_semirings(1), str(out_dir))
+        assert str(info.value).startswith(str(out_dir))
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert list(tmp_path.rglob(".*")) == []
+
+    # an earlier census is refused and left as it was
+    refused(out)
+    assert sorted(p.name for p in out.iterdir()) == names
+    # so is a directory holding anything besides a census, and a file
+    (out / "notes.txt").write_text("not a census\n")
+    refused(out)
+    refused(out / "notes.txt")
+    (out / "notes.txt").unlink()
+    (out / "sub").mkdir()
+    refused(out)
+    assert sorted(p.name for p in out.iterdir()) == sorted(names + ["sub"])
 
 
 def test_classify_examples():

@@ -1,3 +1,4 @@
+import inspect
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from aisemiring import catalog, cli
 from aisemiring.census import enumerate_ai_semirings
-from aisemiring.core import FiniteAiSemiring
+from aisemiring.core import FiniteAiSemiring, element_names
 from aisemiring.cli import main
 
 
@@ -295,6 +296,24 @@ def test_unknown_reference_is_usage_error(capsys):
 def test_out_of_range_order_is_usage_error(capsys):
     code, _, err = run(capsys, ["enumerate", "--order", "7"])
     assert code == 2 and "error" in err
+
+
+def test_a_hom_search_deeper_than_the_stack_is_a_usage_error(capsys, monkeypatch):
+    # the search recurses once per source element; a flat semiring of n
+    # elements (zero product) is unchecked, so it is built at no cost
+    n = 300
+    add = tuple(tuple(a if a == b else 0 for b in range(n)) for a in range(n))
+    flat = FiniteAiSemiring("flat", element_names(n), add, ((0,) * n,) * n)
+    monkeypatch.setattr(cli, "resolve_ref", lambda ref: flat)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + n // 2)  # n levels do not fit
+    try:
+        for command in ("iso", "embed"):
+            code, out, err = run(capsys, [command, "A", "B"])
+            assert code == 2 and out == "", command
+            assert err.startswith("error:") and err.count("\n") == 1, (command, err)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_budget_overrun_is_usage_error(capsys):
