@@ -454,6 +454,16 @@ def enumerate_ai_semirings(n: int, workers: int = 1) -> CensusResult:
     )
 
 
+def check_census_dir(out_dir: str) -> tuple[str, bool]:
+    """The real path of ``out_dir`` and whether it exists; raises ValueError
+    unless ``out_dir`` is new or an empty directory."""
+    target = os.path.realpath(out_dir)
+    exists = os.path.lexists(target)
+    if exists and (not os.path.isdir(target) or os.listdir(target)):
+        raise ValueError(f"{out_dir} exists and is not an empty directory; give a new or empty one")
+    return target, exists
+
+
 def write_census(result: CensusResult, out_dir: str) -> str:
     """Persist a census as one JSON file per algebra plus an index of
     canonical keys; returns the index path.
@@ -466,10 +476,7 @@ def write_census(result: CensusResult, out_dir: str) -> str:
     failure removes only that fresh directory."""
     if len(result.keys) != len(result.semirings):
         raise ValueError(f"the census has {len(result.semirings)} semirings but {len(result.keys)} keys")
-    target = os.path.realpath(out_dir)
-    exists = os.path.lexists(target)
-    if exists and (not os.path.isdir(target) or os.listdir(target)):
-        raise ValueError(f"{out_dir} exists and is not an empty directory; give a new or empty one")
+    target, exists = check_census_dir(out_dir)
     parent, base = os.path.split(target)
     os.makedirs(parent, exist_ok=True)
     fresh = os.path.join(parent, f".{base}.{os.urandom(8).hex()}")

@@ -20,7 +20,7 @@ import time
 from typing import Optional
 
 from . import catalog, construct, criteria, derivation
-from .census import enumerate_ai_semirings, write_census
+from .census import check_census_dir, enumerate_ai_semirings, write_census
 from .core import (
     FiniteAiSemiring,
     InvalidSemiringError,
@@ -161,6 +161,8 @@ def _cmd_enumerate(args):
         # up to order 4 a serial census takes under 0.1 s, and starting
         # processes costs about what they save (README gives the timings)
         workers = 1 if args.order <= 4 else _available_processors()
+    if args.out:
+        check_census_dir(args.out)  # refused now, not after the census; write_census checks again
     result = enumerate_ai_semirings(args.order, workers=workers)
     chosen, keys = result.semirings, result.keys
     if args.height1:  # a subsequence of the semirings, walked by identity: no table is hashed
@@ -556,10 +558,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             pass
         print("error: standard output was closed before the output was written", file=sys.stderr)
         return EXIT_USAGE
-    except (CliError, catalog.CatalogError, BudgetExceededError, ValueError, OSError, RecursionError) as exc:
+    except (CliError, catalog.CatalogError, BudgetExceededError, ValueError, OSError) as exc:
         # MalformedTableError, InvalidSemiringError, TermSyntaxError and
-        # MalformedCertificateError are ValueErrors; a RecursionError is a
-        # homomorphism search deeper than the stack (one level per element)
+        # MalformedCertificateError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -412,7 +412,9 @@ def _search_hom(S: FiniteAiSemiring, T: FiniteAiSemiring) -> Iterator[tuple[int,
 
     Backtracking assigns images in source-index order.  Each constraint
     f(a op b) = f(a) op f(b) is checked once, at the index where the last of
-    a, b and a op b gets its image.
+    a, b and a op b gets its image.  The search keeps its path on an explicit
+    stack, so the source order is not limited by the interpreter's recursion
+    limit.
     """
     n, m = S.order, T.order
     checks: list[list[tuple[Table, int, int, int]]] = [[] for _ in range(n)]
@@ -420,14 +422,18 @@ def _search_hom(S: FiniteAiSemiring, T: FiniteAiSemiring) -> Iterator[tuple[int,
         for a in range(n):
             for b, k in enumerate(sop[a]):
                 checks[max(a, b, k)].append((top, a, b, k))
-    img = [0] * n
+    img = [-1] * n  # the image tried at each index of the path; -1: none yet
     used = [False] * m
-
-    def extend(i: int) -> Iterator[tuple[int, ...]]:
+    i = 0
+    while i >= 0:
         if i == n:
             yield tuple(img)
-            return
-        for t in range(m):
+            i -= 1
+            continue
+        t = img[i]
+        if t >= 0:
+            used[t] = False
+        for t in range(t + 1, m):
             if used[t]:
                 continue
             img[i] = t
@@ -436,10 +442,11 @@ def _search_hom(S: FiniteAiSemiring, T: FiniteAiSemiring) -> Iterator[tuple[int,
                     break
             else:
                 used[t] = True
-                yield from extend(i + 1)
-                used[t] = False
-
-    return extend(0)
+                i += 1
+                break
+        else:
+            img[i] = -1
+            i -= 1
 
 
 def _first(S: FiniteAiSemiring, T: FiniteAiSemiring, maps: Iterator[tuple[int, ...]]) -> Optional[Morphism]:

@@ -298,22 +298,37 @@ def test_out_of_range_order_is_usage_error(capsys):
     assert code == 2 and "error" in err
 
 
-def test_a_hom_search_deeper_than_the_stack_is_a_usage_error(capsys, monkeypatch):
-    # the search recurses once per source element; a flat semiring of n
-    # elements (zero product) is unchecked, so it is built at no cost
+def test_a_hom_search_longer_than_the_stack_finds_the_identity(capsys, monkeypatch):
+    # the search keeps its path on a list, not the call stack; a flat
+    # semiring of n elements (zero product) is unchecked, so it is built at no cost
     n = 300
     add = tuple(tuple(a if a == b else 0 for b in range(n)) for a in range(n))
     flat = FiniteAiSemiring("flat", element_names(n), add, ((0,) * n,) * n)
     monkeypatch.setattr(cli, "resolve_ref", lambda ref: flat)
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack(0)) + n // 2)  # n levels do not fit
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)  # far fewer frames than elements
     try:
         for command in ("iso", "embed"):
-            code, out, err = run(capsys, [command, "A", "B"])
-            assert code == 2 and out == "", command
-            assert err.startswith("error:") and err.count("\n") == 1, (command, err)
+            code, payload, err = run_json(capsys, [command, "A", "B"])
+            assert code == 0 and err == "", (command, err)
+            assert payload["morphism"]["map"] == {e: e for e in flat.elements}, command
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_an_occupied_out_is_refused_before_the_census(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the census ran before --out was checked")
+
+    monkeypatch.setattr(cli, "enumerate_ai_semirings", refuse)
+    occupied = tmp_path / "census"
+    occupied.mkdir()
+    (occupied / "index.txt").write_text("kept\n")
+    code, out, err = run(capsys, ["enumerate", "--order", "6", "--out", str(occupied)])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert os.listdir(occupied) == ["index.txt"] and (occupied / "index.txt").read_text() == "kept\n"
+    assert os.listdir(tmp_path) == ["census"]  # no fresh sibling either
 
 
 def test_budget_overrun_is_usage_error(capsys):

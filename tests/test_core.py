@@ -425,6 +425,10 @@ def test_search_hom_lists_every_injective_hom_in_order():
     order4 = [T for T in entries if T.order == 4]
     pairs += [(rng.choice(entries), rng.choice(order4)) for _ in range(150)]
     pairs += [(S, S) for S in rng.sample(order4, 10)] + [(dual(s4k(41)), s4k(16)), (dual(s4k(47)), s4k(21))]
+    # 3x3 products, the targets of the subdirect path above order 4; the first three are subdirect-in claims
+    triples = [("S_(4,6)", "S6", "S6"), ("S_(4,12)", "S4", "S6"), ("S_(4,47)", "S4", "S9"), ("S7", "S7", "S15")]
+    for S, A, B in ([catalog.get(name).semiring for name in names] for names in triples):
+        pairs.append((S, direct_product(A, B)))
     found = []
     for S, T in pairs:
         expected = _brute_force_homs(S, T)
