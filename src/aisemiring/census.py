@@ -437,8 +437,7 @@ def enumerate_ai_semirings(n: int, workers: int = 1) -> CensusResult:
         if add != last_add:  # the least class over a new addition: one n! scan each
             if canonical_form(S) != key:
                 raise RuntimeError("census key differs from canonical_form; dedup bug")
-            # the height depends on the addition alone; the order laws
-            # ``natural_order`` checks for it follow from each class's validate
+            # the height depends on the addition alone, and is read off it
             height = additive_height(S)
             last_add = add
         last_key = key

@@ -226,14 +226,16 @@ def m(*texts: str) -> FiniteAiSemiring:
 # flatness and extensions
 
 
+def _flat_top(S: FiniteAiSemiring) -> Optional[int]:
+    """The top of a flat semiring, None if S is not flat."""
+    n, t = S.order, natural_order(S).top
+    zero = all(S.mul[t][a] == t == S.mul[a][t] for a in range(n))
+    return t if zero and all(S.add[a][b] == t for a, b in itertools.permutations(range(n), 2)) else None
+
+
 def is_flat(S: FiniteAiSemiring) -> bool:
     """Top is a multiplicative zero and the sum of any two distinct elements."""
-    n = S.order
-    order = natural_order(S)
-    t = order.top
-    if any(S.mul[t][a] != t or S.mul[a][t] != t for a in range(n)):
-        return False
-    return all(S.add[a][b] == t for a, b in itertools.product(range(n), repeat=2) if a != b)
+    return _flat_top(S) is not None
 
 
 def semigroup_reduct(S: FiniteAiSemiring) -> FiniteSemigroup:
@@ -251,10 +253,10 @@ def _fresh_name(taken: Sequence[str], base: str) -> str:
 
 
 def _extend_flat(S: FiniteAiSemiring, new_name: str, idempotent: bool) -> FiniteAiSemiring:
-    if not is_flat(S):
+    t = _flat_top(S)
+    if t is None:
         raise NotFlatError(f"{S.name or 'semiring'} is not flat")
     n = S.order
-    t = natural_order(S).top
     b = n  # index of the adjoined element
     mul = [list(row) + [t] for row in S.mul] + [[t] * n + [b if idempotent else t]]
     elements = S.elements + (_fresh_name(S.elements, new_name),)

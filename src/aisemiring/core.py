@@ -143,6 +143,9 @@ def _right_distributivity(add: Table, mul: Table, symmetric: bool) -> Optional[t
 def validate(add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]]) -> ValidationReport:
     """Check the ai-semiring laws, reporting the first witness per violated law.
 
+    These are the only laws the package checks; the laws of the natural order
+    follow from them, and ``natural_order`` assumes them.
+
     Malformed input (shape or range) raises ``MalformedTableError`` instead of
     being reported as a law violation.  The violations of the addition's own
     laws are kept for the 64 additions seen last, so a census that validates
@@ -243,50 +246,30 @@ class NaturalOrder:
         return tuple(b for b in range(len(self.leq)) if self.leq[b][a])
 
 
-def _order_failure(law: str, witness: tuple[int, ...]) -> InvalidSemiringError:
-    return InvalidSemiringError(ValidationReport(False, ((law, witness),)))
-
-
 def natural_order(S: FiniteAiSemiring) -> NaturalOrder:
-    """Compute the natural order of a valid semiring and verify compatibility.
+    """The natural order a <= b iff a + b = b, and its top, the sum of all elements.
 
-    A failure raises InvalidSemiringError naming the law of the order that
-    broke: add-idempotence (reflexivity), order-antisymmetry, order-top (no
-    greatest element, or more than one), order-add-compatibility or
-    order-mul-compatibility.
+    The order is read off the addition; no law is checked here.  That it is
+    a partial order with a top, compatible with + and *, follows from the
+    semiring laws, which ``validate`` (and so ``from_tables``) checks.  On
+    unchecked tables that break them the result has no meaning.
     """
-    n = S.order
-    leq = tuple(tuple(S.add[a][b] == b for b in range(n)) for a in range(n))
-    for a in range(n):
-        if not leq[a][a]:
-            raise _order_failure("add-idempotence", (a,))
-        for b in range(n):
-            if a != b and leq[a][b] and leq[b][a]:
-                raise _order_failure("order-antisymmetry", (a, b))
-    tops = [b for b in range(n) if all(leq[a][b] for a in range(n))]
-    if len(tops) != 1:
-        raise _order_failure("order-top", tuple(tops))
-    # compatibility with both operations; a theorem for valid tables, checked anyway
-    for a, b, c in itertools.product(range(n), repeat=3):
-        if leq[a][b]:
-            if not leq[S.add[a][c]][S.add[b][c]]:
-                raise _order_failure("order-add-compatibility", (a, b, c))
-            if not (leq[S.mul[a][c]][S.mul[b][c]] and leq[S.mul[c][a]][S.mul[c][b]]):
-                raise _order_failure("order-mul-compatibility", (a, b, c))
-    return NaturalOrder(leq=leq, top=tops[0])
+    leq = tuple(tuple(row[b] == b for b in range(S.order)) for row in S.add)
+    top = 0
+    for a in range(1, S.order):
+        top = S.add[top][a]
+    return NaturalOrder(leq=leq, top=top)
 
 
 def additive_height(S: FiniteAiSemiring) -> int:
     """Length in edges of the longest chain of the natural order."""
-    order = natural_order(S)
+    leq = natural_order(S).leq
     n = S.order
-    below_counts = sorted(range(n), key=lambda x: sum(order.leq[y][x] for y in range(n)))
-    height = {x: 0 for x in range(n)}
-    for x in below_counts:
-        for y in range(n):
-            if y != x and order.leq[y][x]:
-                height[x] = max(height[x], height[y] + 1)
-    return max(height.values())
+    height = [0] * n
+    # an element strictly below x has fewer elements below it, so is done first
+    for x in sorted(range(n), key=lambda x: sum(leq[y][x] for y in range(n))):
+        height[x] = max((height[y] + 1 for y in range(n) if y != x and leq[y][x]), default=0)
+    return max(height)
 
 
 def dual(S: FiniteAiSemiring) -> FiniteAiSemiring:

@@ -55,6 +55,11 @@ def test_zero_cancellative():
     assert not is_zero_cancellative(bad)
     with pytest.raises(NotZeroCancellativeError):
         flat_from_semigroup(bad)
+    # x * y = y off the zero: 1 * 1 = 2 * 1 = 1 breaks right 0-cancellativity
+    right_zero = FiniteSemigroup(elements=("0", "1", "2"), mul=((0, 0, 0), (0, 1, 2), (0, 1, 2)), zero=0)
+    with pytest.raises(NotZeroCancellativeError) as info:
+        flat_from_semigroup(right_zero)
+    assert (info.value.side, info.value.triple) == ("right", (1, 1, 2))
     with pytest.raises(ValueError):
         is_zero_cancellative(FiniteSemigroup(elements=("x",), mul=((0,),)))
     # the first (a, b, c) in row-major order with (ab)c != a(bc)

@@ -110,6 +110,8 @@ def test_validate_malformed_is_distinct_from_invalid():
         validate(((0, 1), (1, 1)), ((0, 5), (0, 1)))
     with pytest.raises(InvalidSemiringError):
         FiniteAiSemiring.from_tables(((0, 1), (1, 1)), ((1, 0), (0, 0)))
+    with pytest.raises(MalformedTableError, match="^empty table$"):
+        validate((), ())
 
 
 def _reference_validate(add, mul):
@@ -244,28 +246,27 @@ def test_natural_order_tops():
     assert L2.elements[natural_order(L2).top] == "1"
 
 
-ZERO2 = ((0, 0), (0, 0))
+def _longest_chain(S):
+    """Edges in the longest chain a0 < a1 < ... under a + b = b, by trying every sequence."""
+    rng = range(S.order)
+    return max(
+        len(chain) - 1
+        for k in range(1, S.order + 1)
+        for chain in itertools.permutations(rng, k)
+        if all(S.add[a][b] == b for a, b in zip(chain, chain[1:]))
+    )
 
 
-@pytest.mark.parametrize(
-    "add, mul, law, witness",
-    [
-        (((1, 1), (1, 1)), ZERO2, "add-idempotence", (0,)),
-        # 0 + 1 = 1 and 1 + 0 = 0: each is below the other
-        (((0, 1), (0, 1)), ZERO2, "order-antisymmetry", (0, 1)),
-        # a + b = a: no element lies above both
-        (((0, 0), (1, 1)), ZERO2, "order-top", ()),
-        # 1 <= 0 while 1 + 2 = 0 is not below 0 + 2 = 1
-        (((0, 0, 1), (0, 1, 0), (0, 0, 2)), ((0,) * 3,) * 3, "order-add-compatibility", (1, 0, 2)),
-        # the chain 0 < 1 with 0 * 0 = 1 above 1 * 0 = 0
-        (((0, 1), (1, 1)), ((1, 0), (0, 0)), "order-mul-compatibility", (0, 1, 0)),
-    ],
-)
-def test_natural_order_names_the_broken_order_law(add, mul, law, witness):
-    S = FiniteAiSemiring(name="", elements=tuple(map(str, range(len(add)))), add=add, mul=mul)
-    with pytest.raises(InvalidSemiringError) as info:
-        natural_order(S)
-    assert info.value.report.violations == ((law, witness),)
+def test_natural_order_is_read_off_the_addition(order3_census, order4_census, cat):
+    censuses = [enumerate_ai_semirings(1), enumerate_ai_semirings(2), order3_census, order4_census]
+    semirings = [S for result in censuses for S in result.semirings] + [e.semiring for e in cat.values()]
+    assert len(semirings) == 1 + 6 + 61 + 866 + 74
+    for S in semirings:
+        rng = range(S.order)
+        order = natural_order(S)
+        assert [b for b in rng if all(S.add[a][b] == b for a in rng)] == [order.top], S.name
+        assert order.leq == tuple(tuple(S.add[a][b] == b for b in rng) for a in rng), S.name
+        assert additive_height(S) == _longest_chain(S), S.name
 
 
 def test_additive_height():
@@ -319,6 +320,12 @@ def test_generated_subalgebra():
     assert find_isomorphism(sub, catalog.get("S10").semiring) is not None
     assert validate(sub.add, sub.mul).valid
 
+    L2 = catalog.get("L2").semiring
+    with pytest.raises(ValueError, match="nonempty"):
+        generated_subalgebra(L2, ())
+    with pytest.raises(ValueError, match="out of range"):
+        generated_subalgebra(L2, (2,))
+
 
 def test_canonical_form_permutation_invariance():
     S = s4k(16)
@@ -337,6 +344,10 @@ def test_canonical_form_separates_and_matches():
     assert canonical_form(catalog.get("S2").semiring) != canonical_form(catalog.get("S4").semiring)
     assert canonical_form(s4k(16)) == canonical_form(dual(s4k(41)))
     assert canonical_form(s4k(4)) != canonical_form(s4k(8))
+    flat9 = construct.flat_from_semigroup(construct.cyclic_group_with_zero(8))
+    assert flat9.order == 9
+    with pytest.raises(ValueError, match="order <= 8"):
+        canonical_form(flat9)
 
 
 def test_find_isomorphism_examples():
@@ -378,6 +389,9 @@ def test_subdirect_embedding():
     assert found is not None
     assert len(set(found.mapping)) == found.source.order
     assert is_subdirect_embedding(S7, T2, T2) is None
+    # nine elements do not fit injectively into L2 x T2
+    L2 = catalog.get("L2").semiring
+    assert is_subdirect_embedding(catalog.resolve("@prod:S7,S7"), L2, T2) is None
 
 
 def test_products_past_the_built_order_are_refused():

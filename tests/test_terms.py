@@ -52,6 +52,8 @@ def test_parse_errors_carry_positions():
         parse_term("(x + y")
     with pytest.raises(TermSyntaxError):
         parse_identity("x + y")
+    with pytest.raises(TermSyntaxError, match=r"^trailing input after identity \(at position 6\)$"):
+        parse_identity("x = y = z")
     with pytest.raises(TermSyntaxError) as exc:
         parse_term("x ? y")
     assert exc.value.position == 2
