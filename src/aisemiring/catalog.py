@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import construct
 from .core import (
@@ -43,8 +43,7 @@ class CatalogError(KeyError):
     __str__ = Exception.__str__  # the message, not KeyError's repr of it
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """An assertion about an entry, checked by the row of ``_CHECKS`` named by its kind."""
 
     kind: str
@@ -530,8 +529,7 @@ def _parse(text: str, start: int, depth: int, last: bool) -> tuple[FiniteAiSemir
     return (builder(arg) if builder else get(arg.strip()).semiring), end
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     entry: str
     claim: Claim
     ok: bool

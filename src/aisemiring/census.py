@@ -56,8 +56,7 @@ import json
 import os
 import shutil
 import time
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import FiniteAiSemiring, Table, additive_height, canonical_form, least_relabeling, validate
 from .core import element_names as _elements  # the names from_tables gives by default
@@ -65,8 +64,7 @@ from .core import element_names as _elements  # the names from_tables gives by d
 SEMILATTICE_MAX_ORDER = 6
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(NamedTuple):
     order: int
     semirings: tuple[FiniteAiSemiring, ...]
     height1: tuple[FiniteAiSemiring, ...]

@@ -10,7 +10,6 @@ picks the exit code.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import math
@@ -180,7 +179,7 @@ def _cmd_enumerate(args):
     if not args.count_only:
         payload["keys"] = [key.hex() for key in keys]
     if args.out:
-        payload["index"] = write_census(dataclasses.replace(result, semirings=chosen, keys=keys), args.out)
+        payload["index"] = write_census(result._replace(semirings=chosen, keys=keys), args.out)
     return payload, str(count), True
 
 

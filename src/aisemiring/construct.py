@@ -8,7 +8,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     MAX_BUILT_ORDER,
@@ -315,8 +315,7 @@ def noncyclic_is_order_ideal(S: FiniteAiSemiring) -> bool:
     return all(b in noncyclic for a in noncyclic for b in order.below(a))
 
 
-@dataclass(frozen=True)
-class NfbWitnessReport:
+class NfbWitnessReport(NamedTuple):
     noncyclic_order_ideal: bool
     s7_embedding: Optional[Morphism]
 

@@ -7,9 +7,9 @@ values are immutable and safe to share between threads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 Row = tuple[int, ...]
 Table = tuple[Row, ...]
@@ -34,8 +34,7 @@ class InvalidSemiringError(ValueError):
         super().__init__(f"{where}: {message}" if where else message)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of a law check; at most one witness is kept per law."""
 
     valid: bool
@@ -181,8 +180,7 @@ def validate(add: Sequence[Sequence[int]], mul: Sequence[Sequence[int]]) -> Vali
     return ValidationReport(False, tuple(violations)) if violations else _VALID
 
 
-@dataclass(frozen=True)
-class FiniteAiSemiring:
+class FiniteAiSemiring(NamedTuple):
     """An additively idempotent semiring given by its Cayley tables."""
 
     name: str
@@ -202,7 +200,7 @@ class FiniteAiSemiring:
         elements: Optional[Sequence[str]] = None,
         name: str = "",
     ) -> "FiniteAiSemiring":
-        """A validated semiring, storing the tables it validated; the dataclass
+        """A validated semiring, storing the tables it validated; the plain
         constructor is the unchecked path. Tables that break a law raise
         InvalidSemiringError named by ``name``."""
         if type(name) is not str:
@@ -215,7 +213,7 @@ class FiniteAiSemiring:
         return cls(name=name, elements=element_names(len(add), elements), add=add, mul=mul)
 
     def renamed(self, name: str) -> "FiniteAiSemiring":
-        return replace(self, name=name)
+        return self._replace(name=name)
 
     def to_dict(self) -> dict:
         return {
@@ -235,8 +233,7 @@ class FiniteAiSemiring:
         return f"FiniteAiSemiring({self.name or '?'}, order={self.order})"
 
 
-@dataclass(frozen=True)
-class NaturalOrder:
+class NaturalOrder(NamedTuple):
     """The partial order a <= b iff a+b = b, together with its top."""
 
     leq: tuple[tuple[bool, ...], ...]

@@ -44,7 +44,7 @@ from .terms import SimpleIdentity, Term
 
 
 @dataclass(frozen=True)
-class CriterionVerdict:
+class CriterionVerdict:  # a dataclass for its field reads, as SimpleIdentity
     holds: bool
     rule: str
 

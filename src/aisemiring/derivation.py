@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .terms import Identity, Term, bounded_product, parse_identity, parse_term, substitute
 
@@ -23,8 +22,7 @@ class MalformedCertificateError(ValueError):
     """Structurally broken certificate (distinct from a step that fails to check)."""
 
 
-@dataclass(frozen=True)
-class DerivationStep:
+class DerivationStep(NamedTuple):
     axiom: int
     direction: str  # "LR" rewrites lhs into rhs, "RL" the reverse
     substitution: dict[str, Term]
@@ -63,8 +61,7 @@ class DerivationCertificate:
         return Identity(self.chain[0], self.chain[-1])
 
 
-@dataclass(frozen=True)
-class CertificateVerdict:
+class CertificateVerdict(NamedTuple):
     valid: bool
     failed_step: Optional[int]
     reason: Optional[str]
@@ -153,6 +150,8 @@ def certificate_to_dict(cert: DerivationCertificate) -> dict:
 
 
 def bundled_certificate_names() -> tuple[str, ...]:
+    from importlib import resources  # here, not at the top: most runs read no bundled file
+
     pkg = resources.files(__package__) / "certs"
     return tuple(sorted(p.name[: -len(".json")] for p in pkg.iterdir() if p.name.endswith(".json")))
 
@@ -162,5 +161,7 @@ def load_bundled_certificate(name: str) -> DerivationCertificate:
     lists; any other name, a path among them, raises FileNotFoundError."""
     if name not in bundled_certificate_names():
         raise FileNotFoundError(f"no bundled certificate {name!r}")
+    from importlib import resources
+
     pkg = resources.files(__package__) / "certs" / f"{name}.json"
     return certificate_from_dict(json.loads(pkg.read_text(encoding="utf-8")))

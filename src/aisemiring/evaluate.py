@@ -62,10 +62,9 @@ from __future__ import annotations
 
 import struct
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .core import FiniteAiSemiring, Table
 from .terms import Identity, Term, Word
@@ -331,8 +330,7 @@ def satisfies(S: FiniteAiSemiring, identity: Identity) -> bool:
     return counterexample(S, identity) is None
 
 
-@dataclass(frozen=True)
-class IdentityVerdict:
+class IdentityVerdict(NamedTuple):
     identity: Identity
     holds: bool
     witness: Optional[dict[str, int]]
@@ -342,8 +340,7 @@ class IdentityVerdict:
         return {"identity": str(self.identity), "holds": self.holds, "witness": witness}
 
 
-@dataclass(frozen=True)
-class BasisReport:
+class BasisReport(NamedTuple):
     verdicts: tuple[IdentityVerdict, ...]
 
     @property

@@ -8,6 +8,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,8 +20,27 @@ from aisemiring.core import FiniteAiSemiring, element_names
 from aisemiring.cli import main
 
 
+def assert_no_record(value, path="payload"):
+    """A record is a NamedTuple, so json.dumps would print a stray one as an
+    array instead of failing: no value of a payload may have ``_fields``."""
+    assert not hasattr(value, "_fields"), f"{path} is a {type(value).__name__} record"
+    if isinstance(value, dict):
+        for key, item in value.items():
+            assert_no_record(item, f"{path}[{key!r}]")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            assert_no_record(item, f"{path}[{i}]")
+
+
 def run(capsys, argv):
-    code = main(argv)
+    dumps = json.dumps
+
+    def checked_dumps(value, **kwargs):
+        assert_no_record(value)
+        return dumps(value, **kwargs)
+
+    with mock.patch.object(json, "dumps", checked_dumps):  # every --json payload passes through it
+        code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
 
