@@ -31,22 +31,22 @@ and keyed by ``core.canonical_form`` in its two stages.
 The search of an addition returns only its (key, add, mul) triples; every
 check that spans classes is made once, in one pass over the sorted list of
 all triples.  Each key starts with its addition's n^2 bytes, so the classes
-of one addition sit next to each other, least first.  The pass refuses a key
-equal to the one before it (two tables of one class: a symmetry bug),
-rechecks the least class of each addition against ``canonical_form`` itself,
-and measures that class's additive height, which holds for every class over
-its addition.
+of one addition sit next to each other, least first; the height-1 classes,
+over the least addition (the flat one), come first.  The pass refuses a key
+equal to the one before it (a symmetry bug), rechecks the least class of
+each addition against ``canonical_form``, and measures its additive height,
+which holds for every class over its addition.
 
 With more than one worker, each addition is one task.  The worker count
 includes the calling process, so two workers start one process beside it.
 Each process takes the next addition from one shared counter, deepest search
 first (most join-irreducibles, so most searched cells), so that no long
-search starts last, and the started ones send their triples back once, at
-the end, as one flat list.  An exception in a worker is re-raised in the
-caller with its type and message, chained from the worker's traceback.  The
-sort orders the classes by their keys, so the census is the same for any
-worker count and for any order in which the additions are searched or their
-triples arrive.
+search starts last.  A started one sends one message at the end: its triples
+as one flat list, or the exception it raised, which the caller re-raises
+chained from the worker's traceback.  A worker that exits without sending,
+as one whose exception cannot be pickled does, is a RuntimeError naming its
+exit code.  The sort orders the classes by their keys, so the census is the
+same for any worker count and any order of additions or arriving triples.
 """
 
 from __future__ import annotations
@@ -344,23 +344,17 @@ def _take_additions(additions: Sequence[Table], counter) -> list[tuple[bytes, Ta
 
 
 def _census_worker(additions: Sequence[Table], counter, conn) -> None:
-    """A worker process: send the triples it found, or the exception that
-    stopped it with its traceback text, through ``conn`` once.  An exception
-    that does not survive pickling is sent as a RuntimeError naming it."""
+    """A worker process: send ``(triples, None)`` after its last addition, or
+    ``(None, (exc, traceback text))`` if the search raised, through ``conn``
+    once.  An unpicklable exception fails ``send`` before a byte is written."""
     try:
-        result = _take_additions(additions, counter)
+        message = (_take_additions(additions, counter), None)
     except Exception as exc:  # the caller re-raises it
-        import pickle
         import traceback
 
-        text = traceback.format_exc()
-        try:
-            pickle.loads(pickle.dumps(exc))
-        except Exception:
-            exc = RuntimeError(f"census worker raised {type(exc).__name__}: {exc}")
-        result = (exc, text)
+        message = (None, (exc, traceback.format_exc()))
     with conn:
-        conn.send(result)
+        conn.send(message)
 
 
 def _parallel_chunks(additions: Sequence[Table], workers: int) -> list[tuple[bytes, Table, Table]]:
@@ -381,18 +375,18 @@ def _parallel_chunks(additions: Sequence[Table], workers: int) -> list[tuple[byt
         triples = _take_additions(additions, counter)
         for process, receiver in started:
             try:
-                received = receiver.recv()
+                found, failure = receiver.recv()
             except EOFError:
                 process.join()
                 raise RuntimeError(
                     f"census worker exited with code {process.exitcode} before sending its classes"
                 ) from None
-            if isinstance(received, tuple):
+            if failure is not None:
                 from multiprocessing.pool import RemoteTraceback
 
-                exc, text = received
+                exc, text = failure
                 raise exc from RemoteTraceback(f'\n"""\n{text}"""')
-            triples += received
+            triples += found
             process.join()
     finally:
         for process, receiver in started:

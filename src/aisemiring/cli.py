@@ -163,11 +163,8 @@ def _cmd_enumerate(args):
     if args.out:
         check_census_dir(args.out)  # refused now, not after the census; write_census checks again
     result = enumerate_ai_semirings(args.order, workers=workers)
-    chosen, keys = result.semirings, result.keys
-    if args.height1:  # a subsequence of the semirings, walked by identity: no table is hashed
-        rows = zip(result.semirings, result.keys)
-        chosen = result.height1
-        keys = tuple(next(key for S, key in rows if S is H) for H in chosen)
+    chosen = result.height1 if args.height1 else result.semirings
+    keys = result.keys[: len(chosen)]  # the height-1 classes are the census's first block
     count = len(chosen)
     payload = {
         "order": args.order,

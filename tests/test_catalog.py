@@ -267,6 +267,8 @@ def test_failing_basis_and_witness_claims_are_reported():
     witness = Claim("nfb-witness", (), "witness")
     assert not catalog.verify_claim(catalog.get("S_(4,1)"), witness).ok
     assert catalog.verify_claim(catalog.get("S_(4,49)"), witness).ok
+    with pytest.raises(ValueError, match=r"^S_\(4,4\): a bundled basis implies finitely-based status$"):
+        CatalogEntry(entry.name, entry.semiring, "nonfinitely-based", commutes, ())
 
 
 def test_building_refuses_an_invalid_table(monkeypatch):
@@ -293,6 +295,8 @@ def test_every_claim_kind_is_one_row_of_the_checks():
     assert {claim.kind for claim in claims} == set(catalog._CHECKS)
     for claim in claims:  # a row takes the entry and one semiring per arg
         assert len(inspect.signature(catalog._CHECKS[claim.kind]).parameters) == 1 + len(claim.args), claim
+    with pytest.raises(ValueError, match="^unknown claim kind 'no-such-kind'$"):
+        catalog.verify_claim(catalog.get("T2"), Claim("no-such-kind", (), "no check"))
 
 
 def _s7_clash(S):
@@ -328,6 +332,77 @@ def _s7_clash(S):
                         return Identity(known[h][1], term)
         frontier = new
     return None
+
+
+def _principal_congruence(S, a, b):
+    """Cg(a, b), as the least element of each element's block: the
+    union-find closure of (a, b) under the translations x -> x + c, cx, xc.
+    Each pair that joins two blocks sends its translations on; a root is
+    always the least element of its block."""
+    parent = list(range(S.order))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    pairs = [(a, b)]
+    while pairs:
+        x, y = pairs.pop()
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+            for c in range(S.order):
+                pairs += [(S.add[x][c], S.add[y][c]), (S.mul[c][x], S.mul[c][y]), (S.mul[x][c], S.mul[y][c])]
+    return tuple(find(x) for x in range(S.order))
+
+
+def _meet(partitions, n):
+    """The meet of partitions of range(n) given as block representatives."""
+    first = {}
+    return tuple(first.setdefault(tuple(p[x] for p in partitions), x) for x in range(n))
+
+
+def _is_subdirectly_irreducible(S):
+    """Birkhoff: S is SI iff the congruences Cg(a, b), a != b, meet above the identity relation."""
+    principal = [_principal_congruence(S, a, b) for a, b in itertools.combinations(range(S.order), 2)]
+    return S.order > 1 and _meet(principal, S.order) != tuple(range(S.order))
+
+
+def _naive_is_subdirectly_irreducible(S):
+    """SI by the whole congruence lattice: every partition of the carrier is
+    tested for compatibility, and the nontrivial congruences must meet above
+    the identity relation."""
+    n = S.order
+    identity = tuple(range(n))
+    partitions = [()]
+    for x in range(n):  # x joins the block of an earlier representative or starts its own
+        partitions = [p + (r,) for p in partitions for r in sorted(set(p)) + [x]]
+    congruences = [
+        p
+        for p in partitions
+        if p != identity
+        and all(
+            p[S.add[x][c]] == p[S.add[y][c]] and p[S.mul[c][x]] == p[S.mul[c][y]] and p[S.mul[x][c]] == p[S.mul[y][c]]
+            for x, y in itertools.combinations(range(n), 2)
+            if p[x] == p[y]
+            for c in range(n)
+        )
+    ]
+    return bool(congruences) and _meet(congruences, n) != identity
+
+
+def test_subdirectly_irreducible_classes_are_pinned(order3_census, order4_census):
+    counts = {}
+    for result in (census.enumerate_ai_semirings(2), order3_census, order4_census):
+        si = {key: _is_subdirectly_irreducible(S) for S, key in zip(result.semirings, result.keys)}
+        for S, key in zip(result.semirings, result.keys):
+            assert _naive_is_subdirectly_irreducible(S) == si[key], S.name
+            assert si[canonical_form(dual(S))] == si[key], S.name
+        counts[result.order] = sum(si.values())
+    assert counts == {2: 6, 3: 29, 4: 173}
+    si_entries = {entry.name for entry in catalog.entries(order=4) if _is_subdirectly_irreducible(entry.semiring)}
+    assert si_entries == {f"S_(4,{k})" for k in (4, 8, 9, 14, 26, 29, 37)}
 
 
 def test_s7_lies_in_the_variety_of_exactly_the_nonfinitely_based_entries():

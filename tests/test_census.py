@@ -26,6 +26,7 @@ from aisemiring.core import (
     canonical_form,
     direct_product,
     dual,
+    ValidationReport,
     least_relabeling,
     validate,
 )
@@ -158,6 +159,13 @@ def test_search_that_ignores_automorphisms_is_a_symmetry_bug(monkeypatch):
         enumerate_ai_semirings(4)
 
 
+def test_an_invalid_table_at_a_leaf_is_a_constraint_bug(monkeypatch):
+    invalid = ValidationReport(False, (("mul-associativity", (0, 0, 0)),))
+    monkeypatch.setattr(census, "validate", lambda add, mul: invalid)
+    with pytest.raises(RuntimeError, match=r"^search produced an invalid table; constraint bug$"):
+        enumerate_ai_semirings(2)
+
+
 def test_a_class_listed_by_two_processes_is_a_symmetry_bug(monkeypatch):
     # every process lists its first class twice, so the key comes twice to
     # the caller's sorted pass, the one place where all classes meet
@@ -198,6 +206,7 @@ def test_order5_census_output_is_pinned():
     result = enumerate_ai_semirings(5, workers=1)
     assert _census_digest(result) == digest
     assert (result.count, len(result.height1)) == (15751, 215)
+    _assert_height1_is_the_first_block(result)
     keys = set(result.keys)
     # canonical_form's key of each dual: dual(S) keeps the addition of S, so
     # the first stage, the least relabeling of the addition and the perms
@@ -272,23 +281,9 @@ def test_census_closure_under_small_products(order4_census):
         assert canonical_form(direct_product(A, B)) in keys4
 
 
-def test_census_deterministic_and_parallel_agrees():
-    seq = enumerate_ai_semirings(3, workers=1)
-    par = enumerate_ai_semirings(3, workers=2)
-    assert [S.add for S in seq.semirings] == [S.add for S in par.semirings]
-    assert [S.mul for S in seq.semirings] == [S.mul for S in par.semirings]
-
-
-def test_order4_parallel_census_is_bit_identical(order4_census):
-    par = enumerate_ai_semirings(4, workers=4)
-    assert [(S.add, S.mul) for S in par.semirings] == [
-        (S.add, S.mul) for S in order4_census.semirings
-    ]
-
-
-@pytest.mark.parametrize("order, workers", [(3, 8), (4, 3)])
+@pytest.mark.parametrize("order, workers", [(3, 2), (3, 8), (4, 3), (4, 4)])
 def test_census_is_bit_identical_for_more_workers(order, workers, order3_census, order4_census):
-    # 8 workers for the 2 additions of order 3; 2 worker processes beside the caller at order 4
+    # order 3 has 2 additions, so 2 and 8 workers both start one process beside the caller
     serial = {3: order3_census, 4: order4_census}[order]
     par = enumerate_ai_semirings(order, workers=workers)
     assert [(S.name, S.add, S.mul) for S in par.semirings] == [(S.name, S.add, S.mul) for S in serial.semirings]
@@ -371,12 +366,13 @@ def test_a_worker_error_carries_the_worker_traceback(monkeypatch):
         assert multiprocessing.active_children() == []
 
 
-def test_an_unpicklable_worker_error_is_named_in_a_runtime_error(monkeypatch):
+def test_an_unpicklable_worker_error_is_a_worker_exit(monkeypatch):
+    # pickling the message fails before send writes a byte, so the worker
+    # exits with code 1 and its pipe is at EOF
     _raise_in_workers_only(monkeypatch, _Unpicklable())
     with _within(30):
-        with pytest.raises(RuntimeError, match=r"^census worker raised _Unpicklable: holds a lambda$") as info:
+        with pytest.raises(RuntimeError, match=r"^census worker exited with code 1 before sending its classes$"):
             enumerate_ai_semirings(4, workers=2)
-        assert "in raising_in_a_worker" in str(info.value.__cause__)
         assert multiprocessing.active_children() == []
 
 
@@ -428,10 +424,24 @@ def test_census_does_not_depend_on_the_order_of_its_chunks(monkeypatch, workers,
         assert par.height1 == result.height1
 
 
+def _assert_height1_is_the_first_block(result):
+    """From order 2 the flat addition is the only one of height 1, and it is
+    the least canonical table: row a holds a on the diagonal and 0 elsewhere.
+    Each key starts with its addition's bytes, so its classes come first."""
+    n, count = result.order, len(result.height1)
+    flat = construct.flat_addition(n, 0)
+    assert enumerate_semilattices(n)[0] == flat
+    assert result.semirings[:count] == result.height1
+    assert [S.name for S in result.height1] == [f"ai{n}_{i:03d}" for i in range(count)]
+    over_flat = tuple(S for S in result.semirings if S.add == flat)
+    assert result.height1 == (over_flat if n >= 2 else ())  # on one element the flat addition has height 0
+
+
 def test_height1_is_the_classes_of_additive_height_one(monkeypatch, order3_census, order4_census):
     results = [enumerate_ai_semirings(1), enumerate_ai_semirings(2), order3_census, order4_census]
     for result in results:
         assert result.height1 == tuple(S for S in result.semirings if additive_height(S) == 1)
+        _assert_height1_is_the_first_block(result)
     assert [len(result.height1) for result in results] == [0, 6, 17, 58]
     # the height is measured once per addition, by the caller for any worker
     # count, and holds for every class over it
@@ -492,6 +502,29 @@ def test_write_census(tmp_path):
     (out / "sub").mkdir()
     refused(out)
     assert sorted(p.name for p in out.iterdir()) == sorted(names + ["sub"])
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_a_failed_write_removes_only_its_fresh_directory(monkeypatch, tmp_path, existing):
+    out = tmp_path / "census"
+    if existing:
+        out.mkdir()
+    real = FiniteAiSemiring.to_dict
+    written = []
+
+    def second_fails(S):
+        if written:
+            raise OSError("no space left on device")
+        written.append(S)
+        return real(S)
+
+    monkeypatch.setattr(FiniteAiSemiring, "to_dict", second_fails)
+    with pytest.raises(OSError, match="^no space left on device$"):
+        write_census(enumerate_ai_semirings(2), str(out))
+    assert len(written) == 1  # one file was in the fresh directory
+    # out is left as it was, and no hidden .census.* sibling remains
+    assert [p.name for p in tmp_path.iterdir()] == (["census"] if existing else [])
+    assert not existing or list(out.iterdir()) == []
 
 
 def test_classify_examples():

@@ -137,7 +137,7 @@ def test_enumerate_subcommand(capsys, tmp_path):
 
 
 def test_enumerate_hashes_no_semiring(capsys, monkeypatch):
-    # the keys are read by position and height1 is walked by identity
+    # the keys are read by position: the height-1 classes are the census's first block
     hashed = []
     unhashed = FiniteAiSemiring.__hash__
 
@@ -259,6 +259,10 @@ def test_catalog_subcommands(capsys):
     code, payload, _ = run_json(capsys, ["catalog", "show", "S_(4,37)"])
     assert code == 0
     assert payload["semiring"]["mul"][2] == [0, 2, 3, 1]
+    code, out, _ = run(capsys, ["catalog", "show", "S_(4,20)"])
+    assert code == 0 and out.startswith("S_(4,20) on {1, 2, 3, 4}\n")
+    assert "\nstatus: finitely-based\nbasis:\n  x^4 ≈ x^2\n  xy ≈ yx\n  xy^2 ≈ x + xy^2\n" in out
+    assert "\n  x1x2 + x3 + x4 ≈ x1x2 + x1x2x3x4 + x3 + x4\nclaims:\n  subdirect product of S10 and T2\n" in out
 
     code, payload, _ = run_json(capsys, ["catalog", "list", "--order", "4"])
     assert len(payload) == 58
@@ -517,6 +521,9 @@ def test_argparse_refusals_name_the_sub_command(capsys):
     )
     err = run(capsys, ["enumerate", "--order", "2", "--foo"])[2]
     assert err == "error: aisemiring enumerate: unrecognized arguments: --foo\n"
+    assert run(capsys, ["enumerate", "--order", "3", "--workers", "x"]) == (
+        2, "", "error: aisemiring enumerate: argument --workers: expected an integer of at least 1, got 'x'\n"
+    )
 
 
 def test_closed_stdout_is_one_error_line():
@@ -591,6 +598,12 @@ def test_enumerate_workers_default_to_the_processor_count(capsys, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
     assert run(capsys, ["enumerate", "--order", "5"])[0] == 0
     assert handed[-1] == 3
+    # where the platform cannot say, every processor of the machine, or 1 if that is unknown too
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for counted, workers in ((6, 6), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: counted)
+        assert run(capsys, ["enumerate", "--order", "5"])[0] == 0
+        assert handed[-1] == workers
     for order in ("1", "4"):
         assert run(capsys, ["enumerate", "--order", order])[0] == 0
         assert handed[-1] == 1

@@ -92,6 +92,11 @@ def test_abelian_group_with_zero():
     assert is_abelian_group_with_zero(semigroup_reduct(S("S_(4,37)")))
     assert not is_abelian_group_with_zero(semigroup_reduct(S("S7")))
     assert not is_abelian_group_with_zero(semigroup_reduct(S("S_(4,1)")))
+    z2 = ((0, 1), (1, 0))
+    assert not is_abelian_group_with_zero(FiniteSemigroup(("e", "g"), z2))  # no zero
+    assert not is_abelian_group_with_zero(FiniteSemigroup(("0",), ((0,),), zero=0))  # only the zero
+    constant = ((0, 0, 0), (0, 1, 1), (0, 1, 1))  # every product of nonzero elements is a: no identity
+    assert not is_abelian_group_with_zero(FiniteSemigroup(("0", "a", "b"), constant, zero=0))
 
 
 def test_word_semirings_match_catalog():
@@ -149,6 +154,8 @@ def test_extensions():
     )
     ne1 = null_extension(sub)
     assert find_isomorphism(ne1, S("T2")) is not None
+    # a new element whose name is taken is primed
+    assert null_extension(null_extension(S("T2"))).elements == ("0", "1", "b", "b'")
 
     ne7 = null_extension(S("S7"))
     from aisemiring.core import is_subdirect_embedding

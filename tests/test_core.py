@@ -410,6 +410,8 @@ def test_morphism_rejects_non_homomorphisms():
     T = catalog.get("R2").semiring
     with pytest.raises(ValueError):
         Morphism(source=S, target=T, mapping=(1, 0))
+    with pytest.raises(ValueError, match="^mapping must assign every source element$"):
+        Morphism(source=S, target=T, mapping=(0,))
 
 
 def test_deterministic_morphism_output():
