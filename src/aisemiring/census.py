@@ -445,14 +445,13 @@ def enumerate_ai_semirings(n: int, workers: int = 1) -> CensusResult:
     )
 
 
-def check_census_dir(out_dir: str) -> tuple[str, bool]:
-    """The real path of ``out_dir`` and whether it exists; raises ValueError
-    unless ``out_dir`` is new or an empty directory."""
+def check_census_dir(out_dir: str) -> str:
+    """The real path of ``out_dir``; raises ValueError unless ``out_dir`` is
+    new or an empty directory."""
     target = os.path.realpath(out_dir)
-    exists = os.path.lexists(target)
-    if exists and (not os.path.isdir(target) or os.listdir(target)):
+    if os.path.lexists(target) and (not os.path.isdir(target) or os.listdir(target)):
         raise ValueError(f"{out_dir} exists and is not an empty directory; give a new or empty one")
-    return target, exists
+    return target
 
 
 def write_census(result: CensusResult, out_dir: str) -> str:
@@ -462,12 +461,12 @@ def write_census(result: CensusResult, out_dir: str) -> str:
     ``out_dir`` must not exist or must be an empty directory: anything else,
     an earlier census included, raises ValueError before any file is
     written, as does a result without one key per semiring.  The files go
-    into a fresh directory beside ``out_dir``, which one rename moves into
-    its place, so ``out_dir`` holds all of this census or nothing of it; a
-    failure removes only that fresh directory."""
+    into a fresh directory beside ``out_dir``, which one rename, the only step
+    touching ``out_dir``, puts in its place, so ``out_dir`` holds all of this
+    census or stays as it was; a failure removes only that fresh directory."""
     if len(result.keys) != len(result.semirings):
         raise ValueError(f"the census has {len(result.semirings)} semirings but {len(result.keys)} keys")
-    target, exists = check_census_dir(out_dir)
+    target = check_census_dir(out_dir)
     parent, base = os.path.split(target)
     os.makedirs(parent, exist_ok=True)
     fresh = os.path.join(parent, f".{base}.{os.urandom(8).hex()}")
@@ -482,9 +481,7 @@ def write_census(result: CensusResult, out_dir: str) -> str:
             lines.append(f"{key.hex()} {filename}")
         with open(os.path.join(fresh, "index.txt"), "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
-        if exists:
-            os.rmdir(target)  # fails, deleting nothing, if a file appeared since the check
-        os.rename(fresh, target)
+        os.rename(fresh, target)  # POSIX: replaces an empty target, refuses one a file appeared in
     except BaseException:
         shutil.rmtree(fresh, ignore_errors=True)
         raise

@@ -285,18 +285,14 @@ def direct_product(S: FiniteAiSemiring, T: FiniteAiSemiring) -> FiniteAiSemiring
     if n * m > MAX_BUILT_ORDER:
         raise ValueError(f"a product of orders {n} and {m} would have {n * m} elements, more than {MAX_BUILT_ORDER}")
 
-    def pair(i: int, j: int) -> int:
-        return i * m + j
+    def table(s: Table, t: Table) -> Table:
+        return tuple(
+            tuple(s[i1][i2] * m + t[j1][j2] for i2 in range(n) for j2 in range(m)) for i1 in range(n) for j1 in range(m)
+        )
 
     elements = tuple(f"({a},{b})" for a in S.elements for b in T.elements)
-    add = [[0] * (n * m) for _ in range(n * m)]
-    mul = [[0] * (n * m) for _ in range(n * m)]
-    for i1, j1 in itertools.product(range(n), range(m)):
-        for i2, j2 in itertools.product(range(n), range(m)):
-            add[pair(i1, j1)][pair(i2, j2)] = pair(S.add[i1][i2], T.add[j1][j2])
-            mul[pair(i1, j1)][pair(i2, j2)] = pair(S.mul[i1][i2], T.mul[j1][j2])
     name = f"{S.name}x{T.name}" if S.name and T.name else ""
-    return FiniteAiSemiring(name=name, elements=elements, add=tuple(map(tuple, add)), mul=tuple(map(tuple, mul)))
+    return FiniteAiSemiring(name=name, elements=elements, add=table(S.add, T.add), mul=table(S.mul, T.mul))
 
 
 @dataclass(frozen=True)

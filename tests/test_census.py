@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import itertools
 import json
@@ -435,6 +436,8 @@ def _assert_height1_is_the_first_block(result):
     assert [S.name for S in result.height1] == [f"ai{n}_{i:03d}" for i in range(count)]
     over_flat = tuple(S for S in result.semirings if S.add == flat)
     assert result.height1 == (over_flat if n >= 2 else ())  # on one element the flat addition has height 0
+    if n >= 2:  # the search over the flat addition alone finds the same block, under the same keys
+        assert sorted(key for key, _, _ in _census_for_addition(flat)) == list(result.keys[:count])
 
 
 def test_height1_is_the_classes_of_additive_height_one(monkeypatch, order3_census, order4_census):
@@ -504,27 +507,62 @@ def test_write_census(tmp_path):
     assert sorted(p.name for p in out.iterdir()) == sorted(names + ["sub"])
 
 
+@pytest.mark.parametrize("step", ["file", "rename"])
 @pytest.mark.parametrize("existing", [False, True])
-def test_a_failed_write_removes_only_its_fresh_directory(monkeypatch, tmp_path, existing):
+def test_a_failed_write_removes_only_its_fresh_directory(monkeypatch, tmp_path, existing, step):
     out = tmp_path / "census"
     if existing:
         out.mkdir()
-    real = FiniteAiSemiring.to_dict
-    written = []
+    real_to_dict, real_rename = FiniteAiSemiring.to_dict, os.rename
+    written, renamed = [], []
 
     def second_fails(S):
         if written:
             raise OSError("no space left on device")
         written.append(S)
-        return real(S)
+        return real_to_dict(S)
 
-    monkeypatch.setattr(FiniteAiSemiring, "to_dict", second_fails)
+    def rename_fails(src, dst):
+        if not renamed:
+            renamed.append((src, dst))
+            raise OSError("no space left on device")
+        real_rename(src, dst)
+
+    result = enumerate_ai_semirings(2)
+    if step == "file":
+        monkeypatch.setattr(FiniteAiSemiring, "to_dict", second_fails)
+    else:
+        monkeypatch.setattr(os, "rename", rename_fails)
     with pytest.raises(OSError, match="^no space left on device$"):
-        write_census(enumerate_ai_semirings(2), str(out))
-    assert len(written) == 1  # one file was in the fresh directory
+        write_census(result, str(out))
+    if step == "file":
+        assert len(written) == 1  # one file was in the fresh directory
+    else:
+        assert [os.path.basename(dst) for _, dst in renamed] == ["census"]  # every file was written
     # out is left as it was, and no hidden .census.* sibling remains
     assert [p.name for p in tmp_path.iterdir()] == (["census"] if existing else [])
     assert not existing or list(out.iterdir()) == []
+
+
+def test_a_file_that_appears_during_the_write_is_kept(monkeypatch, tmp_path):
+    """The check passes on an empty out_dir; a file created there before the
+    rename makes the rename refuse it, changing nothing."""
+    out = tmp_path / "census"
+    out.mkdir()
+    real = FiniteAiSemiring.to_dict
+
+    def intrude(S):
+        if not (out / "intruder").exists():
+            (out / "intruder").write_text("not a census\n")
+        return real(S)
+
+    result = enumerate_ai_semirings(2)
+    monkeypatch.setattr(FiniteAiSemiring, "to_dict", intrude)
+    with pytest.raises(OSError) as raised:
+        write_census(result, str(out))
+    assert raised.value.errno in (errno.ENOTEMPTY, errno.EEXIST)  # POSIX allows either
+    assert [p.name for p in out.iterdir()] == ["intruder"]
+    assert [p.name for p in tmp_path.iterdir()] == ["census"]
 
 
 def test_classify_examples():

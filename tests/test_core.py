@@ -304,6 +304,22 @@ def test_direct_product_shapes():
     assert not is_flat(R)
 
 
+@pytest.mark.parametrize(("left", "right"), [("T2", "S7"), ("S7", "T2"), ("S7", "S_(4,12)"), ("S_(4,12)", "M2")])
+def test_direct_product_cells_on_unequal_orders(left, right):
+    """On unequal orders row-major pairs (i * m + j) differ from column-major
+    ones, so every cell pins the pair index."""
+    S, T = catalog.get(left).semiring, catalog.get(right).semiring
+    n, m = S.order, T.order
+    P = direct_product(S, T)
+    assert P.order == n * m
+    for i, j in itertools.product(range(n), range(m)):
+        assert P.elements[i * m + j] == f"({S.elements[i]},{T.elements[j]})"
+    for (i1, j1), (i2, j2) in itertools.product(itertools.product(range(n), range(m)), repeat=2):
+        a, b = i1 * m + j1, i2 * m + j2
+        assert P.add[a][b] == S.add[i1][i2] * m + T.add[j1][j2]
+        assert P.mul[a][b] == S.mul[i1][i2] * m + T.mul[j1][j2]
+
+
 def test_generated_subalgebra():
     S15 = s4k(15)
     sub, inc = generated_subalgebra(S15, (0, 1, 2))
